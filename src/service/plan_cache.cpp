@@ -46,6 +46,8 @@ std::uint64_t plan_fingerprint(const PlanKeyMaterial& material) noexcept {
             material.initial_state.size_bytes());
   fnv_u64(h, material.engine.size());
   fnv_bytes(h, material.engine.data(), material.engine.size());
+  fnv_u64(h, material.spec.size());
+  fnv_bytes(h, material.spec.data(), material.spec.size());
   return h;
 }
 

@@ -1,16 +1,20 @@
 #pragma once
 /// \file plan_cache.hpp
-/// Content-addressed cache of shared QaoaPlans — the amortization heart of
-/// the service layer.
+/// Cache of shared QaoaPlans — the amortization heart of the service layer.
 ///
 /// The paper's workflow is "precompute once, evaluate thousands of times";
 /// the PlanCache extends the amortization across *jobs*: every request that
-/// resolves to the same precomputation (same feasible space, mixer kind,
-/// cost table bytes, phase table, initial state, and round count) reuses
-/// one immutable QaoaPlan plus its owned mixer, no matter which client sent
-/// it or which worker runs it. Keys are FNV-1a fingerprints over the actual
-/// table contents, so two objectives that happen to tabulate identically
-/// share an entry even if they were generated by different code paths.
+/// resolves to the same precomputation reuses one immutable plan plus its
+/// owned mixer, no matter which client sent it or which worker runs it.
+///
+/// Keys are FNV-1a fingerprints of a PlanKeyMaterial, which names a plan in
+/// one of two ways. The service keys the plans it generates by their spec
+/// (`spec` = workload::generator_cache_tag): a hit then never builds the
+/// 2^n cost table, and the builder tabulates only on a miss. Library callers
+/// that bring their own tables key by content (`obj_vals`, `phase_values`,
+/// `initial_state`): two callers whose tables are equal share an entry. A
+/// spec key leaves the tables empty and a content key leaves `spec` empty;
+/// every field is length-prefixed, so the two kinds cannot alias.
 ///
 /// Eviction is LRU under a configurable byte budget. Entry sizes come from
 /// the process-wide MemoryTracker (common/alloc.hpp): the cache measures
@@ -37,8 +41,9 @@
 
 namespace fastqaoa::service {
 
-/// Everything that identifies a plan, by content. Spans reference the
-/// caller's tables; they are only read during fingerprinting.
+/// Everything that identifies a plan, by spec or by content. Spans and
+/// views reference the caller's data; they are only read during
+/// fingerprinting.
 struct PlanKeyMaterial {
   std::string_view mixer_kind;  ///< "tf", "grover", "clique", "ring", ...
   int n = 0;                    ///< qubit count
@@ -52,6 +57,10 @@ struct PlanKeyMaterial {
   /// an MPS evaluation of the same problem, or two MPS evaluations with
   /// different truncation knobs, must never share a cache entry.
   std::string_view engine = "exact";
+  /// Generator inputs that produce the tables (workload::
+  /// generator_cache_tag). Set by callers that key a generated plan by its
+  /// spec and leave the tables empty; "" for content-keyed plans.
+  std::string_view spec{};
 };
 
 /// FNV-1a (64-bit) over every key field, length-prefixed so adjacent
@@ -107,8 +116,8 @@ class PlanCache {
   /// partition are charged to it and evicted only by its own budget — one
   /// tenant's churn can never push another budgeted tenant's plans out.
   /// Entries built under partitions with no budget (including the default
-  /// "") share the global `max_bytes` pool exactly as before. Content
-  /// hits remain cross-partition: a plan built by tenant A is served to
+  /// "") share the global `max_bytes` pool exactly as before. Hits
+  /// remain cross-partition: a plan built by tenant A is served to
   /// tenant B from A's partition (shared immutable data, charged once).
   void set_partition_budget(const std::string& partition, std::size_t bytes);
 

@@ -492,20 +492,19 @@ void Service::run_job(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws) {
 
 void Service::execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
                       JobResultData& out) {
-  if (job.spec.problem.uses_mps()) {
-    execute_mps(job, mws, out);
-    return;
-  }
   const JobSpec& spec = job.spec;
-  const StateSpace space = problem_space(spec.problem);
-  dvec obj_vals = build_objective(spec.problem, space);
-
+  // Generated plans are keyed by the spec that generates them, so a hit
+  // costs a short string hash; the tables are built only on a miss, inside
+  // the single-flight builder (which also charges them to the entry).
+  const std::string generator_tag = generator_cache_tag(spec.problem);
+  const std::string engine_tag = engine_cache_tag(spec.problem);
   PlanKeyMaterial material;
   material.mixer_kind = spec.problem.mixer;
   material.n = spec.problem.n;
   material.k = spec.problem.effective_k();
   material.rounds = spec.p;
-  material.obj_vals = obj_vals;
+  material.engine = engine_tag;
+  material.spec = generator_tag;
 
   bool built_here = false;
   const PlanHandle cached =
@@ -513,14 +512,24 @@ void Service::execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
         built_here = true;
         WallTimer build_timer;
         CachedPlan entry;
-        entry.mixer = build_mixer(spec.problem, space, config_.cache_dir);
-        entry.plan = std::make_shared<const QaoaPlan>(
-            *entry.mixer, std::move(obj_vals), spec.p);
+        if (spec.problem.uses_mps()) {
+          entry.mps_plan = std::make_shared<const mps::MpsPlan>(
+              build_mps_hamiltonian(spec.problem), mps_options(spec.problem));
+        } else {
+          const StateSpace space = problem_space(spec.problem);
+          entry.mixer = build_mixer(spec.problem, space, config_.cache_dir);
+          entry.plan = std::make_shared<const QaoaPlan>(
+              *entry.mixer, build_objective(spec.problem, space), spec.p);
+        }
         FASTQAOA_OBS_HIST_GLOBAL("service.plan_cache.build_seconds",
                                  build_timer.seconds());
         return entry;
       });
   out.cache_hit = !built_here;
+  if (spec.problem.uses_mps()) {
+    execute_mps(job, *cached->mps_plan, mws, out);
+    return;
+  }
   const QaoaPlan& plan = *cached->plan;
   const Direction direction =
       spec.minimize ? Direction::Minimize : Direction::Maximize;
@@ -618,52 +627,10 @@ void Service::execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
   }
 }
 
-void Service::execute_mps(Job& job, mps::MpsWorkspace& mws,
-                          JobResultData& out) {
+void Service::execute_mps(Job& job, const mps::MpsPlan& plan,
+                          mps::MpsWorkspace& mws, JobResultData& out) {
   const JobSpec& spec = job.spec;
   out.mps = true;
-
-  mps::DiagonalHamiltonian h = build_mps_hamiltonian(spec.problem);
-  // Flatten the term list as the fingerprint content — the MPS analogue of
-  // hashing the exact engine's objective table. Deterministic per spec
-  // (the generator's draw order is fixed), and disjoint from exact-engine
-  // fingerprints via the engine tag.
-  std::vector<double> key;
-  key.reserve(1 + 2 * h.z_terms.size() + 3 * h.zz_terms.size());
-  key.push_back(h.constant);
-  for (const mps::ZTerm& t : h.z_terms) {
-    key.push_back(static_cast<double>(t.site));
-    key.push_back(t.coeff);
-  }
-  for (const mps::ZZTerm& t : h.zz_terms) {
-    key.push_back(static_cast<double>(t.u));
-    key.push_back(static_cast<double>(t.v));
-    key.push_back(t.coeff);
-  }
-  const std::string engine_tag = engine_cache_tag(spec.problem);
-
-  PlanKeyMaterial material;
-  material.mixer_kind = spec.problem.mixer;
-  material.n = spec.problem.n;
-  material.k = -1;
-  material.rounds = spec.p;
-  material.obj_vals = key;
-  material.engine = engine_tag;
-
-  bool built_here = false;
-  const PlanHandle cached =
-      cache_.get_or_build(material, spec.tenant, [&]() -> CachedPlan {
-        built_here = true;
-        WallTimer build_timer;
-        CachedPlan entry;
-        entry.mps_plan = std::make_shared<const mps::MpsPlan>(
-            std::move(h), mps_options(spec.problem));
-        FASTQAOA_OBS_HIST_GLOBAL("service.plan_cache.build_seconds",
-                                 build_timer.seconds());
-        return entry;
-      });
-  out.cache_hit = !built_here;
-  const mps::MpsPlan& plan = *cached->mps_plan;
 
   const auto harvest_stats = [&out, &mws] {
     out.discarded_weight = mws.stats.discarded_weight;

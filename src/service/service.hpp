@@ -265,7 +265,8 @@ class Service {
   void run_job(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws);
   void execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
                JobResultData& out);
-  void execute_mps(Job& job, mps::MpsWorkspace& mws, JobResultData& out);
+  void execute_mps(Job& job, const mps::MpsPlan& plan, mps::MpsWorkspace& mws,
+                   JobResultData& out);
 
   ServiceConfig config_;
   TenantRegistry registry_;

@@ -136,6 +136,18 @@ std::string engine_cache_tag(const ProblemSpec& spec) {
   return buf;
 }
 
+std::string generator_cache_tag(const ProblemSpec& spec) {
+  std::string tag = "problem=" + spec.problem +
+                    ";seed=" + std::to_string(spec.instance_seed) +
+                    ";degree=" + std::to_string(spec.degree);
+  if (spec.problem == "ksat") {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), ";density=%.17g", spec.density);
+    tag += buf;
+  }
+  return tag;
+}
+
 std::unique_ptr<const Mixer> build_mixer(const ProblemSpec& spec,
                                          const StateSpace& space,
                                          const std::string& disk_cache_dir) {

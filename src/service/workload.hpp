@@ -73,8 +73,7 @@ void validate_problem_spec(const ProblemSpec& spec);
                                    const StateSpace& space);
 
 /// The MPS engine's sparse form of the same objective (maxcut/wmaxcut
-/// only), already canonicalized — its term list is the content the plan
-/// cache fingerprints.
+/// only), already canonicalized.
 [[nodiscard]] mps::DiagonalHamiltonian build_mps_hamiltonian(
     const ProblemSpec& spec);
 
@@ -85,6 +84,13 @@ void validate_problem_spec(const ProblemSpec& spec);
 /// ("exact", or "mps;chi=..;tol=..;budget=.."): two specs with different
 /// tags never share a plan-cache entry.
 [[nodiscard]] std::string engine_cache_tag(const ProblemSpec& spec);
+
+/// Cache-key tag naming the generator inputs that, together with the mixer,
+/// n, effective_k and engine tag, fix a plan's tables: "problem=..;seed=..;
+/// degree=..", plus ";density=.." for ksat (the only problem that reads it).
+/// The service keys its plans by this tag instead of by table content, so a
+/// cache hit never tabulates the 2^n objective.
+[[nodiscard]] std::string generator_cache_tag(const ProblemSpec& spec);
 
 /// Construct the mixer. When `disk_cache_dir` is non-empty, eigendecomposed
 /// mixers (clique/ring) are persisted there via io::load_or_build_mixer

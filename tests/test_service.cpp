@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -26,6 +27,7 @@
 
 #include "anglefind/strategies.hpp"
 #include "autodiff/adjoint.hpp"
+#include "common/alloc.hpp"
 #include "common/error.hpp"
 #include "core/plan.hpp"
 #include "io/serialize.hpp"
@@ -117,7 +119,9 @@ PlanKeyMaterial material_for(const ProblemSpec& spec, int p,
   return m;
 }
 
-/// Build-or-fetch through the cache the same way Service::execute does.
+/// Build-or-fetch through the cache keyed by table content, the way a
+/// library caller that brings its own tables does (the service keys by spec
+/// instead, and tabulates only on a miss).
 PlanHandle cache_plan(PlanCache& cache, const ProblemSpec& spec, int p,
                       int* builds = nullptr) {
   const StateSpace space = problem_space(spec);
@@ -378,6 +382,68 @@ TEST(ServiceEvaluate, BitIdenticalToDirectCallAndCached) {
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kJobs));
 }
 
+TEST(ServiceEvaluate, CacheEntryChargesEveryTableItsPlanHolds) {
+  JobSpec spec = evaluate_spec();
+  spec.problem.n = 16;
+
+  // The footprint of the same entry built by hand: everything that stays
+  // allocated while the objective (moved into the plan), the mixer and the
+  // plan are alive.
+  std::size_t footprint = 0;
+  {
+    const StateSpace space = problem_space(spec.problem);
+    const std::size_t before = MemoryTracker::current_bytes();
+    dvec obj = build_objective(spec.problem, space);
+    const std::unique_ptr<const Mixer> mixer =
+        build_mixer(spec.problem, space);
+    const QaoaPlan plan(*mixer, std::move(obj), spec.p);
+    footprint = MemoryTracker::current_bytes() - before;
+    ASSERT_GE(footprint,
+              tracked_alloc_bytes(plan.objective().size() * sizeof(double)) +
+                  tracked_alloc_bytes(plan.initial_state().size() *
+                                      sizeof(cplx)));
+  }
+
+  ServiceConfig config;
+  config.workers = 1;
+  Service service(config);
+  Service::SubmitOutcome outcome = service.submit(spec);
+  ASSERT_TRUE(outcome.accepted());
+  Service::wait(*outcome.job);
+  ASSERT_EQ(outcome.job->snapshot_state(), JobState::Done);
+  const PlanCache::Stats stats = service.stats().plan_cache;
+  ASSERT_EQ(stats.entries, 1u);
+  // The cost table is charged too, so --cache-bytes bounds what the cache
+  // really holds.
+  EXPECT_GE(stats.bytes, footprint);
+}
+
+TEST(ServiceEvaluate, CacheHitAllocatesNoCostTable) {
+  JobSpec spec = evaluate_spec();
+  spec.problem.n = 16;
+  ServiceConfig config;
+  config.workers = 1;
+  Service service(config);
+  const auto run = [&service, &spec] {
+    Service::SubmitOutcome outcome = service.submit(spec);
+    EXPECT_TRUE(outcome.accepted());
+    Service::wait(*outcome.job);
+    EXPECT_EQ(outcome.job->snapshot_state(), JobState::Done);
+    return outcome.job->result;
+  };
+  const JobResultData miss = run();  // builds the plan, sizes the workspace
+  ASSERT_FALSE(miss.cache_hit);
+
+  const std::size_t before = MemoryTracker::current_bytes();
+  MemoryTracker::reset_peak();
+  const JobResultData hit = run();
+  ASSERT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.expectation, miss.expectation);
+  const std::size_t table = tracked_alloc_bytes((std::size_t{1} << 16) *
+                                                sizeof(double));
+  EXPECT_LT(MemoryTracker::peak_bytes() - before, table);
+}
+
 TEST(ServiceEvaluate, RejectsInvalidSpecsWithThrow) {
   Service service;
   JobSpec bad = evaluate_spec();
@@ -521,6 +587,43 @@ TEST(ServiceConcurrency, ResultsAreWorkerCountInvariant) {
       EXPECT_EQ(one[i].schedules[r].gammas, four[i].schedules[r].gammas);
     }
   }
+}
+
+TEST(ServiceConcurrency, ColdSpecBuildsOnce) {
+  // Tabulation runs inside the cache's single-flight builder: sixteen
+  // concurrent submits of one cold spec build its plan exactly once.
+  JobSpec spec = evaluate_spec();
+  spec.problem.n = 12;
+  const double expected = direct_evaluate(spec);
+
+  ServiceConfig config;
+  config.workers = 4;
+  Service service(config);
+  constexpr int kSubmits = 16;
+  std::vector<std::shared_ptr<Job>> jobs(kSubmits);
+  std::vector<std::thread> submitters;
+  for (int i = 0; i < kSubmits; ++i) {
+    submitters.emplace_back([&service, &spec, &jobs, i] {
+      Service::SubmitOutcome outcome = service.submit(spec);
+      EXPECT_TRUE(outcome.accepted());
+      jobs[static_cast<std::size_t>(i)] = outcome.job;
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+
+  int hits = 0;
+  for (const auto& job : jobs) {
+    ASSERT_NE(job, nullptr);
+    Service::wait(*job);
+    ASSERT_EQ(job->snapshot_state(), JobState::Done);
+    EXPECT_EQ(job->result.expectation, expected);  // bit-identical
+    hits += job->result.cache_hit ? 1 : 0;
+  }
+  EXPECT_EQ(hits, kSubmits - 1);
+  const PlanCache::Stats stats = service.stats().plan_cache;
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kSubmits - 1));
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 JobSpec slow_find_angles(std::uint64_t seed = 1) {
@@ -1755,6 +1858,126 @@ TEST(ServiceMps, ProtocolCarriesEngineFieldsBothWays) {
   const Json err = handle_request(service, req);
   EXPECT_FALSE(err.at("ok").as_bool());
   EXPECT_EQ(err.at("error").at("code").as_string(), "bad_request");
+}
+
+// ---------------------------------------------------------------------------
+// Spec keys: the service keys generated plans by their generator inputs
+// ---------------------------------------------------------------------------
+
+JobSpec with_rounds(JobSpec spec, int p) {
+  spec.p = p;
+  spec.betas.assign(static_cast<std::size_t>(p), 0.17);
+  spec.gammas.assign(static_cast<std::size_t>(p), 0.41);
+  return spec;
+}
+
+/// Submit `base`, then `mutated`, to a fresh service. Returns whether the
+/// second job was served from the first one's cache entry; either way its
+/// result must be the one a fresh build of `mutated` computes.
+bool shares_entry(const JobSpec& base, const JobSpec& mutated) {
+  ServiceConfig config;
+  config.workers = 1;
+  Service service(config);
+  JobResultData result;
+  for (const JobSpec* spec : {&base, &mutated}) {
+    Service::SubmitOutcome outcome = service.submit(*spec);
+    EXPECT_TRUE(outcome.accepted());
+    if (!outcome.accepted()) return false;
+    Service::wait(*outcome.job);
+    EXPECT_EQ(outcome.job->snapshot_state(), JobState::Done)
+        << outcome.job->error;
+    result = outcome.job->result;
+  }
+  const double fresh = mutated.problem.uses_mps()
+                           ? direct_mps_evaluate(mutated)
+                           : direct_evaluate(mutated);
+  EXPECT_EQ(result.expectation, fresh);
+  return result.cache_hit;
+}
+
+TEST(PlanCache, SpecKeyCoversEveryGeneratorField) {
+  enum class Expect { Either, Share, Split };
+  struct Mutation {
+    const char* name;
+    JobSpec base;
+    std::function<void(JobSpec&)> apply;
+    Expect expect = Expect::Either;
+  };
+  const JobSpec exact = evaluate_spec();  // maxcut tf n=8 seed=42
+  JobSpec ksat = exact;
+  ksat.problem.problem = "ksat";
+  JobSpec clique = exact;
+  clique.problem.mixer = "clique";  // k defaults to n/2
+  const JobSpec mps = mps_evaluate_spec();
+
+  const std::vector<Mutation> mutations = {
+      {"problem=wmaxcut", exact,
+       [](JobSpec& s) { s.problem.problem = "wmaxcut"; }},
+      {"problem=ksat", exact,
+       [](JobSpec& s) { s.problem.problem = "ksat"; }},
+      {"problem=densest", exact,
+       [](JobSpec& s) { s.problem.problem = "densest"; }},
+      {"problem=vertexcover", exact,
+       [](JobSpec& s) { s.problem.problem = "vertexcover"; }},
+      {"problem=partition", exact,
+       [](JobSpec& s) { s.problem.problem = "partition"; }},
+      {"mixer=grover", exact,
+       [](JobSpec& s) { s.problem.mixer = "grover"; }},
+      {"mixer=clique", exact,
+       [](JobSpec& s) { s.problem.mixer = "clique"; }},
+      {"mixer=ring", clique, [](JobSpec& s) { s.problem.mixer = "ring"; }},
+      {"n", exact, [](JobSpec& s) { s.problem.n = 10; }},
+      {"k on tf", exact, [](JobSpec& s) { s.problem.k = 3; }},
+      {"k on clique", clique, [](JobSpec& s) { s.problem.k = 3; },
+       Expect::Split},
+      {"k=n/2 on clique", clique, [](JobSpec& s) { s.problem.k = 4; }},
+      {"density on maxcut", exact,
+       [](JobSpec& s) { s.problem.density = 3.0; }, Expect::Share},
+      {"density on ksat", ksat,
+       [](JobSpec& s) { s.problem.density = 3.0; }, Expect::Split},
+      {"instance_seed", exact,
+       [](JobSpec& s) { s.problem.instance_seed = 43; }},
+      {"degree", exact, [](JobSpec& s) { s.problem.degree = 3; }},
+      {"engine", exact, [](JobSpec& s) { s.problem.engine = "mps"; },
+       Expect::Split},
+      {"max_bond on exact", exact,
+       [](JobSpec& s) { s.problem.max_bond = 8; }},
+      {"trunc_tol on exact", exact,
+       [](JobSpec& s) { s.problem.trunc_tol = 1e-6; }},
+      {"p", exact, [](JobSpec& s) { s = with_rounds(s, 3); }, Expect::Split},
+      {"mps max_bond", mps, [](JobSpec& s) { s.problem.max_bond = 16; },
+       Expect::Split},
+      {"mps fidelity_budget", mps,
+       [](JobSpec& s) { s.problem.fidelity_budget = 1e-3; }, Expect::Split},
+      {"mps trunc_tol", mps,
+       [](JobSpec& s) { s.problem.trunc_tol = 1e-10; }, Expect::Split},
+      {"mps p", mps, [](JobSpec& s) { s = with_rounds(s, 3); },
+       Expect::Split},
+      {"mps instance_seed", mps,
+       [](JobSpec& s) { s.problem.instance_seed = 43; }},
+      {"mps degree", mps, [](JobSpec& s) { s.problem.degree = 5; }},
+      {"mps density", mps, [](JobSpec& s) { s.problem.density = 3.0; },
+       Expect::Share},
+  };
+
+  for (const Mutation& m : mutations) {
+    SCOPED_TRACE(m.name);
+    JobSpec mutated = m.base;
+    m.apply(mutated);
+    ASSERT_NO_THROW(validate_job_spec(mutated));
+    const bool shared = shares_entry(m.base, mutated);
+    if (m.expect != Expect::Either) {
+      EXPECT_EQ(shared, m.expect == Expect::Share);
+    }
+    if (!shared) continue;
+    // A shared entry is only sound when nothing it holds can differ.
+    const ProblemSpec& a = m.base.problem;
+    const ProblemSpec& b = mutated.problem;
+    EXPECT_EQ(b.mixer, a.mixer);
+    EXPECT_EQ(mutated.p, m.base.p);
+    EXPECT_EQ(build_objective(b, problem_space(b)),
+              build_objective(a, problem_space(a)));
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // qaoa_serve — the shared-plan evaluation daemon.
 //
-// Hosts a service::Service (bounded job queue + worker pool + content-
-// addressed plan cache) behind a Unix-domain socket speaking newline-
+// Hosts a service::Service (bounded job queue + worker pool + spec-keyed
+// plan cache) behind a Unix-domain socket speaking newline-
 // delimited JSON; see src/service/protocol.hpp for the wire format and
 // docs/TUTORIAL.md for a walkthrough.
 //
