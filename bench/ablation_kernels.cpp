@@ -10,7 +10,11 @@
 //      WHT, separate scale and reduction passes),
 //   4. batched multi-angle evaluation: evaluate_batch() carrying B
 //      statevectors through the fused rounds together vs B sequential
-//      evaluate() calls on the same plan, B in {1, 2, 4, 8, 16, 32}.
+//      evaluate() calls on the same plan, B in {1, 2, 4, 8, 16, 32},
+//   5. the quantized phase route on single-state sweeps: linalg::phase_wht
+//      with vs without the table's DiagDict, per backend (one sincos per
+//      distinct cost value vs one per element). A speedup near 1.0 on a
+//      fast-sincos backend means the route silently stopped engaging.
 //
 // Sweeps run per backend via kernels::select(); the seed references are
 // compiled locally in this TU with the build's default flags so they stay
@@ -41,7 +45,9 @@
 #include "common/types.hpp"
 #include "core/plan.hpp"
 #include "graphs/graph.hpp"
+#include "linalg/diag_dict.hpp"
 #include "linalg/kernels/kernels.hpp"
+#include "linalg/wht.hpp"
 #include "mixers/x_mixer.hpp"
 #include "problems/cost_functions.hpp"
 
@@ -193,7 +199,7 @@ int main(int argc, char** argv) {
       psi = random_state(dim, 17);
       const double t_unfused = benchutil::time_median(
           [&] {
-            k.diag_phase(psi.data(), d.data(), kGamma, dim);
+            k.diag_phase(psi.data(), d.data(), nullptr, kGamma, dim);
             k.scale_real(psi.data(), scale, dim);
             k.wht(psi.data(), dim);
             g_sink += k.diag_expectation(obj.data(), psi.data(), dim);
@@ -358,13 +364,89 @@ int main(int argc, char** argv) {
     report.meta("batch_best_vs_seq_speedup_n20_b16", best_speedup_b16);
   }
 
+  // -- 5. quantized phase route on single-state sweeps, per backend --------
+  // The orthonormal scale keeps repeated in-place calls norm-preserving.
+  // Each rep times an interleaved pair (kRouteCalls calls per side); the
+  // speedup is the median of the per-rep ratios, as in section 4. The gated
+  // field is the best backend's; the scalar backend keeps the per-element
+  // sweep for single states, so its row reads ~1.0 by design.
+  std::printf("\n[phase_route] single-state phase_wht: DiagDict lookup vs "
+              "per-element sincos (maxcut)\n");
+  std::printf("%-8s %4s %5s %14s %14s %9s\n", "backend", "n", "nv",
+              "per_elem_s", "quantized_s", "speedup");
+  double quantized_phase_speedup_n20 = 0.0;
+  for (const int n : {16, 20}) {
+    constexpr int kRouteCalls = 4;
+    Rng graph_rng(29);
+    const Graph graph = erdos_renyi(n, 0.3, graph_rng);
+    const dvec cost = tabulate(StateSpace::full(n), [&graph](state_t x) {
+      return maxcut(graph, x);
+    });
+    const linalg::DiagDict dict = linalg::build_diag_dict(cost);
+    const index_t dim = cost.size();
+    const double scale = 1.0 / std::sqrt(static_cast<double>(dim));
+    for (const auto& name : backends) {
+      if (!kn::select(name)) continue;
+      cvec plain = random_state(dim, 31);
+      cvec quant = plain;
+      linalg::phase_wht(plain, cost, kGamma, scale);
+      linalg::phase_wht(quant, cost, kGamma, scale, &dict);
+      const bool bit_identical =
+          std::memcmp(plain.data(), quant.data(), dim * sizeof(cplx)) == 0;
+
+      std::vector<double> t_plain;
+      std::vector<double> t_quant;
+      std::vector<double> ratio;
+      for (int rep = 0; rep < reps; ++rep) {
+        WallTimer plain_timer;
+        for (int c = 0; c < kRouteCalls; ++c) {
+          linalg::phase_wht(plain, cost, kGamma, scale);
+        }
+        const double plain_s = plain_timer.seconds() / kRouteCalls;
+        WallTimer quant_timer;
+        for (int c = 0; c < kRouteCalls; ++c) {
+          linalg::phase_wht(quant, cost, kGamma, scale, &dict);
+        }
+        const double quant_s = quant_timer.seconds() / kRouteCalls;
+        t_plain.push_back(plain_s);
+        t_quant.push_back(quant_s);
+        ratio.push_back(plain_s / quant_s);
+      }
+      g_sink += plain[0].real() + quant[0].real();
+      std::sort(t_plain.begin(), t_plain.end());
+      std::sort(t_quant.begin(), t_quant.end());
+      std::sort(ratio.begin(), ratio.end());
+      const double speedup = ratio[ratio.size() / 2];
+      if (name == best && n == 20) quantized_phase_speedup_n20 = speedup;
+      std::printf("%-8s %4d %5zu %14.6f %14.6f %8.2fx%s\n", name.c_str(), n,
+                  dict.vals.size(), t_plain[t_plain.size() / 2],
+                  t_quant[t_quant.size() / 2], speedup,
+                  bit_identical ? "" : "  BITDIFF");
+      report.row();
+      report.field("section", std::string("phase_route"));
+      report.field("backend", name);
+      report.field("n", static_cast<long long>(n));
+      report.field("distinct_values",
+                   static_cast<long long>(dict.vals.size()));
+      report.field("per_element_s", t_plain[t_plain.size() / 2]);
+      report.field("quantized_s", t_quant[t_quant.size() / 2]);
+      report.field("speedup", speedup);
+      report.field("bit_identical",
+                   static_cast<long long>(bit_identical ? 1 : 0));
+    }
+  }
+  kn::select("auto");
+
   std::printf("\nacceptance: blocked vs per-stage WHT (scalar, n=20): %.2fx\n",
               scalar_blocked_speedup_n20);
   std::printf("acceptance: %s fused round vs seed round (n=20): %.2fx\n",
               best.c_str(), best_vs_seed_n20);
+  std::printf("acceptance: %s quantized vs per-element phase_wht (n=20): "
+              "%.2fx\n", best.c_str(), quantized_phase_speedup_n20);
   report.meta("best_backend", best);
   report.meta("scalar_blocked_speedup_n20", scalar_blocked_speedup_n20);
   report.meta("best_vs_seed_speedup_n20", best_vs_seed_n20);
+  report.meta("quantized_phase_speedup_n20", quantized_phase_speedup_n20);
   report.attach_metrics();
   report.write();
 

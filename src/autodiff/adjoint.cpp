@@ -32,6 +32,7 @@ double adjoint_value_and_gradient(const QaoaPlan& plan, EvalWorkspace& ws,
   linalg::diag_mul(ws.lambda, obj, 1.0);
 
   const dvec& phase = plan.phase_values();
+  const linalg::DiagDict* pdict = &plan.phase_dict();
   const auto& layers = plan.layers();
   ws.hpsi.set_shard_request(ws.shards);
   ws.hpsi.resize(plan.dim());  // apply_ham outputs must be presized
@@ -54,8 +55,8 @@ double adjoint_value_and_gradient(const QaoaPlan& plan, EvalWorkspace& ws,
     }
     // dE/dgamma = 2 Im <lambda| H_C |phi> at the post-phase state.
     grad_gammas[k] = 2.0 * linalg::diag_bracket_imag(ws.lambda, phase, psi);
-    linalg::apply_diag_phase(psi, phase, -gammas[k]);
-    linalg::apply_diag_phase(ws.lambda, phase, -gammas[k]);
+    linalg::apply_diag_phase(psi, phase, -gammas[k], pdict);
+    linalg::apply_diag_phase(ws.lambda, phase, -gammas[k], pdict);
   }
   FASTQAOA_ASSERT(beta_index == 0, "adjoint: beta bookkeeping error");
   return value;

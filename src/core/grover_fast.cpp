@@ -72,7 +72,7 @@ double GroverQaoa::run(std::span<const double> betas,
 
   const linalg::kernels::KernelBackend& kern = linalg::kernels::active();
   for (std::size_t round = 0; round < gammas.size(); ++round) {
-    kern.diag_phase(amps_.data(), phase_vals_.data(), gammas[round],
+    kern.diag_phase(amps_.data(), phase_vals_.data(), nullptr, gammas[round],
                     static_cast<index_t>(m));
     apply_grover_exp(amps_, betas[round]);
   }

@@ -126,6 +126,7 @@ double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
   ws.psi.set_shard_request(ws.shards);
   ws.psi = plan.initial_state();
   const dvec& phase = plan.phase_values();
+  const linalg::DiagDict* pdict = &plan.phase_dict();
   const auto& layers = plan.layers();
   std::size_t beta_index = 0;
   for (std::size_t k = 0; k < layers.size(); ++k) {
@@ -138,14 +139,14 @@ double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
       // the mixer's fused entry point (XMixer folds all three into WHT
       // passes; the base-class default composes the unfused kernels).
       ws.expectation = ms[0]->apply_phase_exp_expect(
-          ws.psi, phase, gammas[k], betas[beta_index++], plan.objective(),
-          ws.scratch);
+          ws.psi, phase, pdict, gammas[k], betas[beta_index++],
+          plan.objective(), ws.scratch);
       return ws.expectation;
     }
     // Phase separator rides the first mixer's fused entry; extra mixers in
     // the round apply plain.
-    ms[0]->apply_phase_exp(ws.psi, phase, gammas[k], betas[beta_index++],
-                           ws.scratch);
+    ms[0]->apply_phase_exp(ws.psi, phase, pdict, gammas[k],
+                           betas[beta_index++], ws.scratch);
     for (std::size_t j = 1; j < ms.size(); ++j) {
       ms[j]->apply_exp(ws.psi, betas[beta_index++], ws.scratch);
     }

@@ -81,9 +81,10 @@ class QaoaPlan {
   }
   /// Quantized dictionary over phase_values(), built eagerly at
   /// construction. Valid whenever the phase table has few distinct values
-  /// (integer-weighted cost functions, indicators); lets batched evaluation
-  /// collapse the phase-separator sincos sweep to one call per distinct
-  /// value per lane. Invalid dictionaries are simply not used.
+  /// (integer-weighted cost functions, indicators); lets evaluate(),
+  /// evaluate_batch() and the adjoint gradient collapse the phase-separator
+  /// sincos sweep to one call per distinct value (per lane). Invalid
+  /// dictionaries are simply not used.
   [[nodiscard]] const linalg::DiagDict& phase_dict() const noexcept {
     return phase_dict_;
   }

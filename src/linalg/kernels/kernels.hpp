@@ -42,24 +42,27 @@ struct CplxSum {
   double im = 0.0;
 };
 
-/// Optional quantized view of a diagonal table for the batched kernels:
+/// Optional quantized view of a diagonal table for the phase sweeps:
 /// d[i] == vals[idx[i]] with nv distinct values (bit-pattern equality, so
 /// +0.0 and -0.0 are distinct entries). QAOA diagonals are usually highly
 /// degenerate — X-mixer eigenvalues take n+1 values, integer-weighted cost
-/// functions a few hundred — so a batched phase sweep can compute one
-/// sincos per distinct value per lane and apply the factors by lookup.
-/// The looked-up factors are produced by the same sincos code as the
+/// functions a few hundred — so a phase sweep can compute one sincos per
+/// distinct value per lane and apply the factors by lookup. The batched
+/// entries take this route on every backend; single-state sweeps (one-lane
+/// batched calls, diag_phase) take it on the fast-sincos backends
+/// only. The looked-up factors are produced by the same sincos code as the
 /// per-element sweep, so the result is bit-identical to the unquantized
 /// path; kernels fall back to the per-element sweep whenever the quantized
-/// route could diverge (too many values, or phases beyond the fast-sincos
-/// range). idx may be null to disable the quantized path.
+/// route could diverge (too many values, fewer than 64 elements, or phases
+/// beyond the fast-sincos range). idx may be null to disable the quantized
+/// path.
 struct QuantizedDiag {
   const std::uint16_t* idx = nullptr;
   const double* vals = nullptr;
   index_t nv = 0;
 };
 
-/// Largest nv for which the batched kernels take the quantized phase route
+/// Largest nv for which the kernels take the quantized phase route
 /// (the per-lane factor tables must stay L1-resident).
 inline constexpr index_t kQuantizedDiagMax = 512;
 
@@ -137,11 +140,12 @@ struct KernelBackend {
   // association) and the fused expectation keeps the classic per-item
   // serial accumulation, partials summed in item order per lane.
   /// Batched phase_wht; d may be null (pure per-lane scale), dq may be null
-  /// (no quantized view of d available). init, when non-null, is a shared
-  /// input vector: every lane starts from init instead of its own slab
-  /// contents, with the copy fused into the first cache-resident pass — one
-  /// shared read replaces a per-lane copy pass (the first round of a batched
-  /// evaluation, where all lanes start from the same |psi_0>).
+  /// (no quantized view of d available). With lanes == 1 this is the
+  /// single-state phase_wht plus the quantized route. init, when non-null,
+  /// is a shared input vector: every lane starts from init instead of its
+  /// own slab contents, with the copy fused into the first cache-resident
+  /// pass — one shared read replaces a per-lane copy pass (the first round
+  /// of a batched evaluation, where all lanes start from the same |psi_0>).
   void (*phase_wht_batch)(cplx* a, index_t stride, int lanes, const cplx* init,
                           const double* d, const QuantizedDiag* dq,
                           const double* angles, double scale, index_t n);
@@ -155,8 +159,11 @@ struct KernelBackend {
                                  const double* obj, double* out, index_t n);
 
   // --- elementwise --------------------------------------------------------
-  /// psi_i *= exp(-i * angle * d_i).
-  void (*diag_phase)(cplx* psi, const double* d, double angle, index_t n);
+  /// psi_i *= exp(-i * angle * d_i). dq, an optional quantized view of d
+  /// (may be null), gives one sincos per distinct value where the route
+  /// applies.
+  void (*diag_phase)(cplx* psi, const double* d, const QuantizedDiag* dq,
+                     double angle, index_t n);
   /// psi_i *= d_i * s (real diagonal times real scale).
   void (*diag_mul)(cplx* psi, const double* d, double s, index_t n);
   /// v_i *= (sr + i*si).

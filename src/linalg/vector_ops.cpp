@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "linalg/diag_dict.hpp"
 #include "linalg/kernels/kernels.hpp"
 
 namespace fastqaoa::linalg {
@@ -56,9 +57,12 @@ double normalize(StateRef v) {
   return nrm;
 }
 
-void apply_diag_phase(StateRef psi, const dvec& d, double angle) {
+void apply_diag_phase(StateRef psi, const dvec& d, double angle,
+                      const DiagDict* dict) {
   FASTQAOA_CHECK(psi.size() == d.size(), "apply_diag_phase: size mismatch");
-  kernels::active().diag_phase(psi.data(), d.data(), angle, psi.size());
+  const kernels::QuantizedDiag dq =
+      dict != nullptr ? dict->view() : kernels::QuantizedDiag{};
+  kernels::active().diag_phase(psi.data(), d.data(), &dq, angle, psi.size());
 }
 
 void diag_mul(StateRef psi, const dvec& d, double s) {

@@ -21,6 +21,8 @@
 
 namespace fastqaoa::linalg {
 
+struct DiagDict;  // linalg/diag_dict.hpp
+
 /// out <- value for every element.
 void fill(StateRef v, cplx value);
 
@@ -47,8 +49,12 @@ void axpy(cplx a, ConstStateRef x, StateRef y);
 double normalize(StateRef v);
 
 /// psi_i <- exp(-i * angle * d_i) * psi_i — the phase-separator /
-/// diagonal-mixer kernel. d holds real eigenvalues (cost values).
-void apply_diag_phase(StateRef psi, const dvec& d, double angle);
+/// diagonal-mixer kernel. d holds real eigenvalues (cost values). `dict`,
+/// when non-null and valid, is the DiagDict of d: the sweep then computes
+/// one sincos per distinct value (bit-identical; see
+/// kernels::QuantizedDiag for where the route applies).
+void apply_diag_phase(StateRef psi, const dvec& d, double angle,
+                      const DiagDict* dict = nullptr);
 
 /// psi_i <- d_i * s * psi_i (real diagonal times real scale), the Hamiltonian
 /// analogue of apply_diag_phase used inside mixer apply_ham sandwiches.

@@ -37,14 +37,29 @@ void wht_orthonormal(StateRef v) {
                                       v.shards());
 }
 
-void phase_wht(StateRef v, const dvec& d, double angle, double scale) {
+// The single-state phase sweeps run as one-lane batched calls: the batched
+// entries are the ones that carry the quantized view, and one lane of them
+// is the single-state driver (sharded or not) bit for bit — with an empty
+// view, exactly the driver phase_wht_sharded runs.
+
+namespace {
+
+kernels::QuantizedDiag dict_view(const DiagDict* dict) {
+  return dict != nullptr ? dict->view() : kernels::QuantizedDiag{};
+}
+
+}  // namespace
+
+void phase_wht(StateRef v, const dvec& d, double angle, double scale,
+               const DiagDict* dict) {
   const index_t n = v.size();
   FASTQAOA_CHECK(is_power_of_two(n), "wht: length must be a power of 2");
   FASTQAOA_CHECK(d.size() == n, "phase_wht: diagonal size mismatch");
   FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
   FASTQAOA_OBS_TIMED("linalg.wht");
-  kernels::active().phase_wht_sharded(v.data(), d.data(), angle, scale, n,
-                                      v.shards());
+  const kernels::QuantizedDiag dq = dict_view(dict);
+  kernels::active().phase_wht_batch_sharded(v.data(), n, 1, nullptr, d.data(),
+                                            &dq, &angle, scale, n, v.shards());
 }
 
 double wht_expect(StateRef v, const dvec& obj) {
@@ -58,7 +73,7 @@ double wht_expect(StateRef v, const dvec& obj) {
 }
 
 double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
-                        const dvec& obj) {
+                        const dvec& obj, const DiagDict* dict) {
   const index_t n = v.size();
   FASTQAOA_CHECK(is_power_of_two(n), "wht: length must be a power of 2");
   FASTQAOA_CHECK(d.size() == n, "phase_wht_expect: diagonal size mismatch");
@@ -66,15 +81,16 @@ double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
                  "phase_wht_expect: objective size mismatch");
   FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
   FASTQAOA_OBS_TIMED("linalg.wht");
-  return kernels::active().phase_wht_expect_sharded(
-      v.data(), d.data(), angle, scale, obj.data(), n, v.shards());
+  const kernels::QuantizedDiag dq = dict_view(dict);
+  double out = 0.0;
+  kernels::active().phase_wht_expect_batch_sharded(v.data(), n, 1, d.data(),
+                                                   &dq, &angle, scale,
+                                                   obj.data(), &out, n,
+                                                   v.shards());
+  return out;
 }
 
 namespace {
-
-kernels::QuantizedDiag dict_view(const DiagDict* dict) {
-  return dict != nullptr ? dict->view() : kernels::QuantizedDiag{};
-}
 
 void check_batch(index_t stride, int lanes, index_t n, const char* who) {
   FASTQAOA_CHECK(is_power_of_two(n), "wht: length must be a power of 2");

@@ -33,8 +33,11 @@ void wht_orthonormal(StateRef v);
 /// unnormalized WHT, in one pass over the data. The phase (and the folded
 /// 1/2^n normalization of the surrounding mixer sandwich) is applied per
 /// cache block right before that block's butterflies, so the vector is
-/// streamed once instead of twice.
-void phase_wht(StateRef v, const dvec& d, double angle, double scale);
+/// streamed once instead of twice. `dict`, when non-null and valid, is the
+/// DiagDict of d: the sweep then computes one sincos per distinct value
+/// (bit-identical; see kernels::QuantizedDiag for where the route applies).
+void phase_wht(StateRef v, const dvec& d, double angle, double scale,
+               const DiagDict* dict = nullptr);
 
 /// Unnormalized WHT with sum_i obj_i |v_i|^2 fused into the final butterfly
 /// pass (the expectation epilogue of evaluate()).
@@ -42,8 +45,9 @@ double wht_expect(StateRef v, const dvec& obj);
 
 /// phase_wht followed by the fused expectation: the complete final QAOA
 /// round (phase, mixer half, expectation) in two passes over the vector.
+/// `dict` as for phase_wht.
 double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
-                        const dvec& obj);
+                        const dvec& obj, const DiagDict* dict = nullptr);
 
 // --- batched variants ------------------------------------------------------
 // `lanes` independent statevectors, lane l at states + l*stride (stride in

@@ -14,16 +14,18 @@ void Mixer::initial_state(cvec& psi) const {
   linalg::fill(psi, cplx{amp, 0.0});
 }
 
-void Mixer::apply_phase_exp(StateRef psi, const dvec& phase, double gamma,
+void Mixer::apply_phase_exp(StateRef psi, const dvec& phase,
+                            const linalg::DiagDict* phase_dict, double gamma,
                             double beta, cvec& scratch) const {
-  linalg::apply_diag_phase(psi, phase, gamma);
+  linalg::apply_diag_phase(psi, phase, gamma, phase_dict);
   apply_exp(psi, beta, scratch);
 }
 
 double Mixer::apply_phase_exp_expect(StateRef psi, const dvec& phase,
+                                     const linalg::DiagDict* phase_dict,
                                      double gamma, double beta,
                                      const dvec& obj, cvec& scratch) const {
-  apply_phase_exp(psi, phase, gamma, beta, scratch);
+  apply_phase_exp(psi, phase, phase_dict, gamma, beta, scratch);
   return linalg::diag_expectation(obj, psi);
 }
 
@@ -33,7 +35,7 @@ double Mixer::apply_phase_exp_expect(StateRef psi, const dvec& phase,
 // fallback-grade. Mixers with a cheap diagonal frame override these.
 
 void Mixer::apply_phase_exp_batch(const StateBatch& b, const dvec& phase,
-                                  const linalg::DiagDict* /*phase_dict*/,
+                                  const linalg::DiagDict* phase_dict,
                                   const double* gammas, const double* betas,
                                   cvec& scratch) const {
   const index_t d = dim();
@@ -42,13 +44,13 @@ void Mixer::apply_phase_exp_batch(const StateBatch& b, const dvec& phase,
     cplx* dst = b.states + b.stride * static_cast<index_t>(l);
     const cplx* src = b.init != nullptr ? b.init : dst;
     std::copy(src, src + d, lane.begin());
-    apply_phase_exp(lane, phase, gammas[l], betas[l], scratch);
+    apply_phase_exp(lane, phase, phase_dict, gammas[l], betas[l], scratch);
     std::copy(lane.begin(), lane.end(), dst);
   }
 }
 
 void Mixer::apply_phase_exp_expect_batch(const StateBatch& b, const dvec& phase,
-                                         const linalg::DiagDict* /*phase_dict*/,
+                                         const linalg::DiagDict* phase_dict,
                                          const double* gammas,
                                          const double* betas, const dvec& obj,
                                          double* out, cvec& scratch) const {
@@ -58,8 +60,8 @@ void Mixer::apply_phase_exp_expect_batch(const StateBatch& b, const dvec& phase,
     cplx* dst = b.states + b.stride * static_cast<index_t>(l);
     const cplx* src = b.init != nullptr ? b.init : dst;
     std::copy(src, src + d, lane.begin());
-    out[l] = apply_phase_exp_expect(lane, phase, gammas[l], betas[l], obj,
-                                    scratch);
+    out[l] = apply_phase_exp_expect(lane, phase, phase_dict, gammas[l],
+                                    betas[l], obj, scratch);
     std::copy(lane.begin(), lane.end(), dst);
   }
 }

@@ -78,12 +78,17 @@ class Mixer {
   /// phase}) psi. The default composes apply_diag_phase + apply_exp;
   /// mixers whose diagonal frame lets the phase ride along for free
   /// (XMixer folds it into the first WHT pre-pass) override it.
-  virtual void apply_phase_exp(StateRef psi, const dvec& phase, double gamma,
-                               double beta, cvec& scratch) const;
+  /// `phase_dict` (the DiagDict of phase) may be null or invalid; it only
+  /// unlocks the quantized phase route, never changes results.
+  virtual void apply_phase_exp(StateRef psi, const dvec& phase,
+                               const linalg::DiagDict* phase_dict,
+                               double gamma, double beta,
+                               cvec& scratch) const;
 
   /// apply_phase_exp followed by <psi| diag(obj) |psi> — the final QAOA
   /// round plus the expectation epilogue, fused where the mixer can.
   virtual double apply_phase_exp_expect(StateRef psi, const dvec& phase,
+                                        const linalg::DiagDict* phase_dict,
                                         double gamma, double beta,
                                         const dvec& obj, cvec& scratch) const;
 

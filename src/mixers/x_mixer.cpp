@@ -114,29 +114,31 @@ void XMixer::apply_exp(StateRef psi, double beta, cvec& scratch) const {
   // The second transform absorbs the mixer phase — and the single 1/2^n
   // normalization of the two unnormalized WHTs — into its pre-pass.
   const double inv = 1.0 / static_cast<double>(dvals_.size());
-  linalg::phase_wht(psi, dvals_, beta, inv);
+  linalg::phase_wht(psi, dvals_, beta, inv, &ddict_);
 }
 
-void XMixer::apply_phase_exp(StateRef psi, const dvec& phase, double gamma,
+void XMixer::apply_phase_exp(StateRef psi, const dvec& phase,
+                             const linalg::DiagDict* phase_dict, double gamma,
                              double beta, cvec& scratch) const {
   (void)scratch;
   FASTQAOA_CHECK(psi.size() == dvals_.size(), "XMixer: state size mismatch");
   // Phase separator rides the first WHT's pre-pass; mixer phase and 1/2^n
   // ride the second's. Two streams over the vector for the whole round.
   const double inv = 1.0 / static_cast<double>(dvals_.size());
-  linalg::phase_wht(psi, phase, gamma, 1.0);
-  linalg::phase_wht(psi, dvals_, beta, inv);
+  linalg::phase_wht(psi, phase, gamma, 1.0, phase_dict);
+  linalg::phase_wht(psi, dvals_, beta, inv, &ddict_);
 }
 
 double XMixer::apply_phase_exp_expect(StateRef psi, const dvec& phase,
+                                      const linalg::DiagDict* phase_dict,
                                       double gamma, double beta,
                                       const dvec& obj, cvec& scratch) const {
   (void)scratch;
   FASTQAOA_CHECK(psi.size() == dvals_.size(), "XMixer: state size mismatch");
   FASTQAOA_CHECK(obj.size() == dvals_.size(), "XMixer: objective mismatch");
   const double inv = 1.0 / static_cast<double>(dvals_.size());
-  linalg::phase_wht(psi, phase, gamma, 1.0);
-  return linalg::phase_wht_expect(psi, dvals_, beta, inv, obj);
+  linalg::phase_wht(psi, phase, gamma, 1.0, phase_dict);
+  return linalg::phase_wht_expect(psi, dvals_, beta, inv, obj, &ddict_);
 }
 
 void XMixer::apply_phase_exp_batch(const StateBatch& b, const dvec& phase,

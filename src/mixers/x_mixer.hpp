@@ -47,7 +47,7 @@ class XMixer final : public Mixer {
   [[nodiscard]] const dvec& diagonal() const noexcept { return dvals_; }
   /// Quantized dictionary over diagonal() — always valid for pure-order
   /// mixers (n+1 popcount eigenvalues), usually valid for weighted term
-  /// sums; feeds the batched kernels' per-distinct-value phase route.
+  /// sums; feeds the kernels' per-distinct-value phase route.
   [[nodiscard]] const linalg::DiagDict& diagonal_dict() const noexcept {
     return ddict_;
   }
@@ -57,12 +57,14 @@ class XMixer final : public Mixer {
                  cvec& scratch) const override;
   /// Overridden to fold the phase-separator sweep into the first WHT's
   /// cache-blocked pre-pass (one fewer stream over the statevector).
-  void apply_phase_exp(StateRef psi, const dvec& phase, double gamma,
+  void apply_phase_exp(StateRef psi, const dvec& phase,
+                       const linalg::DiagDict* phase_dict, double gamma,
                        double beta, cvec& scratch) const override;
   /// Overridden to additionally fuse the expectation into the last WHT's
   /// final butterfly pass.
-  double apply_phase_exp_expect(StateRef psi, const dvec& phase, double gamma,
-                                double beta, const dvec& obj,
+  double apply_phase_exp_expect(StateRef psi, const dvec& phase,
+                                const linalg::DiagDict* phase_dict,
+                                double gamma, double beta, const dvec& obj,
                                 cvec& scratch) const override;
   /// Batched overrides: one sweep over phase/dvals_ serves every lane, the
   /// quantized dictionaries collapse the sincos work to one call per

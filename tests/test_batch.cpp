@@ -107,7 +107,8 @@ TEST_P(BatchBackendTest, BitIdenticalToSequentialAcrossWidthsAndThreads) {
 
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
-    for (const int lanes : {1, 3, 16}) {
+    // 9 = one full tile of 8 plus a one-lane remainder tile.
+    for (const int lanes : {1, 3, 9, 16}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " lanes=" + std::to_string(lanes));
       expect_batch_bitwise(plan, lanes, 1234);

@@ -12,6 +12,8 @@
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,8 +23,11 @@
 #include "common/threading.hpp"
 #include "common/topology.hpp"
 #include "core/qaoa.hpp"
+#include "linalg/diag_dict.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/sharded_state.hpp"
+#include "linalg/vector_ops.hpp"
+#include "linalg/wht.hpp"
 #include "mixers/x_mixer.hpp"
 #include "problems/cost_functions.hpp"
 
@@ -200,7 +205,7 @@ TEST(Kernels, ElementwiseMatchesScalarReference) {
         };
         {
           cvec& v = out("diag_phase");
-          k.diag_phase(v.data(), d.data(), 1.7, n);
+          k.diag_phase(v.data(), d.data(), nullptr, 1.7, n);
         }
         {
           cvec& v = out("diag_mul");
@@ -434,6 +439,250 @@ TEST(Kernels, EvaluateParityAcrossBackendsThroughEngine) {
     EXPECT_LT(rel_err(engine.run_packed(angles), ref), kParityTol) << name;
   }
   kn::select("auto");
+}
+
+// ---------------------------------------------------------------------------
+// Quantized phase route on single-state sweeps. With a DiagDict, phase_wht,
+// phase_wht_expect and apply_diag_phase compute one sincos per distinct
+// diagonal value on the fast-sincos backends; the result must be the
+// per-element sweep bit for bit, and every case the route declines must
+// still be. The poisoned variants hand the kernels an all-NaN d next to the
+// real table's dictionary: only the lookup route can produce finite output,
+// so equality with the per-element sweep on the real table proves the route
+// was taken.
+// ---------------------------------------------------------------------------
+
+/// MaxCut table on a random graph: integer-valued, so its dictionary is
+/// valid (at most n^2/4 + 1 distinct values).
+dvec maxcut_table(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  Graph graph = erdos_renyi(n, 0.5, rng);
+  return tabulate(StateSpace::full(n),
+                  [&graph](state_t x) { return maxcut(graph, x); });
+}
+
+bool same_bits(const cvec& a, const cvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Runs phase_wht, phase_wht_expect and apply_diag_phase with and without
+/// `dict` (the dictionary of `d`, or any stand-in the route must decline)
+/// and expects bitwise equal states and expectations.
+void expect_dict_calls_bitwise(const dvec& d, const linalg::DiagDict* dict,
+                               double angle, double scale,
+                               const std::string& what) {
+  std::mt19937_64 gen(d.size());
+  const cvec base = random_state(gen, d.size());
+  const std::vector<double> o = random_diag(gen, d.size(), 2.0);
+  const dvec obj(o.begin(), o.end());
+  if (linalg::is_power_of_two(d.size())) {
+    cvec want = base;
+    linalg::phase_wht(want, d, angle, scale);
+    cvec got = base;
+    linalg::phase_wht(got, d, angle, scale, dict);
+    EXPECT_TRUE(same_bits(got, want)) << what << " phase_wht";
+
+    cvec want_e = base;
+    const double e_want =
+        linalg::phase_wht_expect(want_e, d, angle, scale, obj);
+    cvec got_e = base;
+    const double e_got =
+        linalg::phase_wht_expect(got_e, d, angle, scale, obj, dict);
+    EXPECT_TRUE(same_bits(e_got, e_want))
+        << what << " phase_wht_expect " << e_got << " vs " << e_want;
+    EXPECT_TRUE(same_bits(got_e, want_e)) << what << " phase_wht_expect state";
+  }
+  cvec want_p = base;
+  linalg::apply_diag_phase(want_p, d, angle);
+  cvec got_p = base;
+  linalg::apply_diag_phase(got_p, d, angle, dict);
+  EXPECT_TRUE(same_bits(got_p, want_p)) << what << " apply_diag_phase";
+}
+
+TEST(QuantizedPhaseRoute, SingleStateCallsBitIdenticalToPerElementSweep) {
+  const int restore = num_threads();
+  for (const std::string& name : kn::available()) {
+    BackendGuard g(name);
+    ASSERT_TRUE(g.ok());
+    for (const int n : {10, 14}) {  // serial and blocked WHT drivers
+      const dvec d = maxcut_table(n, 40 + n);
+      const linalg::DiagDict dict = linalg::build_diag_dict(d);
+      ASSERT_TRUE(dict.valid()) << n;
+      const double inv = 1.0 / static_cast<double>(d.size());
+      for (const int threads : {1, 4}) {
+        set_num_threads(threads);
+        for (const double scale : {1.0, inv}) {
+          expect_dict_calls_bitwise(
+              d, &dict, 0.83, scale,
+              name + " n=" + std::to_string(n) +
+                  " threads=" + std::to_string(threads) +
+                  " scale=" + std::to_string(scale));
+        }
+      }
+    }
+    // Dimensions that are not powers of two (constrained subspaces): the
+    // ragged last chunk of diag_phase keeps the per-element sweep.
+    for (const index_t dim : {index_t{1000}, index_t{9000}}) {
+      dvec d(dim);
+      for (index_t i = 0; i < dim; ++i) d[i] = static_cast<double>(i % 37);
+      const linalg::DiagDict dict = linalg::build_diag_dict(d);
+      ASSERT_TRUE(dict.valid());
+      for (const int threads : {1, 4}) {
+        set_num_threads(threads);
+        expect_dict_calls_bitwise(d, &dict, -1.7, 1.0,
+                                  name + " dim=" + std::to_string(dim));
+      }
+    }
+  }
+  set_num_threads(restore);
+}
+
+TEST(QuantizedPhaseRoute, DeclinedCasesStayBitIdentical) {
+  for (const std::string& name : kn::available()) {
+    BackendGuard g(name);
+    ASSERT_TRUE(g.ok());
+    std::mt19937_64 gen(3);
+
+    // More than kQuantizedDiagMax distinct values: no dictionary exists.
+    const std::vector<double> wide = random_diag(gen, index_t{1} << 12);
+    const dvec dwide(wide.begin(), wide.end());
+    const linalg::DiagDict wide_dict = linalg::build_diag_dict(dwide);
+    EXPECT_FALSE(wide_dict.valid());
+    expect_dict_calls_bitwise(dwide, &wide_dict, 0.6, 1.0, name + " wide");
+
+    // Phases beyond the fast-sincos range: the table build declines.
+    const dvec d = maxcut_table(10, 8);
+    const linalg::DiagDict dict = linalg::build_diag_dict(d);
+    ASSERT_TRUE(dict.valid());
+    expect_dict_calls_bitwise(d, &dict, 3.0e8, 1.0, name + " huge angle");
+
+    // Fewer than 64 elements: below the vector-body floor.
+    const dvec small = maxcut_table(5, 9);
+    const linalg::DiagDict small_dict = linalg::build_diag_dict(small);
+    EXPECT_FALSE(small_dict.valid());
+    expect_dict_calls_bitwise(small, &small_dict, 0.6, 1.0, name + " n=5");
+  }
+}
+
+TEST(QuantizedPhaseRoute, KernelsDeclineForgedViews) {
+  // A view whose values do NOT match d: wherever the kernels decline, the
+  // output is the per-element sweep on d; taking the route would show up as
+  // a mismatch. Covers the kernel-side guards the DiagDict builder cannot
+  // produce inputs for (n < 64, nv > kQuantizedDiagMax, huge phases).
+  for (const std::string& name : kn::available()) {
+    BackendGuard g(name);
+    ASSERT_TRUE(g.ok());
+    const kn::KernelBackend& k = kn::active();
+    std::mt19937_64 gen(17);
+    struct Case {
+      const char* what;
+      index_t n;
+      index_t nv;
+      double angle;
+    };
+    const Case cases[] = {{"n=32", 32, 4, 0.7},
+                          {"nv=513", 1024, kn::kQuantizedDiagMax + 1, 0.7},
+                          {"huge angle", 1024, 4, 2.0e8}};
+    for (const Case& c : cases) {
+      std::vector<std::uint16_t> idx(c.n);
+      dvec d(c.n);
+      dvec forged(c.nv);
+      for (index_t j = 0; j < c.nv; ++j) forged[j] = static_cast<double>(j);
+      for (index_t i = 0; i < c.n; ++i) {
+        idx[i] = static_cast<std::uint16_t>(i % c.nv);
+        d[i] = forged[idx[i]] + 0.5;  // never what the view says
+      }
+      const kn::QuantizedDiag dq{idx.data(), forged.data(), c.nv};
+      const cvec base = random_state(gen, c.n);
+
+      cvec want = base;
+      k.phase_wht(want.data(), d.data(), c.angle, 1.0, c.n);
+      cvec got = base;
+      k.phase_wht_batch(got.data(), c.n, 1, nullptr, d.data(), &dq, &c.angle,
+                        1.0, c.n);
+      EXPECT_TRUE(same_bits(got, want)) << name << " phase_wht " << c.what;
+
+      cvec want_p = base;
+      k.diag_phase(want_p.data(), d.data(), nullptr, c.angle, c.n);
+      cvec got_p = base;
+      k.diag_phase(got_p.data(), d.data(), &dq, c.angle, c.n);
+      EXPECT_TRUE(same_bits(got_p, want_p))
+          << name << " diag_phase " << c.what;
+    }
+  }
+}
+
+TEST(QuantizedPhaseRoute, OneLaneBatchedCallsUseTheDictionary) {
+  // Regression: one-lane batched calls used to return to the single-state
+  // driver before building the factor table, so they read d per element
+  // even with a valid view. Poisoned d + the real table's view must equal
+  // the per-element sweep on the real table, on every fast-sincos backend.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int restore = num_threads();
+  for (const std::string& name : simd_backends()) {
+    BackendGuard g(name);
+    ASSERT_TRUE(g.ok());
+    const kn::KernelBackend& k = kn::active();
+    for (const int n : {10, 14}) {
+      const dvec d_true = maxcut_table(n, 60 + n);
+      const dvec d_nan(d_true.size(), nan);
+      const linalg::DiagDict dict = linalg::build_diag_dict(d_true);
+      ASSERT_TRUE(dict.valid());
+      const kn::QuantizedDiag dq_true = dict.view();
+      const dvec obj = maxcut_table(n, 70 + n);
+      const index_t dim = d_true.size();
+      std::mt19937_64 gen(n);
+      const cvec base = random_state(gen, dim);
+      const double angle = 0.41;
+      for (const int threads : {1, 4}) {
+        set_num_threads(threads);
+        for (const double scale : {1.0, 1.0 / static_cast<double>(dim)}) {
+          const std::string what = name + " n=" + std::to_string(n) +
+                                   " threads=" + std::to_string(threads);
+          cvec want = base;
+          k.phase_wht(want.data(), d_true.data(), angle, scale, dim);
+          cvec got = base;
+          k.phase_wht_batch(got.data(), dim, 1, nullptr, d_nan.data(),
+                            &dq_true, &angle, scale, dim);
+          EXPECT_TRUE(same_bits(got, want)) << what << " phase_wht_batch";
+
+          cvec want_e = base;
+          const double e_want = k.phase_wht_expect(
+              want_e.data(), d_true.data(), angle, scale, obj.data(), dim);
+          cvec got_e = base;
+          double e_got = 0.0;
+          k.phase_wht_expect_batch(got_e.data(), dim, 1, d_nan.data(),
+                                   &dq_true, &angle, scale, obj.data(),
+                                   &e_got, dim);
+          EXPECT_TRUE(same_bits(e_got, e_want))
+              << what << " phase_wht_expect_batch " << e_got << " vs "
+              << e_want;
+          EXPECT_TRUE(same_bits(got_e, want_e))
+              << what << " phase_wht_expect_batch state";
+        }
+
+        // The same through the single-state wrappers.
+        cvec want = base;
+        linalg::phase_wht(want, d_true, angle, 1.0);
+        cvec got = base;
+        linalg::phase_wht(got, d_nan, angle, 1.0, &dict);
+        EXPECT_TRUE(same_bits(got, want)) << name << " linalg::phase_wht";
+
+        cvec want_p = base;
+        linalg::apply_diag_phase(want_p, d_true, angle);
+        cvec got_p = base;
+        linalg::apply_diag_phase(got_p, d_nan, angle, &dict);
+        EXPECT_TRUE(same_bits(got_p, want_p))
+            << name << " linalg::apply_diag_phase";
+      }
+    }
+  }
+  set_num_threads(restore);
 }
 
 // ---------------------------------------------------------------------------
