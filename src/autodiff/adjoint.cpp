@@ -23,18 +23,19 @@ double adjoint_value_and_gradient(const QaoaPlan& plan, EvalWorkspace& ws,
   // Forward pass (ws.psi keeps the final state; the reverse sweep unwinds a
   // copy so callers can still read the optimized state afterwards).
   const double value = evaluate(plan, ws, betas, gammas);
-  ws.adjoint_psi = ws.psi;
-  linalg::ShardedState& psi = ws.adjoint_psi;
+  cvec& psi = ws.adjoint_psi;
+  psi.resize(ws.psi.size());
+  linalg::copy_state(ws.psi, psi);
 
   // lambda = C |psi>, with C the *measured* objective.
   const dvec& obj = plan.objective();
-  ws.lambda = psi;
+  ws.lambda.resize(psi.size());
+  linalg::copy_state(psi, ws.lambda);
   linalg::diag_mul(ws.lambda, obj, 1.0);
 
   const dvec& phase = plan.phase_values();
   const linalg::DiagDict* pdict = &plan.phase_dict();
   const auto& layers = plan.layers();
-  ws.hpsi.set_shard_request(ws.shards);
   ws.hpsi.resize(plan.dim());  // apply_ham outputs must be presized
 
   // Reverse sweep: unapply each layer from both psi and lambda, harvesting

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/topology.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/trace.hpp"
@@ -106,7 +105,6 @@ void QaoaPlan::validate_and_finalize(QaoaPlanOptions options) {
 }
 
 void EvalWorkspace::reserve(const QaoaPlan& plan) {
-  psi.set_shard_request(shards);
   psi.resize(plan.dim());
   scratch.reserve(plan.dim());
 }
@@ -123,8 +121,8 @@ double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
   FASTQAOA_OBS_TIMED("core.evaluate");
   FASTQAOA_OBS_HIST_TIMED("core.evaluate.latency_seconds");
   FASTQAOA_TRACE_SPAN("evaluate");
-  ws.psi.set_shard_request(ws.shards);
-  ws.psi = plan.initial_state();
+  ws.psi.resize(plan.dim());
+  linalg::copy_state(plan.initial_state(), ws.psi);
   const dvec& phase = plan.phase_values();
   const linalg::DiagDict* pdict = &plan.phase_dict();
   const auto& layers = plan.layers();
@@ -209,13 +207,12 @@ void evaluate_batch(const QaoaPlan& plan, EvalWorkspace& ws,
   // 64-cplx pad that skews the cache-set mapping of equal offsets across
   // lanes (power-of-two strides alias brutally in set-associative caches).
   const index_t stride = ((d + index_t{3}) & ~index_t{3}) + 64;
-  ws.batch_states.set_shard_request(ws.shards);
-  ws.batch_states.resize(stride * static_cast<index_t>(b_count));
+  // Grow only: shrinking and regrowing would zero-fill lanes the kernels
+  // overwrite anyway (a grid sweep's short last chunk, then a full one).
+  const index_t need = stride * static_cast<index_t>(b_count);
+  if (ws.batch_states.size() < need) ws.batch_states.resize(need);
   ws.batch_stride = stride;
   ws.batch_lanes = b_count;
-  // Shard count appropriate for ONE lane of length d (the batch matrix as a
-  // whole is not what the kernels shard over).
-  const int lane_shards = plan_shards(d, ws.shards).shards;
 
   const dvec& phase = plan.phase_values();
   const linalg::DiagDict* pdict = &plan.phase_dict();
@@ -229,7 +226,7 @@ void evaluate_batch(const QaoaPlan& plan, EvalWorkspace& ws,
   for (int l0 = 0; l0 < b_count; l0 += kEvalBatchTile) {
     const int lanes = std::min(kEvalBatchTile, b_count - l0);
     StateBatch tile{ws.batch_states.data() + stride * static_cast<index_t>(l0),
-                    stride, lanes, nullptr, lane_shards};
+                    stride, lanes, nullptr};
     std::size_t beta_index = 0;
     bool fused_expect = false;
     for (std::size_t k = 0; k < layers.size(); ++k) {

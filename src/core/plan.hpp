@@ -19,7 +19,6 @@
 
 #include "common/types.hpp"
 #include "linalg/diag_dict.hpp"
-#include "linalg/sharded_state.hpp"
 #include "mixers/mixer.hpp"
 #include "obs/metrics.hpp"
 #include "problems/objective.hpp"
@@ -127,26 +126,21 @@ class QaoaPlan {
 /// fields psi and expectation are left untouched and keep reflecting the
 /// last single-point evaluate().
 struct EvalWorkspace {
-  /// Shard request for the statevector buffers: 0 = auto (FASTQAOA_SHARDS,
-  /// then one shard per detected NUMA node), otherwise an explicit count
-  /// (rounded to a power of two, clamped for small states — see
-  /// fastqaoa::plan_shards). Applied when buffers are (re)sized; results
-  /// are bit-identical at every shard count.
-  int shards = 0;
-  linalg::ShardedState psi;  ///< statevector of the last evaluate()
-  cvec scratch;              ///< mixer workspace
+  cvec psi;      ///< statevector of the last evaluate()
+  cvec scratch;  ///< mixer workspace
   /// Batched-evaluation state matrix: lane l of the last evaluate_batch()
   /// (B > 1) occupies batch_states[l*batch_stride .. l*batch_stride+dim).
   /// The stride is padded past dim to keep lanes 64-byte aligned while
-  /// skewing their cache-set mapping; the pad tail is uninitialized.
-  linalg::ShardedState batch_states;
+  /// skewing their cache-set mapping; the pad tail is zeroed. The matrix
+  /// only grows, so lanes at or past batch_lanes hold stale data.
+  cvec batch_states;
   index_t batch_stride = 0;  ///< lane stride of batch_states, in elements
   int batch_lanes = 0;       ///< lane count of the last evaluate_batch()
   /// Adjoint-gradient buffers (see autodiff/adjoint.hpp); unused — and
   /// unallocated — by plain evaluation.
-  linalg::ShardedState adjoint_psi;
-  linalg::ShardedState lambda;
-  linalg::ShardedState hpsi;
+  cvec adjoint_psi;
+  cvec lambda;
+  cvec hpsi;
   /// <C> of the last evaluate().
   double expectation = 0.0;
   /// This workspace's metric sink. evaluate() binds it as the thread's
@@ -157,9 +151,7 @@ struct EvalWorkspace {
   obs::MetricsSink metrics;
 
   /// Pre-size the forward buffers for a plan (optional warm-up; evaluation
-  /// grows them on demand anyway). Applies the shard request and
-  /// first-touches psi so its pages land on their shard's NUMA node before
-  /// the first evaluation.
+  /// grows them on demand anyway).
   void reserve(const QaoaPlan& plan);
 
   /// Lane l's final statevector after the last evaluate_batch(). For a

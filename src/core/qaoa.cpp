@@ -76,7 +76,7 @@ SimResult simulate(std::span<const double> angles, const Mixer& mixer,
   result.exp_value = engine.expectation();
   result.ground_state_prob = engine.ground_state_probability();
   result.best_value = objective_stats(obj_vals).max_value;
-  result.statevector = engine.state().to_vec();
+  result.statevector = engine.state();
   return result;
 }
 
@@ -92,7 +92,7 @@ SimResult simulate(std::span<const double> angles, const Mixer& mixer,
   result.exp_value = engine.expectation();
   result.ground_state_prob = engine.ground_state_probability();
   result.best_value = objective_stats(obj_vals).max_value;
-  result.statevector = engine.state().to_vec();
+  result.statevector = engine.state();
   return result;
 }
 

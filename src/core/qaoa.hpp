@@ -97,17 +97,8 @@ class Qaoa {
   /// (Listing 1). Only valid when num_betas() == rounds().
   double run_packed(std::span<const double> angles);
 
-  /// Statevector after the last run(). A ShardedState reads like a cvec
-  /// (data/size/operator[]/begin/end) and converts to kernel views
-  /// implicitly; copy out with .to_vec() when an owning vector is needed.
-  [[nodiscard]] const linalg::ShardedState& state() const noexcept {
-    return ws_.psi;
-  }
-
-  /// Request a shard count for the workspace statevector (0 = auto:
-  /// FASTQAOA_SHARDS, then the detected NUMA topology). Results are
-  /// bit-identical at every shard count; this only affects placement.
-  void set_shards(int shards) noexcept { ws_.shards = shards; }
+  /// Statevector after the last run().
+  [[nodiscard]] const cvec& state() const noexcept { return ws_.psi; }
 
   /// <C> of the last run().
   [[nodiscard]] double expectation() const noexcept { return ws_.expectation; }

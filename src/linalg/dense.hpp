@@ -17,7 +17,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "linalg/sharded_state.hpp"
+#include "linalg/state_ref.hpp"
 
 namespace fastqaoa::linalg {
 

@@ -88,48 +88,6 @@ struct KernelBackend {
   double (*phase_wht_expect)(cplx* a, const double* d, double angle,
                              double scale, const double* obj, index_t n);
 
-  // --- sharded WHT family -------------------------------------------------
-  // Shard-aware drivers for NUMA-sharded states (see linalg/sharded_state.hpp
-  // and docs/architecture.md "Sharded statevector layer"): the state is K
-  // contiguous shards, the lower n - log2(K) butterfly stages run entirely
-  // shard-local (per-shard thread teams via shard-major static scheduling),
-  // and the top log2(K) stages run as pairwise shard-exchange passes over
-  // the fixed hypercube schedule. The obj-carrying final pass keeps the
-  // exact monolithic item grid and serial partial fold, so results are
-  // bit-identical to the shards == 1 path at any shard and thread count;
-  // with shards <= 1 (or a state too small / not evenly divisible) these
-  // delegate to the monolithic blocked driver outright.
-  /// Sharded wht.
-  void (*wht_sharded)(cplx* a, index_t n, int shards);
-  /// Sharded phase_wht.
-  void (*phase_wht_sharded)(cplx* a, const double* d, double angle,
-                            double scale, index_t n, int shards);
-  /// Sharded wht_expect.
-  double (*wht_expect_sharded)(cplx* a, const double* obj, index_t n,
-                               int shards);
-  /// Sharded phase_wht_expect.
-  double (*phase_wht_expect_sharded)(cplx* a, const double* d, double angle,
-                                     double scale, const double* obj,
-                                     index_t n, int shards);
-  /// Sharded batched variants: with shards > 1 each lane runs through the
-  /// sharded single-state driver (bit-identical to the batched driver by the
-  /// lanes-sequential contract); with shards <= 1 they delegate to the
-  /// batched driver unchanged.
-  void (*phase_wht_batch_sharded)(cplx* a, index_t stride, int lanes,
-                                  const cplx* init, const double* d,
-                                  const QuantizedDiag* dq,
-                                  const double* angles, double scale,
-                                  index_t n, int shards);
-  void (*wht_expect_batch_sharded)(cplx* a, index_t stride, int lanes,
-                                   const double* obj, double* out, index_t n,
-                                   int shards);
-  void (*phase_wht_expect_batch_sharded)(cplx* a, index_t stride, int lanes,
-                                         const double* d,
-                                         const QuantizedDiag* dq,
-                                         const double* angles, double scale,
-                                         const double* obj, double* out,
-                                         index_t n, int shards);
-
   // --- batched WHT family -------------------------------------------------
   // `lanes` independent statevectors, lane l at a + l*stride (stride in
   // complex elements, stride >= n), each phased by its own angles[l], share

@@ -5,19 +5,15 @@
 /// dot products, rank-1 updates. All kernels are allocation-free and OpenMP
 /// parallel over the vector length.
 ///
-/// Every entry point takes StateRef / ConstStateRef views — implicitly
-/// constructible from cvec and ShardedState — so the same wrappers serve
-/// plain vectors and NUMA-sharded workspace states. The kernels' static
-/// chunked schedules assign contiguous ranges to threads, which coincide
-/// with shard boundaries (ShardedState first-touches pages with the same
-/// mapping), so elementwise sweeps and fixed-order reductions stay
-/// shard-local without shard-specific code paths — and therefore stay
-/// bit-identical at every shard count by construction.
+/// Every entry point takes StateRef / ConstStateRef views (spans), so a
+/// cvec, a lane of a batch matrix or a raw buffer all bind without a copy.
+/// Reductions accumulate fixed-size blocks in block order, so results are
+/// bit-identical at every thread count.
 
 #include <cstddef>
 
 #include "common/types.hpp"
-#include "linalg/sharded_state.hpp"
+#include "linalg/state_ref.hpp"
 
 namespace fastqaoa::linalg {
 
@@ -26,7 +22,7 @@ struct DiagDict;  // linalg/diag_dict.hpp
 /// out <- value for every element.
 void fill(StateRef v, cplx value);
 
-/// dst_i <- src_i, parallel with the shard-aligned static schedule. dst must
+/// dst_i <- src_i, parallel with the kernels' static schedule. dst must
 /// already be sized to src.size() (views cannot grow). Exact (bitwise) copy.
 void copy_state(ConstStateRef src, StateRef dst);
 

@@ -22,7 +22,7 @@ void wht_unnormalized(StateRef v) {
   FASTQAOA_CHECK(is_power_of_two(n), "wht: length must be a power of 2");
   FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
   FASTQAOA_OBS_TIMED("linalg.wht");
-  kernels::active().wht_sharded(v.data(), n, v.shards());
+  kernels::active().wht(v.data(), n);
 }
 
 void wht_orthonormal(StateRef v) {
@@ -33,14 +33,13 @@ void wht_orthonormal(StateRef v) {
   const double scale = 1.0 / std::sqrt(static_cast<double>(n));
   // Fold the normalization into the fused pre-pass (null diagonal = pure
   // scale); self-inverse either way since the scale commutes with H.
-  kernels::active().phase_wht_sharded(v.data(), nullptr, 0.0, scale, n,
-                                      v.shards());
+  kernels::active().phase_wht(v.data(), nullptr, 0.0, scale, n);
 }
 
 // The single-state phase sweeps run as one-lane batched calls: the batched
 // entries are the ones that carry the quantized view, and one lane of them
-// is the single-state driver (sharded or not) bit for bit — with an empty
-// view, exactly the driver phase_wht_sharded runs.
+// is the single-state driver bit for bit — with an empty view, exactly the
+// driver the phase_wht entry runs.
 
 namespace {
 
@@ -58,8 +57,8 @@ void phase_wht(StateRef v, const dvec& d, double angle, double scale,
   FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
   FASTQAOA_OBS_TIMED("linalg.wht");
   const kernels::QuantizedDiag dq = dict_view(dict);
-  kernels::active().phase_wht_batch_sharded(v.data(), n, 1, nullptr, d.data(),
-                                            &dq, &angle, scale, n, v.shards());
+  kernels::active().phase_wht_batch(v.data(), n, 1, nullptr, d.data(), &dq,
+                                    &angle, scale, n);
 }
 
 double wht_expect(StateRef v, const dvec& obj) {
@@ -68,8 +67,7 @@ double wht_expect(StateRef v, const dvec& obj) {
   FASTQAOA_CHECK(obj.size() == n, "wht_expect: objective size mismatch");
   FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
   FASTQAOA_OBS_TIMED("linalg.wht");
-  return kernels::active().wht_expect_sharded(v.data(), obj.data(), n,
-                                              v.shards());
+  return kernels::active().wht_expect(v.data(), obj.data(), n);
 }
 
 double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
@@ -83,10 +81,8 @@ double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
   FASTQAOA_OBS_TIMED("linalg.wht");
   const kernels::QuantizedDiag dq = dict_view(dict);
   double out = 0.0;
-  kernels::active().phase_wht_expect_batch_sharded(v.data(), n, 1, d.data(),
-                                                   &dq, &angle, scale,
-                                                   obj.data(), &out, n,
-                                                   v.shards());
+  kernels::active().phase_wht_expect_batch(v.data(), n, 1, d.data(), &dq,
+                                           &angle, scale, obj.data(), &out, n);
   return out;
 }
 
@@ -102,44 +98,41 @@ void check_batch(index_t stride, int lanes, index_t n, const char* who) {
 
 void phase_wht_batch(cplx* states, index_t stride, int lanes, const cplx* init,
                      const dvec& d, const DiagDict* dict, const double* angles,
-                     double scale, int shards) {
+                     double scale) {
   const index_t n = d.size();
   check_batch(stride, lanes, n, "phase_wht_batch");
   FASTQAOA_OBS_COUNT("linalg.wht.applies", lanes);
   FASTQAOA_OBS_COUNT("linalg.wht.batched_lanes", lanes);
   FASTQAOA_OBS_TIMED("linalg.wht");
   const kernels::QuantizedDiag dq = dict_view(dict);
-  kernels::active().phase_wht_batch_sharded(states, stride, lanes, init,
-                                            d.data(), &dq, angles, scale, n,
-                                            shards);
+  kernels::active().phase_wht_batch(states, stride, lanes, init, d.data(), &dq,
+                                    angles, scale, n);
 }
 
-void wht_batch(cplx* states, index_t stride, int lanes, index_t n,
-               int shards) {
+void wht_batch(cplx* states, index_t stride, int lanes, index_t n) {
   check_batch(stride, lanes, n, "wht_batch");
   FASTQAOA_OBS_COUNT("linalg.wht.applies", lanes);
   FASTQAOA_OBS_COUNT("linalg.wht.batched_lanes", lanes);
   FASTQAOA_OBS_TIMED("linalg.wht");
-  kernels::active().phase_wht_batch_sharded(states, stride, lanes, nullptr,
-                                            nullptr, nullptr, nullptr, 1.0, n,
-                                            shards);
+  kernels::active().phase_wht_batch(states, stride, lanes, nullptr, nullptr,
+                                    nullptr, nullptr, 1.0, n);
 }
 
 void wht_expect_batch(cplx* states, index_t stride, int lanes, const dvec& obj,
-                      double* out, int shards) {
+                      double* out) {
   const index_t n = obj.size();
   check_batch(stride, lanes, n, "wht_expect_batch");
   FASTQAOA_OBS_COUNT("linalg.wht.applies", lanes);
   FASTQAOA_OBS_COUNT("linalg.wht.batched_lanes", lanes);
   FASTQAOA_OBS_TIMED("linalg.wht");
-  kernels::active().wht_expect_batch_sharded(states, stride, lanes, obj.data(),
-                                             out, n, shards);
+  kernels::active().wht_expect_batch(states, stride, lanes, obj.data(), out,
+                                     n);
 }
 
 void phase_wht_expect_batch(cplx* states, index_t stride, int lanes,
                             const dvec& d, const DiagDict* dict,
                             const double* angles, double scale, const dvec& obj,
-                            double* out, int shards) {
+                            double* out) {
   const index_t n = d.size();
   check_batch(stride, lanes, n, "phase_wht_expect_batch");
   FASTQAOA_CHECK(obj.size() == n,
@@ -148,9 +141,8 @@ void phase_wht_expect_batch(cplx* states, index_t stride, int lanes,
   FASTQAOA_OBS_COUNT("linalg.wht.batched_lanes", lanes);
   FASTQAOA_OBS_TIMED("linalg.wht");
   const kernels::QuantizedDiag dq = dict_view(dict);
-  kernels::active().phase_wht_expect_batch_sharded(
-      states, stride, lanes, d.data(), &dq, angles, scale, obj.data(), out, n,
-      shards);
+  kernels::active().phase_wht_expect_batch(states, stride, lanes, d.data(), &dq,
+                                           angles, scale, obj.data(), out, n);
 }
 
 }  // namespace fastqaoa::linalg

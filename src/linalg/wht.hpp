@@ -8,13 +8,12 @@
 /// twice equals 2^n * identity; callers fold the single 1/2^n scale into an
 /// adjacent elementwise pass instead of paying two 1/sqrt(2^n) scalings.
 ///
-/// All single-state entry points take a StateRef — implicitly constructible
-/// from both cvec (one shard) and ShardedState — and dispatch to the
-/// shard-aware kernel drivers. Results are bit-identical at any shard
-/// count; with one shard the kernels take the pre-sharding blocked path.
+/// All single-state entry points take a StateRef (a span over the
+/// amplitudes) and dispatch to the blocked kernel drivers of the active
+/// backend (linalg/kernels/kernels.hpp).
 
 #include "common/types.hpp"
-#include "linalg/sharded_state.hpp"
+#include "linalg/state_ref.hpp"
 
 namespace fastqaoa::linalg {
 
@@ -56,8 +55,6 @@ double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
 // DiagDict view (when valid) replaces the per-element sincos sweep with a
 // per-distinct-value one. Per-lane results are bit-identical to `lanes`
 // sequential calls of the single-state function. `dict` may be null.
-// `shards` (default 1 = monolithic) selects the shard-aware driver; lanes
-// then run shard-local sweeps, still lane-for-lane bit-identical.
 
 /// Batched phase_wht. `init`, when non-null, is a shared length-d.size()
 /// input: every lane starts from init (copy fused into the first pass)
@@ -65,21 +62,20 @@ double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
 /// evaluation, where all lanes start from the same |psi0>.
 void phase_wht_batch(cplx* states, index_t stride, int lanes, const cplx* init,
                      const dvec& d, const DiagDict* dict, const double* angles,
-                     double scale, int shards = 1);
+                     double scale);
 
 /// Batched plain unnormalized WHT (no phase, no scale) of length-n lanes.
-void wht_batch(cplx* states, index_t stride, int lanes, index_t n,
-               int shards = 1);
+void wht_batch(cplx* states, index_t stride, int lanes, index_t n);
 
 /// Batched wht_expect: out[l] = sum_i obj_i |states_{l,i}|^2 after the WHT.
 void wht_expect_batch(cplx* states, index_t stride, int lanes, const dvec& obj,
-                      double* out, int shards = 1);
+                      double* out);
 
 /// Batched phase_wht_expect: the whole final QAOA round for every lane.
 void phase_wht_expect_batch(cplx* states, index_t stride, int lanes,
                             const dvec& d, const DiagDict* dict,
                             const double* angles, double scale, const dvec& obj,
-                            double* out, int shards = 1);
+                            double* out);
 
 /// True iff sz is a power of two (and non-zero).
 bool is_power_of_two(index_t sz);

@@ -9,16 +9,13 @@
 /// The two virtuals are everything the simulator (apply_exp) and the
 /// adjoint-mode gradient (apply_ham) need.
 ///
-/// All state arguments are StateRef / ConstStateRef views (implicitly
-/// constructible from cvec and ShardedState), so the same mixer serves
-/// plain vectors and NUMA-sharded workspace states; the shard count rides
-/// the view into the kernel layer. Results are bit-identical at any shard
-/// count.
+/// All state arguments are StateRef / ConstStateRef views (spans), so the
+/// same mixer serves a cvec, a lane of a batch matrix or a raw buffer.
 
 #include <string>
 
 #include "common/types.hpp"
-#include "linalg/sharded_state.hpp"
+#include "linalg/state_ref.hpp"
 
 namespace fastqaoa {
 
@@ -34,13 +31,11 @@ using linalg::StateRef;
 /// elements, stride >= dim). `init`, when non-null, is a shared input vector
 /// all lanes start from (the copy is fused into the first pass over the
 /// data); when null, every lane transforms its own current contents.
-/// `shards` is the shard count of the backing storage (1 = monolithic).
 struct StateBatch {
   cplx* states = nullptr;
   index_t stride = 0;
   int lanes = 0;
   const cplx* init = nullptr;
-  int shards = 1;
 };
 
 /// A mixer Hamiltonian H_M restricted to a feasible subspace of dimension

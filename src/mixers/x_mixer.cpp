@@ -150,9 +150,9 @@ void XMixer::apply_phase_exp_batch(const StateBatch& b, const dvec& phase,
                  "XMixer: phase table size mismatch");
   const double inv = 1.0 / static_cast<double>(dvals_.size());
   linalg::phase_wht_batch(b.states, b.stride, b.lanes, b.init, phase,
-                          phase_dict, gammas, 1.0, b.shards);
+                          phase_dict, gammas, 1.0);
   linalg::phase_wht_batch(b.states, b.stride, b.lanes, nullptr, dvals_,
-                          &ddict_, betas, inv, b.shards);
+                          &ddict_, betas, inv);
 }
 
 void XMixer::apply_phase_exp_expect_batch(const StateBatch& b,
@@ -167,9 +167,9 @@ void XMixer::apply_phase_exp_expect_batch(const StateBatch& b,
   FASTQAOA_CHECK(obj.size() == dvals_.size(), "XMixer: objective mismatch");
   const double inv = 1.0 / static_cast<double>(dvals_.size());
   linalg::phase_wht_batch(b.states, b.stride, b.lanes, b.init, phase,
-                          phase_dict, gammas, 1.0, b.shards);
+                          phase_dict, gammas, 1.0);
   linalg::phase_wht_expect_batch(b.states, b.stride, b.lanes, dvals_, &ddict_,
-                                 betas, inv, obj, out, b.shards);
+                                 betas, inv, obj, out);
 }
 
 void XMixer::apply_exp_batch(const StateBatch& b, const double* betas,
@@ -180,9 +180,9 @@ void XMixer::apply_exp_batch(const StateBatch& b, const double* betas,
   const double inv = 1.0 / static_cast<double>(dvals_.size());
   // Mirror apply_exp's two-transform shape: plain first WHT, then the mixer
   // phase + 1/2^n folded into the second's pre-pass.
-  linalg::wht_batch(b.states, b.stride, b.lanes, dvals_.size(), b.shards);
+  linalg::wht_batch(b.states, b.stride, b.lanes, dvals_.size());
   linalg::phase_wht_batch(b.states, b.stride, b.lanes, nullptr, dvals_,
-                          &ddict_, betas, inv, b.shards);
+                          &ddict_, betas, inv);
 }
 
 void XMixer::apply_ham(ConstStateRef in, StateRef out, cvec& scratch) const {

@@ -13,7 +13,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "linalg/sharded_state.hpp"
+#include "linalg/state_ref.hpp"
 
 namespace fastqaoa {
 
@@ -22,8 +22,8 @@ class MeasurementSampler {
  public:
   /// Build from a statevector (probabilities |psi_i|^2, renormalized
   /// against accumulated float error). Throws on a zero vector. Takes a
-  /// view, so cvec and ShardedState both work; the probabilities are copied
-  /// out, nothing references the state afterwards.
+  /// view; the probabilities are copied out, nothing references the state
+  /// afterwards.
   explicit MeasurementSampler(linalg::ConstStateRef psi);
 
   /// Build directly from (non-negative, not all zero) weights.

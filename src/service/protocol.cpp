@@ -320,7 +320,6 @@ Json stats_to_json(const ServiceStats& stats) {
   j.set("queue_depth", Json(static_cast<std::uint64_t>(stats.queue_depth)));
   j.set("running", Json(static_cast<std::uint64_t>(stats.running)));
   j.set("workers", Json(static_cast<long long>(stats.workers)));
-  j.set("shards", Json(static_cast<long long>(stats.shards)));
   j.set("submitted", Json(stats.submitted));
   j.set("completed", Json(stats.completed));
   j.set("failed", Json(stats.failed));
@@ -409,9 +408,6 @@ std::string metrics_prometheus(Service& service) {
         static_cast<double>(st.running));
   gauge("fastqaoa_service_workers", "worker pool size",
         static_cast<double>(st.workers));
-  gauge("fastqaoa_service_shards",
-        "configured statevector shard request (0 = auto)",
-        static_cast<double>(st.shards));
   gauge("fastqaoa_service_draining", "1 while the daemon is draining",
         st.draining ? 1.0 : 0.0);
   counter("fastqaoa_service_jobs_submitted_total", "jobs admitted",

@@ -71,12 +71,6 @@ Service::Service(ServiceConfig config)
       cache_(PlanCache::Config{config_.cache_bytes}) {
   config_.workers = std::max(1, config_.workers);
   config_.queue_high_water = std::max<std::size_t>(1, config_.queue_high_water);
-  config_.shards = std::max(0, config_.shards);
-  // Advertise the shard configuration on every metrics snapshot, same as the
-  // kernel dispatch layer does for kernel_backend.
-  obs::set_global_label("shards", config_.shards == 0
-                                      ? std::string("auto")
-                                      : std::to_string(config_.shards));
 
   const auto now = std::chrono::steady_clock::now();
   // Slot 0 is the default (unnamed, quota-free) tenant so multi-tenancy-off
@@ -258,7 +252,6 @@ ServiceStats Service::stats() const {
     s.queue_depth = total_queued_;
     s.running = running_;
     s.workers = config_.workers;
-    s.shards = config_.shards;
     s.submitted = submitted_;
     s.completed = completed_;
     s.failed = failed_;
@@ -392,7 +385,6 @@ std::shared_ptr<Job> Service::pop_next_locked() {
 
 void Service::worker_loop() {
   EvalWorkspace ws;  // reused across jobs; buffers grow to the largest plan
-  ws.shards = config_.shards;
   mps::MpsWorkspace mws;  // MPS-engine jobs' per-worker state
   for (;;) {
     std::shared_ptr<Job> job;

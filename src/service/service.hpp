@@ -60,10 +60,6 @@ namespace fastqaoa::service {
 
 struct ServiceConfig {
   int workers = 2;
-  /// Statevector shard request applied to every worker workspace
-  /// (0 = auto: FASTQAOA_SHARDS, then one shard per detected NUMA node).
-  /// Placement-only — results are bit-identical at every shard count.
-  int shards = 0;
   /// Admission high-water mark: jobs *waiting* in the queue (not the ones
   /// already running), summed across all tenant sub-queues. A submit that
   /// would push the depth past this is rejected with "overloaded".
@@ -133,8 +129,6 @@ struct ServiceStats {
   std::size_t queue_depth = 0;
   std::size_t running = 0;
   int workers = 0;
-  /// Configured shard request (0 = auto; see ServiceConfig::shards).
-  int shards = 0;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;

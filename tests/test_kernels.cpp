@@ -21,11 +21,9 @@
 #include "autodiff/adjoint.hpp"
 #include "common/alloc.hpp"
 #include "common/threading.hpp"
-#include "common/topology.hpp"
 #include "core/qaoa.hpp"
 #include "linalg/diag_dict.hpp"
 #include "linalg/kernels/kernels.hpp"
-#include "linalg/sharded_state.hpp"
 #include "linalg/vector_ops.hpp"
 #include "linalg/wht.hpp"
 #include "mixers/x_mixer.hpp"
@@ -686,312 +684,31 @@ TEST(QuantizedPhaseRoute, OneLaneBatchedCallsUseTheDictionary) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedState unit suite. Runs under TSan in CI together with
-// ShardInvariance.* (the thread-sweeping variants live in
-// ShardInvarianceThreads.* and are excluded there).
+// Engine-level invariance on every backend: evaluate, evaluate_batch and the
+// adjoint gradient are bit-identical at 1 and 4 threads, and the quantized
+// phase route the engine takes matches the per-element sweep bit for bit.
 // ---------------------------------------------------------------------------
 
-/// RAII: pin FASTQAOA_SHARDS for one test, restore the previous value after.
-class ShardEnvGuard {
- public:
-  explicit ShardEnvGuard(const char* value) {
-    const char* prev = std::getenv("FASTQAOA_SHARDS");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (value != nullptr) {
-      setenv("FASTQAOA_SHARDS", value, 1);
-    } else {
-      unsetenv("FASTQAOA_SHARDS");
-    }
-  }
-  ~ShardEnvGuard() {
-    if (had_prev_) {
-      setenv("FASTQAOA_SHARDS", prev_.c_str(), 1);
-    } else {
-      unsetenv("FASTQAOA_SHARDS");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
-TEST(ShardedState, ExchangeScheduleIsHypercube) {
-  const int k = 8;  // log2(K) = 3 cross stages
-  for (int stage = 0; stage < 3; ++stage) {
-    for (int s = 0; s < k; ++s) {
-      const int partner = linalg::shard_exchange_partner(s, stage);
-      ASSERT_GE(partner, 0);
-      ASSERT_LT(partner, k);
-      EXPECT_NE(partner, s);
-      // Involution: the partner's partner is the original shard.
-      EXPECT_EQ(linalg::shard_exchange_partner(partner, stage), s);
-      // The pair differs in exactly the stage bit.
-      EXPECT_EQ((s ^ partner), 1 << stage);
-    }
-  }
-}
-
-TEST(ShardedState, PlanShardsPolicy) {
-  ShardEnvGuard env(nullptr);
-  // Explicit request, large state: honored (floor-pow2).
-  EXPECT_EQ(plan_shards(index_t{1} << 15, 4).shards, 4);
-  EXPECT_EQ(plan_shards(index_t{1} << 15, 4).source, "request");
-  EXPECT_EQ(plan_shards(index_t{1} << 15, 3).shards, 2);
-  // Small states clamp to one shard no matter what was asked.
-  EXPECT_EQ(plan_shards(1024, 8).shards, 1);
-  EXPECT_EQ(plan_shards(kMinShardElems, 2).shards, 1);
-  // The env var fills in when no explicit request is made, and loses to one.
-  ShardEnvGuard env2("2");
-  EXPECT_EQ(plan_shards(index_t{1} << 15, 0).shards, 2);
-  EXPECT_EQ(plan_shards(index_t{1} << 15, 0).source, "env");
-  EXPECT_EQ(plan_shards(index_t{1} << 15, 4).shards, 4);
-  EXPECT_EQ(shard_request(0), 2);
-  EXPECT_EQ(shard_request(4), 4);
-}
-
-TEST(ShardedState, FirstTouchZeroFillAndGeometry) {
-  const index_t n = index_t{1} << 15;
-  linalg::ShardedState s(n, 4);
-  ASSERT_EQ(s.size(), n);
-  EXPECT_EQ(s.shards(), 4);
-  EXPECT_EQ(s.shard_elems(), n / 4);
-  for (int k = 0; k < 4; ++k) {
-    EXPECT_EQ(s.shard_data(k), s.data() + (n / 4) * k);
-  }
-  for (index_t i = 0; i < n; ++i) {
-    ASSERT_EQ(s[i], (cplx{0.0, 0.0})) << "index " << i;
-  }
-}
-
-TEST(ShardedState, ResizePreservesPrefix) {
-  std::mt19937_64 gen(41);
-  const index_t n = index_t{1} << 13;
-  const cvec pattern = random_state(gen, n);
-  linalg::ShardedState s;
-  s = pattern;
-  ASSERT_EQ(s.size(), n);
-  // Growing reallocates: the prefix is carried over, new tail is zeroed.
-  s.resize(4 * n);
-  for (index_t i = 0; i < n; ++i) {
-    ASSERT_EQ(s[i], pattern[i]) << "index " << i;
-  }
-  for (index_t i = n; i < 4 * n; ++i) {
-    ASSERT_EQ(s[i], (cplx{0.0, 0.0})) << "index " << i;
-  }
-  // Shrinking reuses storage and keeps the prefix.
-  s.resize(n / 2);
-  for (index_t i = 0; i < n / 2; ++i) {
-    ASSERT_EQ(s[i], pattern[i]) << "index " << i;
-  }
-}
-
-TEST(ShardedState, CopyAssignPropagatesShardRequest) {
-  std::mt19937_64 gen(43);
-  const index_t n = index_t{1} << 15;
-  linalg::ShardedState a(n, 4);
-  {
-    const cvec pattern = random_state(gen, n);
-    a = pattern;  // keeps the request, fills the contents
-    a.set_shard_request(4);
-  }
-  linalg::ShardedState b;
-  b = a;
-  EXPECT_EQ(b.shard_request(), a.shard_request());
-  EXPECT_EQ(b.shards(), a.shards());
-  ASSERT_EQ(b.size(), a.size());
-  for (index_t i = 0; i < n; ++i) {
-    ASSERT_EQ(b[i], a[i]) << "index " << i;
-  }
-}
-
-TEST(ShardedState, TrackerCountsPaddedBytes) {
-  // Pick a size whose raw byte count is not 64-byte aligned so the padded
-  // accounting is observable.
-  const index_t n = 1001;
-  const std::size_t baseline = MemoryTracker::current_bytes();
-  {
-    linalg::ShardedState s(n);
-    const std::size_t delta = MemoryTracker::current_bytes() - baseline;
-    EXPECT_EQ(delta, tracked_alloc_bytes(n * sizeof(cplx)));
-    EXPECT_GT(delta, n * sizeof(cplx));  // padding is part of the count
-  }
-  EXPECT_EQ(MemoryTracker::current_bytes(), baseline);
-}
-
-TEST(ShardedState, FixedOrderReductionMatchesMonolithic) {
-  // The sharded expectation drivers must reproduce the monolithic kernels
-  // bit for bit: shard partial sums are folded in fixed shard order with
-  // the same association as the blocked serial fold.
-  std::mt19937_64 gen(47);
-  const index_t n = index_t{1} << 15;
-  const cvec base = random_state(gen, n);
-  const auto obj = random_diag(gen, n, 2.0);
-  const auto d = random_diag(gen, n);
-
-  for (const std::string& name : kn::available()) {
-    BackendGuard g(name);
-    ASSERT_TRUE(g.ok());
-    const kn::KernelBackend& k = kn::active();
-
-    cvec mono = base;
-    const double mono_e = k.wht_expect(mono.data(), obj.data(), n);
-    cvec mono_p = base;
-    const double mono_pe = k.phase_wht_expect(
-        mono_p.data(), d.data(), 0.61, 1.0 / static_cast<double>(n),
-        obj.data(), n);
-
-    for (const int shards : {1, 2, 4}) {
-      cvec sh = base;
-      const double e = k.wht_expect_sharded(sh.data(), obj.data(), n, shards);
-      EXPECT_EQ(e, mono_e) << name << " shards=" << shards;
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(sh[i], mono[i])
-            << name << " shards=" << shards << " index " << i;
-      }
-      cvec shp = base;
-      const double pe = k.phase_wht_expect_sharded(
-          shp.data(), d.data(), 0.61, 1.0 / static_cast<double>(n),
-          obj.data(), n, shards);
-      EXPECT_EQ(pe, mono_pe) << name << " shards=" << shards;
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(shp[i], mono_p[i])
-            << name << " shards=" << shards << " index " << i;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Shard-count invariance through the full engine: evaluate, evaluate_batch,
-// and the adjoint gradient are bit-identical at every shard count, on every
-// backend. Sizes are chosen so the sharded drivers actually engage
-// (dim / shards stays >= kMinShardElems and block-aligned).
-// ---------------------------------------------------------------------------
-
-struct ShardFixture {
+struct EngineFixture {
   Graph graph;
   dvec table;
   XMixer mixer;
   std::vector<double> angles;
 
-  static ShardFixture make() {
+  static EngineFixture make() {
     Rng rng(53);
-    const int n = 15;  // dim 32768: four shards of 8192 >= kMinShardElems
+    const int n = 15;  // dim 32768: the blocked (parallel) WHT driver runs
     Graph g = erdos_renyi(n, 0.3, rng);
     dvec t = tabulate(StateSpace::full(n),
                       [&g](state_t x) { return maxcut(g, x); });
-    return ShardFixture{std::move(g), std::move(t),
-                        XMixer::transverse_field(n),
-                        {0.37, -0.82, 0.55, 1.21}};
+    return EngineFixture{std::move(g), std::move(t),
+                         XMixer::transverse_field(n),
+                         {0.37, -0.82, 0.55, 1.21}};
   }
 };
 
-TEST(ShardInvariance, EvaluateBitIdenticalAcrossShardCounts) {
-  ShardEnvGuard env(nullptr);
-  ShardFixture fx = ShardFixture::make();
-  for (const std::string& name : kn::available()) {
-    BackendGuard g(name);
-    ASSERT_TRUE(g.ok());
-    QaoaPlan plan(fx.mixer, fx.table, 2);
-
-    EvalWorkspace ref_ws;
-    ref_ws.shards = 1;
-    const double ref = evaluate_packed(plan, ref_ws, fx.angles);
-    const cvec ref_state = ref_ws.psi.to_vec();
-
-    for (const int shards : {2, 4}) {
-      EvalWorkspace ws;
-      ws.shards = shards;
-      const double got = evaluate_packed(plan, ws, fx.angles);
-      EXPECT_EQ(got, ref) << name << " shards=" << shards;
-      ASSERT_EQ(ws.psi.size(), ref_state.size());
-      EXPECT_EQ(ws.psi.shards(), shards) << name;
-      for (index_t i = 0; i < plan.dim(); ++i) {
-        ASSERT_EQ(ws.psi[i], ref_state[i])
-            << name << " shards=" << shards << " index " << i;
-      }
-    }
-  }
-}
-
-TEST(ShardInvariance, EvaluateBatchBitIdenticalAcrossShardCounts) {
-  ShardEnvGuard env(nullptr);
-  ShardFixture fx = ShardFixture::make();
-  // Three lanes, each its own packed angle set.
-  const std::vector<double> betas = {0.37, 0.55, -0.2, 0.9, 1.1, -0.6};
-  const std::vector<double> gammas = {-0.82, 1.21, 0.3, -0.4, 0.77, 0.05};
-  constexpr int kLanes = 3;
-
-  for (const std::string& name : kn::available()) {
-    BackendGuard g(name);
-    ASSERT_TRUE(g.ok());
-    QaoaPlan plan(fx.mixer, fx.table, 2);
-
-    EvalWorkspace ref_ws;
-    ref_ws.shards = 1;
-    std::vector<double> ref_out(kLanes);
-    evaluate_batch(plan, ref_ws, betas, gammas, ref_out);
-
-    for (const int shards : {2, 4}) {
-      EvalWorkspace ws;
-      ws.shards = shards;
-      std::vector<double> out(kLanes);
-      evaluate_batch(plan, ws, betas, gammas, out);
-      for (int l = 0; l < kLanes; ++l) {
-        EXPECT_EQ(out[l], ref_out[l])
-            << name << " shards=" << shards << " lane " << l;
-        const cplx* got = ws.lane_state(l);
-        const cplx* ref = ref_ws.lane_state(l);
-        for (index_t i = 0; i < plan.dim(); ++i) {
-          ASSERT_EQ(got[i], ref[i])
-              << name << " shards=" << shards << " lane " << l << " index "
-              << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(ShardInvariance, AdjointBitIdenticalAcrossShardCounts) {
-  ShardEnvGuard env(nullptr);
-  ShardFixture fx = ShardFixture::make();
-  for (const std::string& name : kn::available()) {
-    BackendGuard g(name);
-    ASSERT_TRUE(g.ok());
-    QaoaPlan plan(fx.mixer, fx.table, 2);
-
-    EvalWorkspace ref_ws;
-    ref_ws.shards = 1;
-    AdjointDifferentiator ref_diff(plan, ref_ws);
-    std::vector<double> ref_grad(fx.angles.size());
-    const double ref = ref_diff.value_and_gradient_packed(fx.angles, ref_grad);
-
-    for (const int shards : {2, 4}) {
-      EvalWorkspace ws;
-      ws.shards = shards;
-      AdjointDifferentiator diff(plan, ws);
-      std::vector<double> grad(fx.angles.size());
-      const double got = diff.value_and_gradient_packed(fx.angles, grad);
-      EXPECT_EQ(got, ref) << name << " shards=" << shards;
-      for (std::size_t j = 0; j < grad.size(); ++j) {
-        EXPECT_EQ(grad[j], ref_grad[j])
-            << name << " shards=" << shards << " angle " << j;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Thread x shard sweeps. Kept in their own suite (ShardInvarianceThreads)
-// so the TSan CI leg can run ShardedState.* / ShardInvariance.* without
-// also paying for (and fighting with) OpenMP thread-count churn.
-// ---------------------------------------------------------------------------
-
-TEST(ShardInvarianceThreads, EvaluateBitIdenticalAcrossShardAndThreadCounts) {
-  ShardEnvGuard env(nullptr);
-  ShardFixture fx = ShardFixture::make();
+TEST(EngineThreadInvariance, EvaluateBitIdenticalAcrossThreadCounts) {
+  EngineFixture fx = EngineFixture::make();
   const int restore = num_threads();
   for (const std::string& name : kn::available()) {
     BackendGuard g(name);
@@ -1000,22 +717,85 @@ TEST(ShardInvarianceThreads, EvaluateBitIdenticalAcrossShardAndThreadCounts) {
 
     set_num_threads(1);
     EvalWorkspace ref_ws;
-    ref_ws.shards = 1;
     const double ref = evaluate_packed(plan, ref_ws, fx.angles);
-    const cvec ref_state = ref_ws.psi.to_vec();
 
     for (const int threads : {1, 4}) {
-      for (const int shards : {1, 4}) {
+      set_num_threads(threads);
+      EvalWorkspace ws;
+      const double got = evaluate_packed(plan, ws, fx.angles);
+      EXPECT_EQ(got, ref) << name << " threads=" << threads;
+      EXPECT_TRUE(same_bits(ws.psi, ref_ws.psi))
+          << name << " threads=" << threads;
+    }
+  }
+  set_num_threads(restore);
+}
+
+TEST(EngineThreadInvariance, AdjointBitIdenticalAcrossThreadCounts) {
+  EngineFixture fx = EngineFixture::make();
+  const int restore = num_threads();
+  for (const std::string& name : kn::available()) {
+    BackendGuard g(name);
+    ASSERT_TRUE(g.ok());
+    QaoaPlan plan(fx.mixer, fx.table, 2);
+
+    set_num_threads(1);
+    EvalWorkspace ref_ws;
+    AdjointDifferentiator ref_diff(plan, ref_ws);
+    std::vector<double> ref_grad(fx.angles.size());
+    const double ref = ref_diff.value_and_gradient_packed(fx.angles, ref_grad);
+
+    for (const int threads : {1, 4}) {
+      set_num_threads(threads);
+      EvalWorkspace ws;
+      AdjointDifferentiator diff(plan, ws);
+      std::vector<double> grad(fx.angles.size());
+      const double got = diff.value_and_gradient_packed(fx.angles, grad);
+      EXPECT_EQ(got, ref) << name << " threads=" << threads;
+      for (std::size_t j = 0; j < grad.size(); ++j) {
+        EXPECT_EQ(grad[j], ref_grad[j])
+            << name << " threads=" << threads << " angle " << j;
+      }
+    }
+  }
+  set_num_threads(restore);
+}
+
+TEST(EngineThreadInvariance, EvaluateBatchBitIdenticalAcrossThreadCounts) {
+  EngineFixture fx = EngineFixture::make();
+  const int restore = num_threads();
+  for (const int lanes : {3, 9}) {  // one partial tile; a full tile plus one
+    std::mt19937_64 gen(static_cast<std::uint64_t>(lanes));
+    std::uniform_real_distribution<double> u(-1.5, 1.5);
+    std::vector<double> betas(2 * static_cast<std::size_t>(lanes));
+    std::vector<double> gammas(betas.size());
+    for (double& b : betas) b = u(gen);
+    for (double& c : gammas) c = u(gen);
+
+    for (const std::string& name : kn::available()) {
+      BackendGuard g(name);
+      ASSERT_TRUE(g.ok());
+      QaoaPlan plan(fx.mixer, fx.table, 2);
+
+      set_num_threads(1);
+      EvalWorkspace ref_ws;
+      std::vector<double> ref_out(static_cast<std::size_t>(lanes));
+      evaluate_batch(plan, ref_ws, betas, gammas, ref_out);
+
+      for (const int threads : {1, 4}) {
         set_num_threads(threads);
         EvalWorkspace ws;
-        ws.shards = shards;
-        const double got = evaluate_packed(plan, ws, fx.angles);
-        EXPECT_EQ(got, ref)
-            << name << " threads=" << threads << " shards=" << shards;
-        for (index_t i = 0; i < plan.dim(); ++i) {
-          ASSERT_EQ(ws.psi[i], ref_state[i])
-              << name << " threads=" << threads << " shards=" << shards
-              << " index " << i;
+        std::vector<double> out(static_cast<std::size_t>(lanes));
+        evaluate_batch(plan, ws, betas, gammas, out);
+        for (int l = 0; l < lanes; ++l) {
+          EXPECT_EQ(out[l], ref_out[l]) << name << " B=" << lanes
+                                        << " threads=" << threads
+                                        << " lane " << l;
+          EXPECT_EQ(std::memcmp(ws.lane_state(l), ref_ws.lane_state(l),
+                                plan.dim() * sizeof(cplx)),
+                    0)
+              << name << " B=" << lanes << " threads=" << threads << " lane "
+              << l;
         }
       }
     }
@@ -1023,38 +803,32 @@ TEST(ShardInvarianceThreads, EvaluateBitIdenticalAcrossShardAndThreadCounts) {
   set_num_threads(restore);
 }
 
-TEST(ShardInvarianceThreads, AdjointBitIdenticalAcrossShardAndThreadCounts) {
-  ShardEnvGuard env(nullptr);
-  ShardFixture fx = ShardFixture::make();
-  const int restore = num_threads();
-  BackendGuard g("scalar");
-  ASSERT_TRUE(g.ok());
-  QaoaPlan plan(fx.mixer, fx.table, 2);
+TEST(EngineQuantizedRoute, EvaluateBitIdenticalToPerElementSweep) {
+  // evaluate() hands the plan's phase dictionary and the X mixer's
+  // eigenvalue dictionary to every phase sweep; on the fast-sincos backends
+  // that takes the quantized route. The reference replays XMixer's p = 2
+  // round sequence with no dictionary, i.e. the per-element sweep.
+  EngineFixture fx = EngineFixture::make();
+  const dvec& dvals = fx.mixer.diagonal();
+  const double inv = 1.0 / static_cast<double>(dvals.size());
+  const double betas[] = {fx.angles[0], fx.angles[1]};
+  const double gammas[] = {fx.angles[2], fx.angles[3]};
+  for (const std::string& name : kn::available()) {
+    BackendGuard g(name);
+    ASSERT_TRUE(g.ok());
+    QaoaPlan plan(fx.mixer, fx.table, 2);
+    EvalWorkspace ws;
+    const double got = evaluate_packed(plan, ws, fx.angles);
 
-  set_num_threads(1);
-  EvalWorkspace ref_ws;
-  ref_ws.shards = 1;
-  AdjointDifferentiator ref_diff(plan, ref_ws);
-  std::vector<double> ref_grad(fx.angles.size());
-  const double ref = ref_diff.value_and_gradient_packed(fx.angles, ref_grad);
-
-  for (const int threads : {1, 4}) {
-    for (const int shards : {1, 4}) {
-      set_num_threads(threads);
-      EvalWorkspace ws;
-      ws.shards = shards;
-      AdjointDifferentiator diff(plan, ws);
-      std::vector<double> grad(fx.angles.size());
-      const double got = diff.value_and_gradient_packed(fx.angles, grad);
-      EXPECT_EQ(got, ref) << "threads=" << threads << " shards=" << shards;
-      for (std::size_t j = 0; j < grad.size(); ++j) {
-        EXPECT_EQ(grad[j], ref_grad[j])
-            << "threads=" << threads << " shards=" << shards << " angle "
-            << j;
-      }
-    }
+    cvec psi = plan.initial_state();
+    linalg::phase_wht(psi, plan.phase_values(), gammas[0], 1.0, nullptr);
+    linalg::phase_wht(psi, dvals, betas[0], inv, nullptr);
+    linalg::phase_wht(psi, plan.phase_values(), gammas[1], 1.0, nullptr);
+    const double want = linalg::phase_wht_expect(psi, dvals, betas[1], inv,
+                                                 plan.objective(), nullptr);
+    EXPECT_TRUE(same_bits(got, want)) << name << " " << got << " vs " << want;
+    EXPECT_TRUE(same_bits(ws.psi, psi)) << name;
   }
-  set_num_threads(restore);
 }
 
 }  // namespace

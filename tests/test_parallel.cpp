@@ -51,7 +51,7 @@ void expect_concurrent_bit_identical(const QaoaPlan& plan,
   set_num_threads(1);
   EvalWorkspace ref_ws;
   const double ref = evaluate_packed(plan, ref_ws, packed);
-  const cvec ref_state = ref_ws.psi.to_vec();
+  const cvec ref_state = ref_ws.psi;
 
   std::vector<std::vector<double>> results(kThreads);
   std::vector<cvec> final_states(kThreads);
@@ -66,7 +66,7 @@ void expect_concurrent_bit_identical(const QaoaPlan& plan,
         results[static_cast<std::size_t>(t)].push_back(
             evaluate_packed(plan, ws, packed));
       }
-      final_states[static_cast<std::size_t>(t)] = ws.psi.to_vec();
+      final_states[static_cast<std::size_t>(t)] = ws.psi;
     });
   }
   for (auto& w : workers) w.join();

@@ -5,7 +5,9 @@
 /// bug in a production kernel cannot hide in its own reference.
 
 #include <cmath>
+#include <algorithm>
 #include <complex>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -77,8 +79,10 @@ inline cvec matvec(const linalg::cmat& m, const cvec& x) {
   return y;
 }
 
-/// Max elementwise |v - w|. Takes views, so cvec and ShardedState mix.
+/// Max elementwise |v - w|. Views of different sizes differ by +infinity,
+/// so every max_diff(...) < tol check fails on a size mismatch.
 inline double max_diff(linalg::ConstStateRef v, linalg::ConstStateRef w) {
+  if (v.size() != w.size()) return std::numeric_limits<double>::infinity();
   double m = 0.0;
   for (index_t i = 0; i < v.size(); ++i) m = std::max(m, std::abs(v[i] - w[i]));
   return m;

@@ -12,8 +12,7 @@
 //            [--n=10] [--k=n/2] [--p=4] [--seed=42] [--density=6]
 //            [--strategy=iterative|random|grid] [--restarts=50] [--hops=8]
 //            [--minimize] [--shots=0] [--checkpoint=path] [--mixer-cache=path]
-//            [--table-cache=path] [--threads=N] [--shards=K] [--starts=M]
-//            [--batch=B]
+//            [--table-cache=path] [--threads=N] [--starts=M] [--batch=B]
 //            [--backend=auto|scalar|avx2|avx512]
 //            [--deadline=seconds] [--max-evals=N]
 //            [--metrics=out.json] [--trace=out.trace.json] [--progress]
@@ -138,7 +137,7 @@ bool has_flag(int argc, char** argv, const char* flag) {
                "[--strategy=iterative|random|grid] [--restarts=50] "
                "[--hops=8] [--minimize] [--shots=0] [--checkpoint=path] "
                "[--mixer-cache=path] [--table-cache=path] "
-               "[--threads=N] [--shards=K] [--starts=M] [--batch=B] "
+               "[--threads=N] [--starts=M] [--batch=B] "
                "[--backend=auto|scalar|avx2|"
                "avx512] [--deadline=seconds] [--max-evals=N] "
                "[--metrics=out.json] [--trace=out.trace.json] "
@@ -416,13 +415,6 @@ int main(int argc, char** argv) {
   // inner kernels (they share the OpenMP default team size).
   const int threads = static_cast<int>(int_option(argc, argv, "--threads", 0));
   if (threads > 0) set_num_threads(threads);
-
-  // --shards requests K NUMA shards per statevector. Plumbed through the
-  // FASTQAOA_SHARDS hook so every workspace the angle-finding loops create
-  // internally inherits it; placement-only, results are bit-identical.
-  const int shards = static_cast<int>(int_option(argc, argv, "--shards", 0));
-  if (shards < 0) usage_error("--shards must be >= 0");
-  if (shards > 0) setenv("FASTQAOA_SHARDS", std::to_string(shards).c_str(), 1);
 
   // Kernel backend override (beats the FASTQAOA_KERNEL env var).
   const std::string backend = string_option(argc, argv, "--backend", "");

@@ -7,7 +7,7 @@
 //
 // Usage:
 //   qaoa_serve --socket=/tmp/qaoa.sock
-//              [--tcp=PORT] [--workers=2] [--shards=0] [--queue=64]
+//              [--tcp=PORT] [--workers=2] [--queue=64]
 //              [--cache-bytes=N] [--cache-dir=DIR]
 //              [--tenants=FILE] [--idle-timeout=SECS] [--write-timeout=SECS]
 //              [--max-conns=N] [--max-line=BYTES] [--write-buf=BYTES]
@@ -16,9 +16,7 @@
 //              [--metrics-interval=SECS] [--sub-queue=N] [--quiet]
 //
 // --tcp adds a loopback TCP listener (port 0 = kernel-assigned, printed on
-// startup). --shards requests K NUMA shards per worker statevector
-// (0 = auto: FASTQAOA_SHARDS, then the detected topology; results are
-// bit-identical at every shard count). --cache-bytes bounds the plan cache (0 = unlimited);
+// startup). --cache-bytes bounds the plan cache (0 = unlimited);
 // --cache-dir adds a disk tier for expensive constrained-mixer
 // eigendecompositions. --queue is the admission high-water mark: submits
 // past it are rejected with the structured "overloaded" error.
@@ -92,7 +90,6 @@ double double_option(int argc, char** argv, const char* key,
   std::fprintf(stderr, "qaoa_serve: %s\n", message.c_str());
   std::fprintf(stderr,
                "usage: qaoa_serve --socket=PATH [--tcp=PORT] [--workers=2] "
-               "[--shards=0] "
                "[--queue=64] [--cache-bytes=N] [--cache-dir=DIR] "
                "[--tenants=FILE] [--idle-timeout=SECS] "
                "[--write-timeout=SECS] [--max-conns=N] [--max-line=BYTES] "
@@ -132,14 +129,14 @@ int main(int argc, char** argv) {
   options.service.workers =
       static_cast<int>(int_option(argc, argv, "--workers", 2));
   if (options.service.workers < 1) usage_error("--workers must be >= 1");
-  options.service.shards =
-      static_cast<int>(int_option(argc, argv, "--shards", 0));
-  if (options.service.shards < 0) usage_error("--shards must be >= 0");
   const long long queue = int_option(argc, argv, "--queue", 64);
   if (queue < 1) usage_error("--queue must be >= 1");
   options.service.queue_high_water = static_cast<std::size_t>(queue);
-  options.service.cache_bytes =
-      static_cast<std::size_t>(int_option(argc, argv, "--cache-bytes", 0));
+  const long long cache_bytes = int_option(argc, argv, "--cache-bytes", 0);
+  if (cache_bytes < 0) {
+    usage_error("--cache-bytes must be >= 0 (0 = unlimited)");
+  }
+  options.service.cache_bytes = static_cast<std::size_t>(cache_bytes);
   options.service.cache_dir = string_option(argc, argv, "--cache-dir", "");
   const long long sub_queue = int_option(argc, argv, "--sub-queue", 256);
   if (sub_queue < 1) usage_error("--sub-queue must be >= 1");
