@@ -71,10 +71,4 @@ GradObjective QaoaObjective::as_grad_objective() {
   };
 }
 
-BatchObjective QaoaObjective::as_batch_objective() {
-  return [this](std::span<const double> points, std::span<double> out) {
-    value_batch(points, out);
-  };
-}
-
 }  // namespace fastqaoa

@@ -56,23 +56,10 @@ class QaoaObjective {
   /// callable references *this; keep the QaoaObjective alive while in use.
   [[nodiscard]] GradObjective as_grad_objective();
 
-  /// Batched counterpart of as_grad_objective() (wraps value_batch; same
-  /// lifetime caveat).
-  [[nodiscard]] BatchObjective as_batch_objective();
-
   /// Number of underlying expectation-value evaluations so far (each
   /// adjoint gradient counts as one forward evaluation plus one reverse
   /// sweep, tallied as 2; finite differences tally every evaluation).
   [[nodiscard]] std::size_t evaluations() const noexcept { return evals_; }
-  void reset_evaluations() noexcept { evals_ = 0; }
-
-  [[nodiscard]] Direction direction() const noexcept { return direction_; }
-
-  /// Convert an optimizer value back to an expectation: <C> = -f for
-  /// maximization, +f for minimization.
-  [[nodiscard]] double to_expectation(double f) const noexcept {
-    return direction_ == Direction::Maximize ? -f : f;
-  }
 
  private:
   const QaoaPlan* plan_;

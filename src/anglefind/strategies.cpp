@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -65,12 +66,54 @@ std::vector<double> tqa_initial_angles(int p, double dt) {
 
 namespace {
 
-/// Build the shared, immutable evaluation plan every worker reads from.
-QaoaPlan make_plan(const Mixer& mixer, const dvec& obj_vals, int p,
-                   const FindAnglesOptions& options) {
-  QaoaPlanOptions plan_options;
-  if (options.phase_values) plan_options.phase_values = *options.phase_values;
-  return QaoaPlan(mixer, obj_vals, p, std::move(plan_options));
+/// The exact engine's per-thread objective: a private EvalWorkspace and
+/// QaoaObjective against the round's shared plan.
+class ExactObjective final : public AngleObjective {
+ public:
+  ExactObjective(std::shared_ptr<const QaoaPlan> plan, Direction direction,
+                 GradientProvider gradient, int eval_batch)
+      : plan_(std::move(plan)),
+        objective_(*plan_, ws_, direction, gradient, eval_batch),
+        batch_([this](std::span<const double> points, std::span<double> out) {
+          objective_.value_batch(points, out);
+        }) {}
+
+  double operator()(std::span<const double> packed,
+                    std::span<double> grad) override {
+    return objective_(packed, grad);
+  }
+  const BatchObjective* batch() override { return &batch_; }
+  [[nodiscard]] std::size_t evaluations() const override {
+    return objective_.evaluations();
+  }
+  obs::MetricsSink& metrics() override { return ws_.metrics; }
+
+ private:
+  std::shared_ptr<const QaoaPlan> plan_;
+  EvalWorkspace ws_;
+  QaoaObjective objective_;
+  BatchObjective batch_;
+};
+
+/// The schedule at packed point x, whose minimized value is f.
+AngleSchedule schedule_at(int p, const std::vector<double>& x, double f,
+                          Direction direction) {
+  AngleSchedule s;
+  s.p = p;
+  s.betas.assign(x.begin(), x.begin() + p);
+  s.gammas.assign(x.begin() + p, x.end());
+  s.expectation = direction == Direction::Maximize ? -f : f;
+  return s;
+}
+
+/// Point `index` of the grid's flat enumeration: mixed-radix digits, axis
+/// 0 fastest, scaled by `step`.
+void grid_point(long long index, int points_per_axis, double step,
+                std::span<double> out) {
+  for (double& a : out) {
+    a = static_cast<double>(index % points_per_axis) * step;
+    index /= points_per_axis;
+  }
 }
 
 struct ChainResult {
@@ -78,31 +121,25 @@ struct ChainResult {
   double f = std::numeric_limits<double>::infinity();  ///< minimized value
 };
 
-/// One basinhopping chain: private workspace + RNG against the shared plan.
-/// The workspace's metric sink is bound for the duration of the chain and
-/// merged into the global registry before returning (the join point), so
-/// merged totals are identical at any thread count. chain_index identifies
-/// the chain to the fault-injection harness (firing is keyed on the index,
-/// not the thread, so injected faults are schedule-independent).
-ChainResult run_basinhopping(const QaoaPlan& plan, int p,
+/// One basinhopping chain: private objective + RNG against the round's
+/// shared setup. The objective's metric sink is bound for the duration of
+/// the chain and merged into the global registry before returning (the join
+/// point), so merged totals are identical at any thread count. chain_index
+/// identifies the chain to the fault-injection harness (firing is keyed on
+/// the index, not the thread, so injected faults are schedule-independent).
+ChainResult run_basinhopping(const ObjectiveFactory& make_objective, int p,
                              const std::vector<double>& x0, Rng& rng,
                              const FindAnglesOptions& options,
                              int chain_index) {
-  EvalWorkspace ws;
-  FASTQAOA_OBS_SCOPE(ws.metrics);
+  const std::unique_ptr<AngleObjective> objective = make_objective();
+  FASTQAOA_OBS_SCOPE(objective->metrics());
   FASTQAOA_OBS_COUNT("anglefind.chains", 1);
   FASTQAOA_TRACE_SPAN("chain");
-  QaoaObjective objective(plan, ws, options.direction, options.gradient,
-                          std::max(1, options.eval_batch));
-  GradObjective fn = objective.as_grad_objective();
+  GradObjective fn = objective->as_grad_objective();
   // Batched hop-proposal scoring (bit-identical values, so the chain is
   // still a pure function of its RNG stream and the proposal count).
-  BatchObjective batch_fn;
-  const BatchObjective* batch_values = nullptr;
-  if (options.hopping.proposals > 1) {
-    batch_fn = objective.as_batch_objective();
-    batch_values = &batch_fn;
-  }
+  const BatchObjective* batch_values =
+      options.hopping.proposals > 1 ? objective->batch() : nullptr;
 #ifdef FASTQAOA_FAULT_INJECTION_ENABLED
   // Wrap the objective so an armed "anglefind.chain_nan" fault poisons this
   // chain's value stream exactly once — the divergence the quarantine
@@ -123,14 +160,11 @@ ChainResult run_basinhopping(const QaoaPlan& plan, int p,
 
   ChainResult out;
   out.f = res.f;
-  out.schedule.p = p;
-  out.schedule.betas.assign(res.x.begin(), res.x.begin() + p);
-  out.schedule.gammas.assign(res.x.begin() + p, res.x.end());
-  out.schedule.expectation = objective.to_expectation(res.f);
+  out.schedule = schedule_at(p, res.x, res.f, options.direction);
   out.schedule.optimizer_calls = res.evaluations;
-  out.schedule.evaluations = objective.evaluations();
+  out.schedule.evaluations = objective->evaluations();
   out.schedule.stop_reason = res.stop_reason;
-  FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
+  FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
   return out;
 }
 
@@ -145,7 +179,7 @@ constexpr int kQuarantineAttempts = 3;
 /// the reseed sequence is a pure function of the chain's stream (thread
 /// count invariant). A chain that stays non-finite after every attempt
 /// reports f = +inf / StopReason::NonFinite and simply loses the reduction.
-ChainResult run_chain_guarded(const QaoaPlan& plan, int p,
+ChainResult run_chain_guarded(const ObjectiveFactory& make_objective, int p,
                               const std::vector<double>& x0, const Rng& base,
                               const FindAnglesOptions& options,
                               int chain_index) {
@@ -154,8 +188,8 @@ ChainResult run_chain_guarded(const QaoaPlan& plan, int p,
   for (int attempt = 0; attempt < kQuarantineAttempts; ++attempt) {
     Rng stream = base;
     for (int k = 0; k < attempt; ++k) stream = stream.fork();
-    ChainResult res =
-        run_basinhopping(plan, p, x0, stream, options, chain_index);
+    ChainResult res = run_basinhopping(make_objective, p, x0, stream, options,
+                                       chain_index);
     calls += res.schedule.optimizer_calls;
     evals += res.schedule.evaluations;
     if (std::isfinite(res.f)) {
@@ -176,14 +210,11 @@ ChainResult run_chain_guarded(const QaoaPlan& plan, int p,
   }
   FASTQAOA_OBS_COUNT_GLOBAL("runtime.quarantine.exhausted", 1);
   ChainResult dead;
-  dead.schedule.p = p;
-  dead.schedule.betas.assign(x0.begin(), x0.begin() + p);
-  dead.schedule.gammas.assign(x0.begin() + p, x0.end());
+  dead.schedule = schedule_at(p, x0, 0.0, options.direction);
   dead.schedule.expectation = std::numeric_limits<double>::quiet_NaN();
   dead.schedule.optimizer_calls = calls;
   dead.schedule.evaluations = evals;
   dead.schedule.stop_reason = runtime::StopReason::NonFinite;
-  dead.f = std::numeric_limits<double>::infinity();
   return dead;
 }
 
@@ -192,7 +223,7 @@ ChainResult run_chain_guarded(const QaoaPlan& plan, int p,
 /// parallel region, and ties break on the chain index, so the result is
 /// identical at any thread count. `tracker` stamps the winning schedule
 /// with the budget's StopReason when the search was cut short.
-AngleSchedule best_of_chains(const QaoaPlan& plan, int p,
+AngleSchedule best_of_chains(const ObjectiveFactory& make_objective, int p,
                              const std::vector<double>& x0, Rng& rng,
                              const FindAnglesOptions& options,
                              const runtime::BudgetTracker& tracker) {
@@ -205,7 +236,8 @@ AngleSchedule best_of_chains(const QaoaPlan& plan, int p,
     // stream state we advance here.
     const Rng base = rng;
     rng.fork();  // advance the caller's stream past this chain's substream
-    winner = run_chain_guarded(plan, p, x0, base, options, 0).schedule;
+    winner = run_chain_guarded(make_objective, p, x0, base, options, 0)
+                 .schedule;
   } else {
     std::vector<Rng> streams;
     streams.reserve(static_cast<std::size_t>(chains));
@@ -229,7 +261,7 @@ AngleSchedule best_of_chains(const QaoaPlan& plan, int p,
     for (int c = 0; c < chains; ++c) {
       try {
         results[static_cast<std::size_t>(c)] = run_chain_guarded(
-            plan, p, starts[static_cast<std::size_t>(c)],
+            make_objective, p, starts[static_cast<std::size_t>(c)],
             streams[static_cast<std::size_t>(c)], options, c);
       } catch (...) {
 #pragma omp critical(fastqaoa_chain_error)
@@ -287,8 +319,20 @@ FindAnglesOptions with_budget(const FindAnglesOptions& options,
 
 }  // namespace
 
-std::vector<AngleSchedule> find_angles(const Mixer& mixer,
-                                       const dvec& obj_vals, int max_rounds,
+ObjectiveFactory ExactAngleEngine::at_depth(
+    int p, const FindAnglesOptions& options) const {
+  QaoaPlanOptions plan_options;
+  if (options.phase_values) plan_options.phase_values = *options.phase_values;
+  auto plan = std::make_shared<const QaoaPlan>(mixer_, obj_vals_, p,
+                                               std::move(plan_options));
+  return [plan, direction = options.direction, gradient = options.gradient,
+          batch = std::max(1, options.eval_batch)] {
+    return std::make_unique<ExactObjective>(plan, direction, gradient, batch);
+  };
+}
+
+std::vector<AngleSchedule> find_angles(const AngleEngine& engine,
+                                       int max_rounds,
                                        const FindAnglesOptions& options) {
   FASTQAOA_CHECK(max_rounds >= 1, "find_angles: need max_rounds >= 1");
 
@@ -296,9 +340,8 @@ std::vector<AngleSchedule> find_angles(const Mixer& mixer,
   runtime::BudgetTracker* tracker = resolve_tracker(options, own);
   const FindAnglesOptions opts = with_budget(options, tracker);
 
-  const CheckpointFingerprint fingerprint{
-      static_cast<std::uint64_t>(obj_vals.size()), options.direction,
-      options.seed, mixer.name()};
+  const CheckpointFingerprint fingerprint{engine.dim(), options.direction,
+                                          options.seed, engine.tag()};
 
   // One serially forked RNG stream per round: round p's randomness is a
   // pure function of (seed, p), independent of how many earlier rounds ran
@@ -353,8 +396,8 @@ std::vector<AngleSchedule> find_angles(const Mixer& mixer,
       x0.insert(x0.end(), betas.begin(), betas.end());
       x0.insert(x0.end(), gammas.begin(), gammas.end());
     }
-    const QaoaPlan plan = make_plan(mixer, obj_vals, p, opts);
-    schedules.push_back(best_of_chains(plan, p, x0, rng, opts, *tracker));
+    schedules.push_back(
+        best_of_chains(engine.at_depth(p, opts), p, x0, rng, opts, *tracker));
     if (!options.checkpoint_file.empty()) {
       save_checkpoint(options.checkpoint_file, schedules, fingerprint);
       if (FASTQAOA_FAULT_FIRE("crash.after_round", p)) {
@@ -376,7 +419,7 @@ std::vector<AngleSchedule> find_angles(const Mixer& mixer,
   return schedules;
 }
 
-AngleSchedule find_angles_at(const Mixer& mixer, const dvec& obj_vals, int p,
+AngleSchedule find_angles_at(const AngleEngine& engine, int p,
                              const std::vector<double>& initial_packed,
                              const FindAnglesOptions& options) {
   FASTQAOA_CHECK(static_cast<int>(initial_packed.size()) == 2 * p,
@@ -385,12 +428,12 @@ AngleSchedule find_angles_at(const Mixer& mixer, const dvec& obj_vals, int p,
   runtime::BudgetTracker* tracker = resolve_tracker(options, own);
   const FindAnglesOptions opts = with_budget(options, tracker);
   Rng rng(options.seed);
-  const QaoaPlan plan = make_plan(mixer, obj_vals, p, opts);
-  return best_of_chains(plan, p, initial_packed, rng, opts, *tracker);
+  return best_of_chains(engine.at_depth(p, opts), p, initial_packed, rng,
+                        opts, *tracker);
 }
 
-AngleSchedule find_angles_random(const Mixer& mixer, const dvec& obj_vals,
-                                 int p, int restarts,
+AngleSchedule find_angles_random(const AngleEngine& engine, int p,
+                                 int restarts,
                                  const FindAnglesOptions& options) {
   FASTQAOA_CHECK(p >= 1 && restarts >= 1,
                  "find_angles_random: need p >= 1 and restarts >= 1");
@@ -398,10 +441,10 @@ AngleSchedule find_angles_random(const Mixer& mixer, const dvec& obj_vals,
   runtime::BudgetTracker* tracker = resolve_tracker(options, own);
   const FindAnglesOptions opts = with_budget(options, tracker);
   Rng rng(options.seed);
-  const QaoaPlan plan = make_plan(mixer, obj_vals, p, opts);
+  const ObjectiveFactory make_objective = engine.at_depth(p, opts);
 
   // Draw every start point serially (one stream, fixed order), then run the
-  // local minimizations in parallel against the shared plan. Ties break on
+  // local minimizations in parallel against the shared setup. Ties break on
   // the restart index, so the winner is thread-count independent.
   std::vector<std::vector<double>> starts(
       static_cast<std::size_t>(restarts),
@@ -415,11 +458,9 @@ AngleSchedule find_angles_random(const Mixer& mixer, const dvec& obj_vals,
   std::exception_ptr error;
 #pragma omp parallel if (restarts > 1)
   {
-    EvalWorkspace ws;
-    FASTQAOA_OBS_SCOPE(ws.metrics);
-    QaoaObjective objective(plan, ws, options.direction, options.gradient,
-                            std::max(1, options.eval_batch));
-    GradObjective fn = objective.as_grad_objective();
+    const std::unique_ptr<AngleObjective> objective = make_objective();
+    FASTQAOA_OBS_SCOPE(objective->metrics());
+    GradObjective fn = objective->as_grad_objective();
 #pragma omp for schedule(dynamic)
     for (int r = 0; r < restarts; ++r) {
       try {
@@ -439,10 +480,10 @@ AngleSchedule find_angles_random(const Mixer& mixer, const dvec& obj_vals,
         if (!error) error = std::current_exception();
       }
     }
-    const std::size_t mine = objective.evaluations();
+    const std::size_t mine = objective->evaluations();
 #pragma omp atomic
     total_evals += mine;
-    FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
+    FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
   }
   if (error) std::rethrow_exception(error);
 
@@ -452,21 +493,15 @@ AngleSchedule find_angles_random(const Mixer& mixer, const dvec& obj_vals,
   std::size_t total_calls = 0;
   for (std::size_t r = 0; r < results.size(); ++r) {
     total_calls += results[r].evaluations;
-    if (r > 0 && !(std::isfinite(results[best].f)) &&
-        std::isfinite(results[r].f)) {
-      best = r;
-    } else if (r > 0 && results[r].f < results[best].f) {
+    if (r > 0 && (results[r].f < results[best].f ||
+                  (!std::isfinite(results[best].f) &&
+                   std::isfinite(results[r].f)))) {
       best = r;
     }
   }
   const OptResult& winner = results[best];
 
-  AngleSchedule schedule;
-  schedule.p = p;
-  schedule.betas.assign(winner.x.begin(), winner.x.begin() + p);
-  schedule.gammas.assign(winner.x.begin() + p, winner.x.end());
-  schedule.expectation =
-      options.direction == Direction::Maximize ? -winner.f : winner.f;
+  AngleSchedule schedule = schedule_at(p, winner.x, winner.f, options.direction);
   schedule.optimizer_calls = total_calls;
   schedule.evaluations = total_evals;
   schedule.stop_reason = tracker->check();
@@ -477,8 +512,8 @@ AngleSchedule find_angles_random(const Mixer& mixer, const dvec& obj_vals,
   return schedule;
 }
 
-AngleSchedule find_angles_grid(const Mixer& mixer, const dvec& obj_vals,
-                               int p, int points_per_axis,
+AngleSchedule find_angles_grid(const AngleEngine& engine, int p,
+                               int points_per_axis,
                                const FindAnglesOptions& options,
                                bool polish) {
   FASTQAOA_CHECK(p >= 1, "find_angles_grid: need p >= 1");
@@ -492,14 +527,14 @@ AngleSchedule find_angles_grid(const Mixer& mixer, const dvec& obj_vals,
   runtime::BudgetTracker own(options.budget);
   runtime::BudgetTracker* tracker = resolve_tracker(options, own);
   const FindAnglesOptions opts = with_budget(options, tracker);
-  const QaoaPlan plan = make_plan(mixer, obj_vals, p, opts);
+  const ObjectiveFactory make_objective = engine.at_depth(p, opts);
 
   const double step = 2.0 * kPi / points_per_axis;
   long long total = 1;
   for (int d = 0; d < dims; ++d) total *= points_per_axis;
 
   // Flat enumeration of the grid (index -> mixed-radix digits), parallel
-  // over grid points with one workspace per thread. The global winner is
+  // over grid points with one objective per thread. The global winner is
   // the lexicographic min of (f, index), so any schedule gives the same
   // answer.
   double best_f = std::numeric_limits<double>::infinity();
@@ -507,15 +542,16 @@ AngleSchedule find_angles_grid(const Mixer& mixer, const dvec& obj_vals,
   std::size_t grid_evals = 0;
   std::exception_ptr error;
   const int batch = std::max(1, options.eval_batch);
-  if (batch > 1) {
-    // Batched sweep: `batch` grid points per evaluate_batch call through one
-    // workspace. Batched values are bit-identical to sequential ones and the
+  // An engine without a batch hook sweeps point by point at any width.
+  const std::unique_ptr<AngleObjective> batched =
+      batch > 1 ? make_objective() : nullptr;
+  const BatchObjective* batch_values = batched ? batched->batch() : nullptr;
+  if (batch_values != nullptr) {
+    // Batched sweep: `batch` grid points per batched call through one
+    // objective. Batched values are bit-identical to sequential ones and the
     // chunks walk the same flat enumeration, so the lexicographic (f, index)
     // winner is exactly the scalar sweep's at any batch width.
-    EvalWorkspace ws;
-    FASTQAOA_OBS_SCOPE(ws.metrics);
-    QaoaObjective objective(plan, ws, options.direction, options.gradient,
-                            batch);
+    FASTQAOA_OBS_SCOPE(batched->metrics());
     std::vector<double> points(static_cast<std::size_t>(batch) *
                                static_cast<std::size_t>(dims));
     std::vector<double> values(static_cast<std::size_t>(batch));
@@ -530,14 +566,12 @@ AngleSchedule find_angles_grid(const Mixer& mixer, const dvec& obj_vals,
       const int chunk = static_cast<int>(
           std::min<long long>(batch, total - t0));
       for (int j = 0; j < chunk; ++j) {
-        long long rest = t0 + j;
-        for (int d = 0; d < dims; ++d) {
-          points[static_cast<std::size_t>(j * dims + d)] =
-              static_cast<double>(rest % points_per_axis) * step;
-          rest /= points_per_axis;
-        }
+        grid_point(t0 + j, points_per_axis, step,
+                   std::span<double>(points).subspan(
+                       static_cast<std::size_t>(j * dims),
+                       static_cast<std::size_t>(dims)));
       }
-      objective.value_batch(
+      (*batch_values)(
           std::span<const double>(points.data(),
                                   static_cast<std::size_t>(chunk * dims)),
           std::span<double>(values.data(), static_cast<std::size_t>(chunk)));
@@ -548,14 +582,13 @@ AngleSchedule find_angles_grid(const Mixer& mixer, const dvec& obj_vals,
         }
       }
     }
-    grid_evals = objective.evaluations();
-    FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
+    grid_evals = batched->evaluations();
+    FASTQAOA_OBS_MERGE_GLOBAL(batched->metrics());
   } else {
 #pragma omp parallel if (total > 1)
   {
-    EvalWorkspace ws;
-    FASTQAOA_OBS_SCOPE(ws.metrics);
-    QaoaObjective objective(plan, ws, options.direction, options.gradient);
+    const std::unique_ptr<AngleObjective> objective = make_objective();
+    FASTQAOA_OBS_SCOPE(objective->metrics());
     std::vector<double> point(static_cast<std::size_t>(dims), 0.0);
     double local_f = std::numeric_limits<double>::infinity();
     long long local_index = -1;
@@ -571,14 +604,9 @@ AngleSchedule find_angles_grid(const Mixer& mixer, const dvec& obj_vals,
         tripped = true;
         continue;
       }
-      long long rest = t;
-      for (int d = 0; d < dims; ++d) {
-        point[static_cast<std::size_t>(d)] =
-            static_cast<double>(rest % points_per_axis) * step;
-        rest /= points_per_axis;
-      }
+      grid_point(t, points_per_axis, step, point);
       try {
-        const double f = objective(point, {});
+        const double f = (*objective)(point, {});
         if (f < local_f) {
           local_f = f;
           local_index = t;
@@ -594,10 +622,10 @@ AngleSchedule find_angles_grid(const Mixer& mixer, const dvec& obj_vals,
       best_f = local_f;
       best_index = local_index;
     }
-    const std::size_t mine = objective.evaluations();
+    const std::size_t mine = objective->evaluations();
 #pragma omp atomic
     grid_evals += mine;
-    FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
+    FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
   }
   }
   if (error) std::rethrow_exception(error);
@@ -608,35 +636,24 @@ AngleSchedule find_angles_grid(const Mixer& mixer, const dvec& obj_vals,
   std::size_t evaluations = grid_evals;
 
   std::vector<double> best_point(static_cast<std::size_t>(dims), 0.0);
-  long long rest = best_index;
-  for (int d = 0; d < dims; ++d) {
-    best_point[static_cast<std::size_t>(d)] =
-        static_cast<double>(rest % points_per_axis) * step;
-    rest /= points_per_axis;
-  }
+  grid_point(best_index, points_per_axis, step, best_point);
 
   if (polish && best_index >= 0) {
-    EvalWorkspace ws;
-    FASTQAOA_OBS_SCOPE(ws.metrics);
-    QaoaObjective objective(plan, ws, options.direction, options.gradient,
-                            batch);
-    GradObjective fn = objective.as_grad_objective();
-    OptResult res = bfgs_minimize(fn, best_point, opts.hopping.local);
+    const std::unique_ptr<AngleObjective> objective = make_objective();
+    FASTQAOA_OBS_SCOPE(objective->metrics());
+    OptResult res = bfgs_minimize(objective->as_grad_objective(), best_point,
+                                  opts.hopping.local);
     optimizer_calls += res.evaluations;
-    evaluations += objective.evaluations();
-    FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
+    evaluations += objective->evaluations();
+    FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
     if (res.f < best_f) {
       best_f = res.f;
       best_point = res.x;
     }
   }
 
-  AngleSchedule schedule;
-  schedule.p = p;
-  schedule.betas.assign(best_point.begin(), best_point.begin() + p);
-  schedule.gammas.assign(best_point.begin() + p, best_point.end());
-  schedule.expectation =
-      options.direction == Direction::Maximize ? -best_f : best_f;
+  AngleSchedule schedule =
+      schedule_at(p, best_point, best_f, options.direction);
   schedule.optimizer_calls = optimizer_calls;
   schedule.evaluations = evaluations;
   schedule.stop_reason = tracker->check();
@@ -665,19 +682,16 @@ std::vector<double> median_angles(
   return medians;
 }
 
-double evaluate_angles(const Mixer& mixer, const dvec& obj_vals,
+double evaluate_angles(const AngleEngine& engine,
                        const std::vector<double>& packed,
-                       const std::optional<dvec>& phase_values) {
+                       const FindAnglesOptions& options) {
   FASTQAOA_CHECK(packed.size() % 2 == 0 && !packed.empty(),
                  "evaluate_angles: need 2p angles");
-  const int p = static_cast<int>(packed.size() / 2);
-  QaoaPlanOptions plan_options;
-  if (phase_values) plan_options.phase_values = *phase_values;
-  const QaoaPlan plan(mixer, obj_vals, p, std::move(plan_options));
-  EvalWorkspace ws;
-  const double value = evaluate_packed(plan, ws, packed);
-  FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
-  return value;
+  const std::unique_ptr<AngleObjective> objective =
+      engine.at_depth(static_cast<int>(packed.size() / 2), options)();
+  const double f = (*objective)(packed, {});
+  FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
+  return options.direction == Direction::Maximize ? -f : f;
 }
 
 namespace {

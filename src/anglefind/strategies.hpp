@@ -6,8 +6,11 @@
 ///                           checkpoint each round to disk, resume on crash.
 ///  * find_angles_random() — the random local-minima baseline of Lotshaw et
 ///                           al. [22]: N random starts, BFGS each, keep best.
+///  * find_angles_grid()   — exhaustive grid search, optionally polished.
 ///  * median_angles()      — the [22] median-angles heuristic across many
 ///                           instances.
+/// Each strategy runs against an AngleEngine (angle_engine.hpp); the
+/// (mixer, obj_vals) overloads are the exact statevector engine.
 
 #include <cstddef>
 #include <cstdint>
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "anglefind/angle_engine.hpp"
 #include "anglefind/basinhopping.hpp"
 #include "anglefind/qaoa_objective.hpp"
 #include "common/rng.hpp"
@@ -81,8 +85,8 @@ struct FindAnglesOptions {
   std::string checkpoint_file;
   std::uint64_t seed = 0x5EED5EED5EEDULL;
   /// Number of independent basinhopping chains per round in find_angles()
-  /// / find_angles_at(). Chains share one immutable QaoaPlan and run in an
-  /// OpenMP parallel-for with per-thread workspaces and serially forked RNG
+  /// / find_angles_at(). Chains share one immutable depth-p setup and run in
+  /// an OpenMP parallel-for with per-thread objectives and serially forked RNG
   /// streams, so the best-of-chains result is identical at any thread
   /// count. 1 = the classic single-chain behaviour.
   int parallel_starts = 1;
@@ -92,7 +96,8 @@ struct FindAnglesOptions {
   /// stencil, and basinhopping scores hop proposals in batches (see
   /// BasinHoppingOptions::proposals). Batched values are bit-identical to
   /// sequential ones, so every search result is invariant in this knob —
-  /// it is purely a throughput lever (qaoa_cli --batch).
+  /// it is purely a throughput lever (qaoa_cli --batch). Engines without a
+  /// batch hook (MPS) ignore it.
   int eval_batch = 1;
   /// Called by find_angles() after each freshly optimized round (not for
   /// rounds restored from a checkpoint) with the round's schedule and its
@@ -114,60 +119,95 @@ struct FindAnglesOptions {
 /// The paper's find_angles(): learn good angles for rounds 1..max_rounds
 /// iteratively. Returns one AngleSchedule per round. If a checkpoint file
 /// with earlier rounds exists, resumes after the last completed round —
-/// the checkpoint's fingerprint (dimension, direction, seed, mixer tag)
+/// the checkpoint's fingerprint (dimension, direction, seed, engine tag)
 /// must match or the resume is refused with a fastqaoa::Error. Each round
 /// draws from its own serially forked RNG stream, so a resumed run is
 /// bit-identical to an uninterrupted one. A tripped options.budget stops
 /// the iteration and returns the rounds finished so far (the last one
 /// flagged with its StopReason) without throwing.
-std::vector<AngleSchedule> find_angles(const Mixer& mixer,
-                                       const dvec& obj_vals, int max_rounds,
+std::vector<AngleSchedule> find_angles(const AngleEngine& engine,
+                                       int max_rounds,
                                        const FindAnglesOptions& options = {});
+inline std::vector<AngleSchedule> find_angles(
+    const Mixer& mixer, const dvec& obj_vals, int max_rounds,
+    const FindAnglesOptions& options = {}) {
+  return find_angles(ExactAngleEngine(mixer, obj_vals), max_rounds, options);
+}
 
 /// Basinhopping at a single fixed p from explicit initial angles (the
 /// paper's `initial_angles` escape hatch that bypasses iteration).
-AngleSchedule find_angles_at(const Mixer& mixer, const dvec& obj_vals, int p,
+AngleSchedule find_angles_at(const AngleEngine& engine, int p,
                              const std::vector<double>& initial_packed,
                              const FindAnglesOptions& options = {});
+inline AngleSchedule find_angles_at(const Mixer& mixer, const dvec& obj_vals,
+                                    int p,
+                                    const std::vector<double>& initial_packed,
+                                    const FindAnglesOptions& options = {}) {
+  return find_angles_at(ExactAngleEngine(mixer, obj_vals), p, initial_packed,
+                        options);
+}
 
 /// Random local-minima search (Listing 3's find_angles_rand): `restarts`
 /// random points in [0, 2*pi)^{2p}, BFGS from each, return the best. The
-/// restarts run in an OpenMP parallel-for against one shared QaoaPlan
+/// restarts run in an OpenMP parallel-for against one shared depth-p setup
 /// (start points are drawn serially up front, so the result is identical
 /// at any thread count).
-AngleSchedule find_angles_random(const Mixer& mixer, const dvec& obj_vals,
-                                 int p, int restarts,
+AngleSchedule find_angles_random(const AngleEngine& engine, int p,
+                                 int restarts,
                                  const FindAnglesOptions& options = {});
+inline AngleSchedule find_angles_random(
+    const Mixer& mixer, const dvec& obj_vals, int p, int restarts,
+    const FindAnglesOptions& options = {}) {
+  return find_angles_random(ExactAngleEngine(mixer, obj_vals), p, restarts,
+                            options);
+}
 
 /// Grid search over [0, 2*pi)^{2p} — the third common strategy the paper
 /// names (§2.3). `points_per_axis` grid points per angle; every grid point
-/// is evaluated (OpenMP-parallel over the grid, one workspace per thread)
-/// and the best is optionally polished with BFGS. Exponential in p —
-/// practical for p = 1 (the regime [22] used it in).
-AngleSchedule find_angles_grid(const Mixer& mixer, const dvec& obj_vals,
-                               int p, int points_per_axis,
+/// is evaluated (OpenMP-parallel over the grid, one objective per thread,
+/// or options.eval_batch points per batched call when the engine has a
+/// batch hook) and the best is optionally polished with BFGS. Exponential
+/// in p — practical for p = 1 (the regime [22] used it in).
+AngleSchedule find_angles_grid(const AngleEngine& engine, int p,
+                               int points_per_axis,
                                const FindAnglesOptions& options = {},
                                bool polish = true);
+inline AngleSchedule find_angles_grid(const Mixer& mixer,
+                                      const dvec& obj_vals, int p,
+                                      int points_per_axis,
+                                      const FindAnglesOptions& options = {},
+                                      bool polish = true) {
+  return find_angles_grid(ExactAngleEngine(mixer, obj_vals), p,
+                          points_per_axis, options, polish);
+}
 
 /// Coordinate-wise median of a collection of packed angle vectors (all the
 /// same length) — the median-angles strategy of [22].
 std::vector<double> median_angles(
     const std::vector<std::vector<double>>& packed_angle_sets);
 
-/// Evaluate fixed packed angles on a problem (used to score median angles).
-double evaluate_angles(const Mixer& mixer, const dvec& obj_vals,
+/// <C> at fixed packed angles (used to score median angles), for either
+/// options.direction.
+double evaluate_angles(const AngleEngine& engine,
                        const std::vector<double>& packed,
-                       const std::optional<dvec>& phase_values = std::nullopt);
+                       const FindAnglesOptions& options = {});
+inline double evaluate_angles(
+    const Mixer& mixer, const dvec& obj_vals, const std::vector<double>& packed,
+    const std::optional<dvec>& phase_values = std::nullopt) {
+  FindAnglesOptions options;
+  options.phase_values = phase_values;
+  return evaluate_angles(ExactAngleEngine(mixer, obj_vals), packed, options);
+}
 
 /// Identity of the run a checkpoint belongs to. Written into every v2
 /// checkpoint header and validated on resume, so a checkpoint produced by
 /// a different problem size, optimization direction, seed, or mixer is
 /// rejected loudly instead of silently resumed into garbage.
 struct CheckpointFingerprint {
-  std::uint64_t dim = 0;  ///< feasible-space dimension (obj table size)
+  std::uint64_t dim = 0;  ///< AngleEngine::dim()
   Direction direction = Direction::Maximize;
   std::uint64_t seed = 0;
-  std::string mixer;  ///< Mixer::name() tag
+  std::string mixer;  ///< AngleEngine::tag()
 
   bool operator==(const CheckpointFingerprint&) const = default;
 };

@@ -1,52 +1,31 @@
 #pragma once
 /// \file mps_objective.hpp
-/// MPS counterpart of anglefind's QaoaObjective: adapts an MpsPlan +
-/// MpsWorkspace into the minimization objective the optimizers consume
-/// (f = -<C> for maximization). Gradients are always central finite
-/// differences — the adjoint reverse sweep is statevector-specific, and
-/// 4p extra evaluations per gradient is acceptable at the evaluation cost
-/// profile MPS lives in. One instance per optimization thread.
+/// The MPS side of the angle-finding seam (anglefind/angle_engine.hpp).
+/// Its per-thread objectives use central finite-difference gradients (the
+/// adjoint sweep is statevector-specific), have no batch hook (no batched
+/// MPS kernels), and poll the run's live budget between rounds.
 
-#include <cstddef>
-#include <span>
+#include <cstdint>
+#include <string>
 
-#include "anglefind/optimizer.hpp"
+#include "anglefind/angle_engine.hpp"
 #include "mps/mps_plan.hpp"
-#include "problems/objective.hpp"
 
 namespace fastqaoa::mps {
 
-class MpsObjective {
+/// One MpsPlan serves every depth; checkpoints are tagged with dim = n and
+/// fingerprint_tag(plan). Holds a reference; the plan must outlive it.
+class MpsAngleEngine final : public AngleEngine {
  public:
-  MpsObjective(const MpsPlan& plan, MpsWorkspace& ws,
-               Direction direction = Direction::Maximize,
-               double fd_step = 1e-6);
+  explicit MpsAngleEngine(const MpsPlan& plan) : plan_(plan) {}
 
-  /// f (and central-difference gradient when `grad` is non-empty).
-  double operator()(std::span<const double> packed, std::span<double> grad);
-
-  /// Expose as the std::function type the optimizers take. References
-  /// *this; keep the MpsObjective alive while in use.
-  [[nodiscard]] GradObjective as_grad_objective();
-
-  /// Underlying MPS evaluations so far (a gradient tallies 4p + the value).
-  [[nodiscard]] std::size_t evaluations() const noexcept { return evals_; }
-
-  [[nodiscard]] Direction direction() const noexcept { return direction_; }
-
-  [[nodiscard]] double to_expectation(double f) const noexcept {
-    return direction_ == Direction::Maximize ? -f : f;
-  }
+  [[nodiscard]] ObjectiveFactory at_depth(
+      int p, const FindAnglesOptions& options) const override;
+  [[nodiscard]] std::uint64_t dim() const override { return plan_.n(); }
+  [[nodiscard]] std::string tag() const override;
 
  private:
-  double value(std::span<const double> packed);
-
-  const MpsPlan* plan_;
-  MpsWorkspace* ws_;
-  Direction direction_;
-  double step_;
-  std::size_t evals_ = 0;
-  std::vector<double> scratch_;
+  const MpsPlan& plan_;
 };
 
 }  // namespace fastqaoa::mps

@@ -1,18 +1,6 @@
 #include "mps/mps_strategies.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <exception>
-#include <filesystem>
-#include <limits>
 #include <sstream>
-#include <utility>
-
-#include "common/error.hpp"
-#include "mps/mps_objective.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fastqaoa::mps {
 
@@ -25,365 +13,29 @@ std::string fingerprint_tag(const MpsPlan& plan) {
   return out.str();
 }
 
-namespace {
-
-struct ChainResult {
-  AngleSchedule schedule;
-  double f = std::numeric_limits<double>::infinity();  ///< minimized value
-};
-
-/// One basinhopping chain against the shared MpsPlan — the MPS twin of
-/// strategies.cpp's run_basinhopping. The workspace's budget pointer is the
-/// BFGS-level tracker, so evaluate() polls the same live budget per round.
-ChainResult run_basinhopping(const MpsPlan& plan, int p,
-                             const std::vector<double>& x0, Rng& rng,
-                             const FindAnglesOptions& options) {
-  MpsWorkspace ws;
-  ws.tracker = options.hopping.local.budget;
-  FASTQAOA_OBS_SCOPE(ws.metrics);
-  FASTQAOA_OBS_COUNT("mps.chains", 1);
-  FASTQAOA_TRACE_SPAN("mps_chain");
-  MpsObjective objective(plan, ws, options.direction);
-  GradObjective fn = objective.as_grad_objective();
-  OptResult res = basinhopping(fn, x0, rng, options.hopping, nullptr);
-
-  ChainResult out;
-  out.f = res.f;
-  out.schedule.p = p;
-  out.schedule.betas.assign(res.x.begin(), res.x.begin() + p);
-  out.schedule.gammas.assign(res.x.begin() + p, res.x.end());
-  out.schedule.expectation = objective.to_expectation(res.f);
-  out.schedule.optimizer_calls = res.evaluations;
-  out.schedule.evaluations = objective.evaluations();
-  out.schedule.stop_reason = res.stop_reason;
-  FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
-  return out;
-}
-
-constexpr int kQuarantineAttempts = 3;
-
-/// Quarantine-and-reseed, mirroring the exact engine: attempt k forks the
-/// chain's base stream k times (attempt 0 IS the base stream), so healthy
-/// chains match the unguarded implementation bit for bit.
-ChainResult run_chain_guarded(const MpsPlan& plan, int p,
-                              const std::vector<double>& x0, const Rng& base,
-                              const FindAnglesOptions& options) {
-  std::size_t calls = 0;
-  std::size_t evals = 0;
-  for (int attempt = 0; attempt < kQuarantineAttempts; ++attempt) {
-    Rng stream = base;
-    for (int k = 0; k < attempt; ++k) stream = stream.fork();
-    ChainResult res = run_basinhopping(plan, p, x0, stream, options);
-    calls += res.schedule.optimizer_calls;
-    evals += res.schedule.evaluations;
-    if (std::isfinite(res.f)) {
-      res.schedule.optimizer_calls = calls;
-      res.schedule.evaluations = evals;
-      return res;
-    }
-    FASTQAOA_OBS_COUNT_GLOBAL("runtime.quarantine.chains", 1);
-    if (res.schedule.stopped_early() &&
-        res.schedule.stop_reason != runtime::StopReason::NonFinite) {
-      res.schedule.optimizer_calls = calls;
-      res.schedule.evaluations = evals;
-      res.f = std::numeric_limits<double>::infinity();
-      return res;
-    }
-  }
-  FASTQAOA_OBS_COUNT_GLOBAL("runtime.quarantine.exhausted", 1);
-  ChainResult dead;
-  dead.schedule.p = p;
-  dead.schedule.betas.assign(x0.begin(), x0.begin() + p);
-  dead.schedule.gammas.assign(x0.begin() + p, x0.end());
-  dead.schedule.expectation = std::numeric_limits<double>::quiet_NaN();
-  dead.schedule.optimizer_calls = calls;
-  dead.schedule.evaluations = evals;
-  dead.schedule.stop_reason = runtime::StopReason::NonFinite;
-  dead.f = std::numeric_limits<double>::infinity();
-  return dead;
-}
-
-/// options.parallel_starts chains, serially forked streams, index
-/// tie-break — identical structure (and therefore identical invariance
-/// guarantees) to the exact engine's best_of_chains.
-AngleSchedule best_of_chains(const MpsPlan& plan, int p,
-                             const std::vector<double>& x0, Rng& rng,
-                             const FindAnglesOptions& options,
-                             const runtime::BudgetTracker& tracker) {
-  const int chains = std::max(1, options.parallel_starts);
-  AngleSchedule winner;
-  if (chains == 1) {
-    const Rng base = rng;
-    rng.fork();  // advance the caller's stream past this chain's substream
-    winner = run_chain_guarded(plan, p, x0, base, options).schedule;
-  } else {
-    std::vector<Rng> streams;
-    streams.reserve(static_cast<std::size_t>(chains));
-    for (int c = 0; c < chains; ++c) streams.push_back(rng.fork());
-
-    std::vector<std::vector<double>> starts(static_cast<std::size_t>(chains),
-                                            x0);
-    for (int c = 1; c < chains; ++c) {
-      for (double& a : starts[static_cast<std::size_t>(c)]) {
-        a += streams[static_cast<std::size_t>(c)].uniform(
-            -options.hopping.step_size, options.hopping.step_size);
-      }
-    }
-
-    std::vector<ChainResult> results(static_cast<std::size_t>(chains));
-    std::exception_ptr error;
-#pragma omp parallel for schedule(dynamic) if (chains > 1)
-    for (int c = 0; c < chains; ++c) {
-      try {
-        results[static_cast<std::size_t>(c)] =
-            run_chain_guarded(plan, p, starts[static_cast<std::size_t>(c)],
-                              streams[static_cast<std::size_t>(c)], options);
-      } catch (...) {
-#pragma omp critical(fastqaoa_mps_chain_error)
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
-
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < results.size(); ++c) {
-      if (results[c].f < results[best].f) best = c;
-    }
-    std::size_t calls = 0;
-    std::size_t evals = 0;
-    for (const ChainResult& r : results) {
-      calls += r.schedule.optimizer_calls;
-      evals += r.schedule.evaluations;
-    }
-    winner = std::move(results[best].schedule);
-    winner.optimizer_calls = calls;
-    winner.evaluations = evals;
-  }
-
-  const runtime::StopReason now = tracker.check();
-  if (now != runtime::StopReason::None) {
-    winner.stop_reason = now;
-  } else if (winner.stop_reason != runtime::StopReason::NonFinite) {
-    winner.stop_reason = runtime::StopReason::None;
-  }
-  return winner;
-}
-
-runtime::BudgetTracker* resolve_tracker(const FindAnglesOptions& options,
-                                        runtime::BudgetTracker& own) {
-  return options.shared_tracker != nullptr ? options.shared_tracker : &own;
-}
-
-FindAnglesOptions with_budget(const FindAnglesOptions& options,
-                              runtime::BudgetTracker* tracker) {
-  FindAnglesOptions opts = options;
-  opts.hopping.local.budget = tracker->active() ? tracker : nullptr;
-  return opts;
-}
-
-}  // namespace
-
 std::vector<AngleSchedule> find_angles_mps(const MpsPlan& plan,
                                            int max_rounds,
                                            const FindAnglesOptions& options) {
-  FASTQAOA_CHECK(max_rounds >= 1, "find_angles_mps: need max_rounds >= 1");
-
-  runtime::BudgetTracker own(options.budget);
-  runtime::BudgetTracker* tracker = resolve_tracker(options, own);
-  const FindAnglesOptions opts = with_budget(options, tracker);
-
-  const CheckpointFingerprint fingerprint{
-      static_cast<std::uint64_t>(plan.n()), options.direction, options.seed,
-      fingerprint_tag(plan)};
-
-  Rng master(options.seed);
-  std::vector<Rng> round_streams;
-  round_streams.reserve(static_cast<std::size_t>(max_rounds));
-  for (int p = 0; p < max_rounds; ++p) round_streams.push_back(master.fork());
-
-  std::vector<AngleSchedule> schedules;
-  if (!options.checkpoint_file.empty() &&
-      std::filesystem::exists(options.checkpoint_file)) {
-    schedules = load_checkpoint(options.checkpoint_file, fingerprint);
-    while (!schedules.empty() && schedules.back().stopped_early()) {
-      schedules.pop_back();
-    }
-    if (static_cast<int>(schedules.size()) > max_rounds) {
-      schedules.resize(static_cast<std::size_t>(max_rounds));
-    }
-    FASTQAOA_OBS_COUNT_GLOBAL("runtime.checkpoint.resumed_rounds",
-                              schedules.size());
-  }
-
-  for (int p = static_cast<int>(schedules.size()) + 1; p <= max_rounds; ++p) {
-    if (!schedules.empty()) {
-      const runtime::StopReason reason = tracker->check();
-      if (reason != runtime::StopReason::None) {
-        schedules.back().stop_reason = reason;
-        break;
-      }
-    }
-    FASTQAOA_TRACE_SPAN("find_angles_mps_round");
-    const auto round_start = std::chrono::steady_clock::now();
-    Rng& rng = round_streams[static_cast<std::size_t>(p - 1)];
-    std::vector<double> x0;
-    if (schedules.empty()) {
-      x0 = {rng.uniform(0.0, 2.0 * kPi), rng.uniform(0.0, 2.0 * kPi)};
-    } else {
-      const AngleSchedule& prev = schedules.back();
-      const std::vector<double> betas = interp_extrapolate(prev.betas);
-      const std::vector<double> gammas = interp_extrapolate(prev.gammas);
-      x0.insert(x0.end(), betas.begin(), betas.end());
-      x0.insert(x0.end(), gammas.begin(), gammas.end());
-    }
-    schedules.push_back(best_of_chains(plan, p, x0, rng, opts, *tracker));
-    if (!options.checkpoint_file.empty()) {
-      save_checkpoint(options.checkpoint_file, schedules, fingerprint);
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      round_start)
-            .count();
-    FASTQAOA_OBS_COUNT_GLOBAL("anglefind.rounds", 1);
-    FASTQAOA_OBS_TIME_GLOBAL("anglefind.round", seconds);
-    FASTQAOA_OBS_HIST_GLOBAL("anglefind.round_latency_seconds", seconds);
-    if (options.on_round) options.on_round(schedules.back(), seconds);
-    if (schedules.back().stopped_early()) break;
-  }
-  return schedules;
+  return find_angles(MpsAngleEngine(plan), max_rounds, options);
 }
 
 AngleSchedule find_angles_at_mps(const MpsPlan& plan, int p,
                                  const std::vector<double>& initial_packed,
                                  const FindAnglesOptions& options) {
-  FASTQAOA_CHECK(static_cast<int>(initial_packed.size()) == 2 * p,
-                 "find_angles_at_mps: need 2p initial angles");
-  runtime::BudgetTracker own(options.budget);
-  runtime::BudgetTracker* tracker = resolve_tracker(options, own);
-  const FindAnglesOptions opts = with_budget(options, tracker);
-  Rng rng(options.seed);
-  return best_of_chains(plan, p, initial_packed, rng, opts, *tracker);
+  return find_angles_at(MpsAngleEngine(plan), p, initial_packed, options);
 }
 
 AngleSchedule find_angles_grid_mps(const MpsPlan& plan, int p,
                                    int points_per_axis,
                                    const FindAnglesOptions& options,
                                    bool polish) {
-  FASTQAOA_CHECK(p >= 1, "find_angles_grid_mps: need p >= 1");
-  FASTQAOA_CHECK(points_per_axis >= 2,
-                 "find_angles_grid_mps: need at least 2 points per axis");
-  const int dims = 2 * p;
-  FASTQAOA_CHECK(dims * std::log(points_per_axis) < std::log(5e7),
-                 "find_angles_grid_mps: grid too large — exponential in p; "
-                 "use find_angles_mps() instead");
-
-  runtime::BudgetTracker own(options.budget);
-  runtime::BudgetTracker* tracker = resolve_tracker(options, own);
-  const FindAnglesOptions opts = with_budget(options, tracker);
-
-  const double step = 2.0 * kPi / points_per_axis;
-  long long total = 1;
-  for (int d = 0; d < dims; ++d) total *= points_per_axis;
-
-  double best_f = std::numeric_limits<double>::infinity();
-  long long best_index = -1;
-  std::size_t grid_evals = 0;
-  std::exception_ptr error;
-#pragma omp parallel if (total > 1)
-  {
-    MpsWorkspace ws;
-    ws.tracker = opts.hopping.local.budget;
-    FASTQAOA_OBS_SCOPE(ws.metrics);
-    MpsObjective objective(plan, ws, options.direction);
-    std::vector<double> point(static_cast<std::size_t>(dims), 0.0);
-    double local_f = std::numeric_limits<double>::infinity();
-    long long local_index = -1;
-    bool tripped = false;
-#pragma omp for schedule(static)
-    for (long long t = 0; t < total; ++t) {
-      if (tripped) continue;
-      if (tracker->active() &&
-          tracker->check() != runtime::StopReason::None) {
-        tripped = true;
-        continue;
-      }
-      long long rest = t;
-      for (int d = 0; d < dims; ++d) {
-        point[static_cast<std::size_t>(d)] =
-            static_cast<double>(rest % points_per_axis) * step;
-        rest /= points_per_axis;
-      }
-      try {
-        const double f = objective(point, {});
-        if (f < local_f) {
-          local_f = f;
-          local_index = t;
-        }
-      } catch (...) {
-#pragma omp critical(fastqaoa_mps_grid_error)
-        if (!error) error = std::current_exception();
-      }
-    }
-#pragma omp critical(fastqaoa_mps_grid_best)
-    if (local_f < best_f || (local_f == best_f && local_index < best_index)) {
-      best_f = local_f;
-      best_index = local_index;
-    }
-    const std::size_t mine = objective.evaluations();
-#pragma omp atomic
-    grid_evals += mine;
-    FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
-  }
-  if (error) std::rethrow_exception(error);
-  tracker->add_evaluations(grid_evals);
-
-  std::size_t optimizer_calls = static_cast<std::size_t>(total);
-  std::size_t evaluations = grid_evals;
-
-  std::vector<double> best_point(static_cast<std::size_t>(dims), 0.0);
-  long long rest = best_index;
-  for (int d = 0; d < dims; ++d) {
-    best_point[static_cast<std::size_t>(d)] =
-        static_cast<double>(rest % points_per_axis) * step;
-    rest /= points_per_axis;
-  }
-
-  if (polish && best_index >= 0) {
-    MpsWorkspace ws;
-    ws.tracker = opts.hopping.local.budget;
-    FASTQAOA_OBS_SCOPE(ws.metrics);
-    MpsObjective objective(plan, ws, options.direction);
-    GradObjective fn = objective.as_grad_objective();
-    OptResult res = bfgs_minimize(fn, best_point, opts.hopping.local);
-    optimizer_calls += res.evaluations;
-    evaluations += objective.evaluations();
-    FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
-    if (res.f < best_f) {
-      best_f = res.f;
-      best_point = res.x;
-    }
-  }
-
-  AngleSchedule schedule;
-  schedule.p = p;
-  schedule.betas.assign(best_point.begin(), best_point.begin() + p);
-  schedule.gammas.assign(best_point.begin() + p, best_point.end());
-  schedule.expectation =
-      options.direction == Direction::Maximize ? -best_f : best_f;
-  schedule.optimizer_calls = optimizer_calls;
-  schedule.evaluations = evaluations;
-  schedule.stop_reason = tracker->check();
-  return schedule;
+  return find_angles_grid(MpsAngleEngine(plan), p, points_per_axis, options,
+                          polish);
 }
 
 double evaluate_angles_mps(const MpsPlan& plan,
                            const std::vector<double>& packed) {
-  FASTQAOA_CHECK(packed.size() % 2 == 0 && !packed.empty(),
-                 "evaluate_angles_mps: need 2p angles");
-  MpsWorkspace ws;
-  const double value = evaluate_packed(plan, ws, packed);
-  FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
-  return value;
+  return evaluate_angles(MpsAngleEngine(plan), packed);
 }
 
 }  // namespace fastqaoa::mps

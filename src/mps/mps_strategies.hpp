@@ -1,26 +1,18 @@
 #pragma once
 /// \file mps_strategies.hpp
-/// Angle-finding drivers over the MPS engine, mirroring
-/// anglefind/strategies.hpp so callers swap engines without changing their
-/// driver logic: the same FindAnglesOptions, the same AngleSchedule
-/// results, the same INTERP iteration / basinhopping chains / grid sweep,
-/// the same checkpoint files (fingerprinted with an engine-tagged mixer
-/// string so exact and MPS checkpoints can never resume into each other).
-///
-/// Differences from the exact drivers, by necessity:
-///  * gradients are always central finite differences
-///    (options.gradient is ignored — the adjoint sweep is
-///    statevector-specific);
-///  * options.eval_batch is ignored (no batched MPS kernels);
-///  * the ensemble study driver stays exact-only.
-/// Chain parallelism (options.parallel_starts) works identically: serially
-/// forked RNG streams + per-thread MpsWorkspace => results are bit-identical
-/// at any thread count.
+/// Angle finding over the MPS engine: one-line forwards to the drivers in
+/// anglefind/strategies.hpp run against MpsAngleEngine, so both engines
+/// share options, results, chains, sweeps and checkpoint files. The random
+/// strategy is find_angles_random(MpsAngleEngine(plan), ...).
+/// options.gradient is ignored (always central differences), and so is
+/// options.eval_batch, because MPS has no batch hook: hops score one
+/// proposal and the grid sweeps point by point.
 
 #include <string>
 #include <vector>
 
 #include "anglefind/strategies.hpp"
+#include "mps/mps_objective.hpp"
 #include "mps/mps_plan.hpp"
 
 namespace fastqaoa::mps {
@@ -31,27 +23,24 @@ namespace fastqaoa::mps {
 /// refused loudly.
 std::string fingerprint_tag(const MpsPlan& plan);
 
-/// Iterative INTERP + basinhopping rounds 1..max_rounds (the MPS twin of
-/// find_angles). Checkpoints use fingerprint_tag() and dim = n.
+/// find_angles(MpsAngleEngine(plan), ...). Checkpoints use
+/// fingerprint_tag() and dim = n.
 std::vector<AngleSchedule> find_angles_mps(
     const MpsPlan& plan, int max_rounds, const FindAnglesOptions& options = {});
 
-/// Basinhopping at fixed p from explicit initial packed angles.
+/// find_angles_at(MpsAngleEngine(plan), ...).
 AngleSchedule find_angles_at_mps(const MpsPlan& plan, int p,
                                  const std::vector<double>& initial_packed,
                                  const FindAnglesOptions& options = {});
 
-/// Grid sweep over [0, 2*pi)^{2p} with optional BFGS polish (scalar path
-/// only; OpenMP-parallel over grid points with per-thread workspaces,
-/// lexicographic (f, index) winner => thread-count invariant).
+/// find_angles_grid(MpsAngleEngine(plan), ...).
 AngleSchedule find_angles_grid_mps(const MpsPlan& plan, int p,
                                    int points_per_axis,
                                    const FindAnglesOptions& options = {},
                                    bool polish = true);
 
-/// Evaluate fixed packed angles (stats land in the caller-visible
-/// workspace-free form: returns <C> only; use evaluate() directly for
-/// truncation stats).
+/// evaluate_angles(MpsAngleEngine(plan), packed): <C> only; use evaluate()
+/// directly for truncation stats.
 double evaluate_angles_mps(const MpsPlan& plan,
                            const std::vector<double>& packed);
 

@@ -518,13 +518,54 @@ void Service::execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
         return entry;
       });
   out.cache_hit = !built_here;
+  out.mps = spec.problem.uses_mps();
+  if (spec.kind == JobKind::FindAngles) {
+    FindAnglesOptions opt;
+    opt.direction = spec.minimize ? Direction::Minimize : Direction::Maximize;
+    opt.seed = spec.opt_seed;
+    opt.hopping.hops = spec.hops;
+    opt.parallel_starts = spec.starts;
+    opt.checkpoint_file = spec.checkpoint;
+    opt.budget.wall_seconds = spec.deadline_seconds;
+    opt.budget.max_evaluations = spec.max_evaluations;
+    opt.budget.cancel = &job.cancel;
+    // Per-round progress events for `subscribe`. on_round runs on this
+    // worker thread, outside any parallel region; publish() never blocks
+    // (slow subscribers drop their oldest events instead).
+    WallTimer search_elapsed;
+    opt.on_round = [&job, &search_elapsed](const AngleSchedule& s,
+                                           double seconds) {
+      Json ev = Json::object();
+      ev.set("event", Json("round"));
+      ev.set("id", Json(job.id));
+      ev.set("p", Json(s.p));
+      ev.set("best_energy", Json(s.expectation));
+      ev.set("evals", Json(static_cast<std::uint64_t>(s.evaluations)));
+      ev.set("optimizer_calls",
+             Json(static_cast<std::uint64_t>(s.optimizer_calls)));
+      ev.set("round_seconds", Json(seconds));
+      ev.set("elapsed_seconds", Json(search_elapsed.seconds()));
+      if (s.stop_reason != runtime::StopReason::None) {
+        ev.set("stop_reason", Json(runtime::to_string(s.stop_reason)));
+      }
+      job.progress.publish(ev.dump());
+    };
+    out.schedules =
+        spec.problem.uses_mps()
+            ? find_angles(mps::MpsAngleEngine(*cached->mps_plan), spec.p, opt)
+            : find_angles(*cached->mixer, cached->plan->objective(), spec.p,
+                          opt);
+    if (!out.schedules.empty()) {
+      out.expectation = out.schedules.back().expectation;
+      out.stop = out.schedules.back().stop_reason;
+    }
+    if (job.cancel.stop_requested()) out.stop = runtime::StopReason::Cancelled;
+  }
   if (spec.problem.uses_mps()) {
     execute_mps(job, *cached->mps_plan, mws, out);
     return;
   }
   const QaoaPlan& plan = *cached->plan;
-  const Direction direction =
-      spec.minimize ? Direction::Minimize : Direction::Maximize;
 
   switch (spec.kind) {
     case JobKind::Evaluate: {
@@ -574,127 +615,38 @@ void Service::execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
       out.shot_stderr = sampler.standard_error(plan.objective(), spec.shots);
       break;
     }
-    case JobKind::FindAngles: {
-      FindAnglesOptions opt;
-      opt.direction = direction;
-      opt.seed = spec.opt_seed;
-      opt.hopping.hops = spec.hops;
-      opt.parallel_starts = spec.starts;
-      opt.checkpoint_file = spec.checkpoint;
-      opt.budget.wall_seconds = spec.deadline_seconds;
-      opt.budget.max_evaluations = spec.max_evaluations;
-      opt.budget.cancel = &job.cancel;
-      // Per-round progress events for `subscribe`. on_round runs on this
-      // worker thread, outside any parallel region; publish() never blocks
-      // (slow subscribers drop their oldest events instead).
-      WallTimer search_elapsed;
-      opt.on_round = [&job, &search_elapsed](const AngleSchedule& s,
-                                             double seconds) {
-        Json ev = Json::object();
-        ev.set("event", Json("round"));
-        ev.set("id", Json(job.id));
-        ev.set("p", Json(s.p));
-        ev.set("best_energy", Json(s.expectation));
-        ev.set("evals", Json(static_cast<std::uint64_t>(s.evaluations)));
-        ev.set("optimizer_calls",
-               Json(static_cast<std::uint64_t>(s.optimizer_calls)));
-        ev.set("round_seconds", Json(seconds));
-        ev.set("elapsed_seconds", Json(search_elapsed.seconds()));
-        if (s.stop_reason != runtime::StopReason::None) {
-          ev.set("stop_reason", Json(runtime::to_string(s.stop_reason)));
-        }
-        job.progress.publish(ev.dump());
-      };
-      out.schedules =
-          find_angles(*cached->mixer, plan.objective(), spec.p, opt);
-      if (!out.schedules.empty()) {
-        out.expectation = out.schedules.back().expectation;
-        out.stop = out.schedules.back().stop_reason;
-      }
-      if (job.cancel.stop_requested()) {
-        out.stop = runtime::StopReason::Cancelled;
-      }
-      break;
-    }
+    case JobKind::FindAngles:
+      break;  // searched above
   }
 }
 
 void Service::execute_mps(Job& job, const mps::MpsPlan& plan,
                           mps::MpsWorkspace& mws, JobResultData& out) {
   const JobSpec& spec = job.spec;
-  out.mps = true;
-
-  const auto harvest_stats = [&out, &mws] {
-    out.discarded_weight = mws.stats.discarded_weight;
-    out.truncations = mws.stats.truncations;
-    out.max_bond_reached = static_cast<std::uint64_t>(mws.stats.max_bond_reached);
-  };
-
-  switch (spec.kind) {
-    case JobKind::Evaluate: {
-      runtime::RunBudget budget;
-      budget.wall_seconds = spec.deadline_seconds;
-      budget.max_evaluations = spec.max_evaluations;
-      budget.cancel = &job.cancel;
-      const runtime::BudgetTracker tracker(budget);
-      mws.tracker = &tracker;
-      out.expectation = mps::evaluate(plan, mws, spec.betas, spec.gammas);
-      mws.tracker = nullptr;
-      harvest_stats();
-      if (mws.interrupted) out.stop = tracker.check();
-      break;
-    }
-    case JobKind::FindAngles: {
-      FindAnglesOptions opt;
-      opt.direction =
-          spec.minimize ? Direction::Minimize : Direction::Maximize;
-      opt.seed = spec.opt_seed;
-      opt.hopping.hops = spec.hops;
-      opt.parallel_starts = spec.starts;
-      opt.checkpoint_file = spec.checkpoint;
-      opt.budget.wall_seconds = spec.deadline_seconds;
-      opt.budget.max_evaluations = spec.max_evaluations;
-      opt.budget.cancel = &job.cancel;
-      WallTimer search_elapsed;
-      opt.on_round = [&job, &search_elapsed](const AngleSchedule& s,
-                                             double seconds) {
-        Json ev = Json::object();
-        ev.set("event", Json("round"));
-        ev.set("id", Json(job.id));
-        ev.set("p", Json(s.p));
-        ev.set("best_energy", Json(s.expectation));
-        ev.set("evals", Json(static_cast<std::uint64_t>(s.evaluations)));
-        ev.set("optimizer_calls",
-               Json(static_cast<std::uint64_t>(s.optimizer_calls)));
-        ev.set("round_seconds", Json(seconds));
-        ev.set("elapsed_seconds", Json(search_elapsed.seconds()));
-        if (s.stop_reason != runtime::StopReason::None) {
-          ev.set("stop_reason", Json(runtime::to_string(s.stop_reason)));
-        }
-        job.progress.publish(ev.dump());
-      };
-      out.schedules = mps::find_angles_mps(plan, spec.p, opt);
-      if (!out.schedules.empty()) {
-        const AngleSchedule& best = out.schedules.back();
-        out.expectation = best.expectation;
-        out.stop = best.stop_reason;
-        // One extra evaluation of the winning schedule harvests the
-        // fidelity proxy for the reported result (skipped when cancelled —
-        // a cancelled search should not burn more worker time).
-        if (!job.cancel.stop_requested()) {
-          mws.tracker = nullptr;
-          mps::evaluate(plan, mws, best.betas, best.gammas);
-          harvest_stats();
-        }
-      }
-      if (job.cancel.stop_requested()) {
-        out.stop = runtime::StopReason::Cancelled;
-      }
-      break;
-    }
-    default:
-      FASTQAOA_CHECK(false, "engine 'mps' supports evaluate and find_angles only");
+  if (spec.kind == JobKind::FindAngles) {
+    // One extra evaluation of the winning schedule harvests the fidelity
+    // proxy for the reported result (skipped when cancelled — a cancelled
+    // search should not burn more worker time).
+    if (out.schedules.empty() || job.cancel.stop_requested()) return;
+    mws.tracker = nullptr;
+    mps::evaluate(plan, mws, out.schedules.back().betas,
+                  out.schedules.back().gammas);
+  } else {
+    FASTQAOA_CHECK(spec.kind == JobKind::Evaluate,
+                   "engine 'mps' supports evaluate and find_angles only");
+    runtime::RunBudget budget;
+    budget.wall_seconds = spec.deadline_seconds;
+    budget.max_evaluations = spec.max_evaluations;
+    budget.cancel = &job.cancel;
+    const runtime::BudgetTracker tracker(budget);
+    mws.tracker = &tracker;
+    out.expectation = mps::evaluate(plan, mws, spec.betas, spec.gammas);
+    mws.tracker = nullptr;
+    if (mws.interrupted) out.stop = tracker.check();
   }
+  out.discarded_weight = mws.stats.discarded_weight;
+  out.truncations = mws.stats.truncations;
+  out.max_bond_reached = static_cast<std::uint64_t>(mws.stats.max_bond_reached);
 }
 
 }  // namespace fastqaoa::service

@@ -259,6 +259,8 @@ class Service {
   void run_job(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws);
   void execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
                JobResultData& out);
+  /// The MPS-specific tail of execute(): an evaluate, or the truncation
+  /// stats of a finished search's winning schedule.
   void execute_mps(Job& job, const mps::MpsPlan& plan, mps::MpsWorkspace& mws,
                    JobResultData& out);
 

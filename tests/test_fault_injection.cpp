@@ -26,6 +26,7 @@
 #include "common/rng.hpp"
 #include "common/threading.hpp"
 #include "mixers/x_mixer.hpp"
+#include "mps/mps_strategies.hpp"
 #include "obs/metrics.hpp"
 #include "problems/cost_functions.hpp"
 #include "runtime/checkpoint.hpp"
@@ -121,6 +122,35 @@ TEST(FaultInjection, PoisonedChainIsQuarantinedAndBestStaysFinite) {
   ASSERT_NE(it, snap.counters.end())
       << "quarantine events missing from the metrics snapshot";
   EXPECT_GE(it->second, 1u);
+#endif
+}
+
+TEST(FaultInjection, PoisonedMpsChainIsQuarantinedAndBestStaysFinite) {
+  SKIP_WITHOUT_FAULT_INJECTION();
+  FaultReset cleanup;
+  // The MPS engine runs the same guarded chains as the exact engine.
+  mps::MpsPlan plan(mps::maxcut_hamiltonian(ring_graph(8)), {.max_bond = 8});
+  FindAnglesOptions opt = quick_options();
+  opt.hopping.hops = 1;
+  opt.hopping.local.max_iterations = 10;
+  opt.parallel_starts = 4;
+  const std::vector<double> x0 = {0.3, 0.3, 0.7, 0.7};
+
+#ifdef FASTQAOA_PROFILING_ENABLED
+  const auto quarantined = [] {
+    const obs::MetricsSnapshot snap = obs::global_snapshot();
+    const auto it = snap.counters.find("runtime.quarantine.chains");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t before = quarantined();
+#endif
+  fault::arm("anglefind.chain_nan", /*index=*/3);
+  AngleSchedule injected = mps::find_angles_at_mps(plan, 2, x0, opt);
+  EXPECT_EQ(fault::fired_count("anglefind.chain_nan"), 1);
+  EXPECT_TRUE(std::isfinite(injected.expectation));
+  EXPECT_FALSE(injected.betas.empty());
+#ifdef FASTQAOA_PROFILING_ENABLED
+  EXPECT_EQ(quarantined() - before, 1u);
 #endif
 }
 

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/threading.hpp"
 #include "core/plan.hpp"
@@ -459,6 +464,83 @@ TEST(MpsRuntime, FindAnglesAtMatchesDirectEvaluation) {
   const double direct =
       evaluate_angles_mps(plan, schedule.packed());
   EXPECT_NEAR(schedule.expectation, direct, 1e-10);
+}
+
+// ---------------------------------------------------------------------------
+// The shared angle-finding drivers on the MPS engine
+
+/// Checkpoint path private to this process (gtest_discover_tests runs every
+/// TEST in its own process, possibly concurrently).
+std::string checkpoint_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("fastqaoa_mps_" + std::to_string(::getpid()) + "_" + name))
+      .string();
+}
+
+void expect_bitwise_equal(const AngleSchedule& a, const AngleSchedule& b) {
+  EXPECT_EQ(std::memcmp(&a.expectation, &b.expectation, sizeof(double)), 0);
+  EXPECT_EQ(a.betas, b.betas);
+  EXPECT_EQ(a.gammas, b.gammas);
+  EXPECT_EQ(a.optimizer_calls, b.optimizer_calls);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+FindAnglesOptions short_search() {
+  FindAnglesOptions options;
+  options.hopping.hops = 1;
+  options.hopping.local.max_iterations = 6;
+  options.seed = 21;
+  return options;
+}
+
+TEST(MpsDrivers, CheckpointResumeIsBitIdentical) {
+  MpsPlan plan(maxcut_hamiltonian(ring_graph(6)), {.max_bond = 4});
+  FindAnglesOptions options = short_search();
+  const auto uninterrupted = find_angles_mps(plan, 3, options);
+
+  options.checkpoint_file = checkpoint_path("resume.txt");
+  std::filesystem::remove(options.checkpoint_file);
+  ASSERT_EQ(find_angles_mps(plan, 2, options).size(), 2u);
+  const auto resumed = find_angles_mps(plan, 3, options);
+  std::filesystem::remove(options.checkpoint_file);
+
+  ASSERT_EQ(resumed.size(), uninterrupted.size());
+  for (std::size_t r = 0; r < resumed.size(); ++r) {
+    expect_bitwise_equal(resumed[r], uninterrupted[r]);
+  }
+}
+
+TEST(MpsDrivers, CheckpointsNeverResumeAcrossEngines) {
+  const Graph g = ring_graph(8);
+  MpsPlan plan(maxcut_hamiltonian(g), {.max_bond = 8});
+  const dvec table = maxcut_table(g);
+  const XMixer mixer = XMixer::transverse_field(8);
+  FindAnglesOptions options = short_search();
+
+  options.checkpoint_file = checkpoint_path("mps.txt");
+  std::filesystem::remove(options.checkpoint_file);
+  find_angles_mps(plan, 1, options);
+  EXPECT_THROW(find_angles(mixer, table, 2, options), Error);
+  std::filesystem::remove(options.checkpoint_file);
+
+  options.checkpoint_file = checkpoint_path("exact.txt");
+  std::filesystem::remove(options.checkpoint_file);
+  find_angles(mixer, table, 1, options);
+  EXPECT_THROW(find_angles_mps(plan, 2, options), Error);
+  std::filesystem::remove(options.checkpoint_file);
+}
+
+TEST(MpsDrivers, RandomRestartsInvariantToThreadCount) {
+  MpsPlan plan(maxcut_hamiltonian(ring_graph(8)), {.max_bond = 8});
+  const MpsAngleEngine engine(plan);
+  const FindAnglesOptions options = short_search();
+  set_num_threads(1);
+  const AngleSchedule serial = find_angles_random(engine, 1, 4, options);
+  set_num_threads(4);
+  const AngleSchedule parallel = find_angles_random(engine, 1, 4, options);
+  set_num_threads(1);
+  expect_bitwise_equal(serial, parallel);
+  EXPECT_TRUE(std::isfinite(serial.expectation));
 }
 
 }  // namespace

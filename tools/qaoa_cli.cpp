@@ -11,6 +11,7 @@
 //            [--trunc-tol=1e-12] [--degree=D]
 //            [--n=10] [--k=n/2] [--p=4] [--seed=42] [--density=6]
 //            [--strategy=iterative|random|grid] [--restarts=50] [--hops=8]
+//            [--grid-points=16]
 //            [--minimize] [--shots=0] [--checkpoint=path] [--mixer-cache=path]
 //            [--table-cache=path] [--threads=N] [--starts=M] [--batch=B]
 //            [--backend=auto|scalar|avx2|avx512]
@@ -21,9 +22,11 @@
 // limited to n <= 24. --engine=mps runs the approximate matrix-product-state
 // engine (maxcut/wmaxcut with the tf mixer only) whose cost is polynomial in
 // n — the n=40-100 regime — with --max-bond capping the bond dimension and
-// --fidelity-budget bounding the cumulative discarded weight (the CSV gains
-// discarded_weight / max_bond_reached fidelity-proxy columns). Flags that
-// have no meaning for the selected engine are rejected, not ignored.
+// --fidelity-budget bounding the cumulative discarded weight. Both engines
+// share one driver and every strategy; only the plan, the stderr header and
+// the CSV columns differ (MPS reports discarded_weight / max_bond_reached /
+// truncations fidelity proxies). Flags that have no meaning for the
+// selected engine are rejected, not ignored.
 //
 // Batching: --batch=B routes grid-search points and finite-difference
 // gradient stencils through evaluate_batch, B statevector lanes per fused
@@ -70,7 +73,6 @@
 #include "mixers/eigen_mixer.hpp"
 #include "mixers/grover_mixer.hpp"
 #include "mixers/x_mixer.hpp"
-#include "mps/mps_plan.hpp"
 #include "mps/mps_strategies.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -135,7 +137,8 @@ bool has_flag(int argc, char** argv, const char* flag) {
                "[--trunc-tol=1e-12] [--degree=D] [--n=10] [--k=n/2] "
                "[--p=4] [--seed=42] [--density=6] "
                "[--strategy=iterative|random|grid] [--restarts=50] "
-               "[--hops=8] [--minimize] [--shots=0] [--checkpoint=path] "
+               "[--hops=8] [--grid-points=16] [--minimize] [--shots=0] "
+               "[--checkpoint=path] "
                "[--mixer-cache=path] [--table-cache=path] "
                "[--threads=N] [--starts=M] [--batch=B] "
                "[--backend=auto|scalar|avx2|"
@@ -164,149 +167,6 @@ Graph build_maxcut_graph(const std::string& problem, int n, int degree,
                        : erdos_renyi(n, 0.5, rng);
   if (problem == "wmaxcut") g = with_random_weights(g, rng);
   return g;
-}
-
-/// The --engine=mps driver: same strategies, options, checkpointing, budget
-/// and observability surface as the exact path, but evaluation runs through
-/// the approximate MPS engine and the CSV reports the fidelity proxies
-/// (discarded_weight, max_bond_reached, truncations) instead of the
-/// table-derived ratio / ground-state-probability columns, which would need
-/// the 2^n enumeration this engine exists to avoid.
-int run_mps(int argc, char** argv) {
-  const std::string problem = string_option(argc, argv, "--problem", "maxcut");
-  const std::string strategy =
-      string_option(argc, argv, "--strategy", "iterative");
-  const int n = static_cast<int>(int_option(argc, argv, "--n", 10));
-  const int p = static_cast<int>(int_option(argc, argv, "--p", 4));
-  const auto seed =
-      static_cast<std::uint64_t>(int_option(argc, argv, "--seed", 42));
-  const int degree = static_cast<int>(int_option(argc, argv, "--degree", 0));
-  const bool minimize = has_flag(argc, argv, "--minimize");
-  const bool progress = has_flag(argc, argv, "--progress");
-  const std::string metrics_path = string_option(argc, argv, "--metrics", "");
-  const std::string trace_path = string_option(argc, argv, "--trace", "");
-  if (!trace_path.empty()) obs::trace_begin();
-
-  const int threads = static_cast<int>(int_option(argc, argv, "--threads", 0));
-  if (threads > 0) set_num_threads(threads);
-
-  mps::MpsOptions mps_options;
-  mps_options.max_bond = static_cast<index_t>(
-      int_option(argc, argv, "--max-bond", 64));
-  mps_options.fidelity_budget =
-      double_option(argc, argv, "--fidelity-budget", 1e-3);
-  mps_options.trunc_tol = double_option(argc, argv, "--trunc-tol", 1e-12);
-  if (mps_options.max_bond < 1) usage_error("--max-bond must be >= 1");
-  if (mps_options.fidelity_budget < 0.0) {
-    usage_error("--fidelity-budget must be >= 0");
-  }
-  if (mps_options.trunc_tol < 0.0) usage_error("--trunc-tol must be >= 0");
-
-  Rng rng(seed);
-  const Graph g = build_maxcut_graph(problem, n, degree, rng);
-  const mps::MpsPlan plan(mps::maxcut_hamiltonian(g), mps_options);
-
-  FindAnglesOptions opt;
-  opt.seed = seed;
-  opt.direction = minimize ? Direction::Minimize : Direction::Maximize;
-  opt.hopping.hops = static_cast<int>(int_option(argc, argv, "--hops", 8));
-  opt.checkpoint_file = string_option(argc, argv, "--checkpoint", "");
-  opt.parallel_starts =
-      static_cast<int>(int_option(argc, argv, "--starts", 1));
-  if (opt.parallel_starts < 1) usage_error("--starts must be >= 1");
-  opt.budget.wall_seconds = double_option(argc, argv, "--deadline", 0.0);
-  opt.budget.max_evaluations =
-      static_cast<std::size_t>(int_option(argc, argv, "--max-evals", 0));
-  opt.budget.cancel = &g_cancel;
-  if (progress) {
-    opt.on_round = [](const AngleSchedule& s, double seconds) {
-      std::fprintf(stderr,
-                   "# round p=%d done in %.2f s: <C>=%.6f "
-                   "(%zu optimizer calls, %zu evaluations)\n",
-                   s.p, seconds, s.expectation, s.optimizer_calls,
-                   s.evaluations);
-    };
-  }
-
-  std::fprintf(stderr,
-               "# engine=mps problem=%s n=%d edges=%d total_weight=%.4f "
-               "p=%d seed=%llu chi=%zu fidelity_budget=%g trunc_tol=%g "
-               "swaps_per_round=%zu\n",
-               problem.c_str(), n, g.num_edges(), g.total_weight(), p,
-               static_cast<unsigned long long>(seed),
-               static_cast<std::size_t>(plan.options().max_bond),
-               plan.options().fidelity_budget, plan.options().trunc_tol,
-               plan.swaps_per_round());
-
-  WallTimer timer;
-  std::vector<AngleSchedule> schedules;
-  if (strategy == "iterative") {
-    schedules = mps::find_angles_mps(plan, p, opt);
-  } else if (strategy == "grid") {
-    const int points =
-        static_cast<int>(int_option(argc, argv, "--grid-points", 16));
-    schedules.push_back(mps::find_angles_grid_mps(plan, p, points, opt));
-  } else {
-    usage_error("unknown --strategy '" + strategy + "'");
-  }
-  const double elapsed = timer.seconds();
-
-  std::size_t total_evals = 0;
-  for (const AngleSchedule& s : schedules) total_evals += s.evaluations;
-  const double evals_per_sec =
-      elapsed > 0.0 ? static_cast<double>(total_evals) / elapsed : 0.0;
-  std::printf("p,expectation,optimizer_calls,evaluations,evals_per_sec,"
-              "discarded_weight,max_bond_reached,truncations\n");
-  for (const AngleSchedule& s : schedules) {
-    // One extra evaluation at the winning angles harvests the truncation
-    // stats (the fidelity proxy) for this row.
-    mps::MpsWorkspace ws;
-    mps::evaluate_packed(plan, ws, s.packed());
-    std::printf("%d,%.8f,%zu,%zu,%.1f,%.3e,%zu,%llu\n", s.p, s.expectation,
-                s.optimizer_calls, s.evaluations, evals_per_sec,
-                ws.stats.discarded_weight,
-                static_cast<std::size_t>(ws.stats.max_bond_reached),
-                static_cast<unsigned long long>(ws.stats.truncations));
-  }
-  std::fprintf(stderr,
-               "# angle finding took %.2f s (%zu evaluations, %.1f evals/s, "
-               "engine=mps)\n",
-               elapsed, total_evals, evals_per_sec);
-
-  runtime::StopReason stop = runtime::StopReason::None;
-  for (const AngleSchedule& s : schedules) {
-    if (s.stopped_early()) stop = s.stop_reason;
-  }
-  if (g_cancel.stop_requested()) stop = runtime::StopReason::Cancelled;
-  if (stop != runtime::StopReason::None) {
-    std::fprintf(stderr,
-                 "# run stopped early (%s): results above are best-so-far"
-                 "%s\n",
-                 runtime::to_string(stop),
-                 opt.checkpoint_file.empty()
-                     ? ""
-                     : "; re-run with the same --checkpoint to resume");
-  }
-
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out.good()) {
-      std::fprintf(stderr, "qaoa_cli: cannot open --metrics file %s\n",
-                   metrics_path.c_str());
-      return 1;
-    }
-    out << obs::global_snapshot().to_json() << "\n";
-    std::fprintf(stderr, "# metrics written to %s\n", metrics_path.c_str());
-  }
-  if (!trace_path.empty()) {
-    if (!obs::write_trace(trace_path)) {
-      std::fprintf(stderr, "qaoa_cli: cannot open --trace file %s\n",
-                   trace_path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "# trace written to %s\n", trace_path.c_str());
-  }
-  return stop == runtime::StopReason::Cancelled ? 130 : 0;
 }
 
 }  // namespace
@@ -338,12 +198,12 @@ int main(int argc, char** argv) {
   // --- engine selection -------------------------------------------------
   const std::string engine_name =
       string_option(argc, argv, "--engine", "exact");
-  const std::optional<EngineKind> engine = parse_engine(engine_name);
-  if (!engine) {
+  const std::optional<EngineKind> kind = parse_engine(engine_name);
+  if (!kind) {
     usage_error("unknown --engine '" + engine_name +
                 "' (available: " + join_names(engine_names()) + ")");
   }
-  const bool use_mps = *engine == EngineKind::Mps;
+  const bool use_mps = *kind == EngineKind::Mps;
 
   if (use_mps) {
     if (n < 2 || n > 256) {
@@ -365,10 +225,6 @@ int main(int argc, char** argv) {
     if (mixer_name != "tf") {
       usage_error("--engine=mps supports the transverse-field mixer only; "
                   "--mixer=" + mixer_name + " requires --engine=exact");
-    }
-    if (strategy == "random") {
-      usage_error("--strategy=random is not available for --engine=mps "
-                  "(use iterative or grid)");
     }
     if (int_option(argc, argv, "--batch", 1) > 1) {
       usage_error("--engine=mps has no batched kernels; --batch requires "
@@ -407,114 +263,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The MPS engine takes its own driver: no state space, no objective
-  // table, no mixer object — those are all statevector concepts.
-  if (use_mps) return run_mps(argc, argv);
-
-  // --threads caps both the restart/grid outer loops and the per-state
-  // inner kernels (they share the OpenMP default team size).
-  const int threads = static_cast<int>(int_option(argc, argv, "--threads", 0));
-  if (threads > 0) set_num_threads(threads);
-
-  // Kernel backend override (beats the FASTQAOA_KERNEL env var).
-  const std::string backend = string_option(argc, argv, "--backend", "");
-  if (!backend.empty() && !linalg::kernels::select(backend)) {
-    usage_error("unknown or unsupported --backend '" + backend +
-                "' (available: " + [] {
-                  std::string s;
-                  for (const auto& b : linalg::kernels::available()) {
-                    if (!s.empty()) s += ", ";
-                    s += b;
-                  }
-                  return s;
-                }() + ")");
-  }
-
-  const std::string metrics_path =
-      string_option(argc, argv, "--metrics", "");
-  const std::string trace_path = string_option(argc, argv, "--trace", "");
-  const bool progress = has_flag(argc, argv, "--progress");
-  if (!trace_path.empty()) obs::trace_begin();
-
-  Rng rng(seed);
-
-  // --- feasible space ---------------------------------------------------
-  const bool constrained = mixer_name == "clique" || mixer_name == "ring";
-  if (constrained && (k < 1 || k >= n)) {
-    usage_error("--k must satisfy 1 <= k < n for constrained mixers");
-  }
-  StateSpace space =
-      constrained ? StateSpace::dicke(n, k) : StateSpace::full(n);
-
-  // --- problem ----------------------------------------------------------
-  // --table-cache applies the Listing-2 load-or-build pattern to the
-  // tabulated objective: the first run saves the table (crash-safely, via
-  // the atomic writer), later runs skip generation entirely.
-  auto tabulate_problem = [&]() -> dvec {
-    if (problem == "maxcut" || problem == "wmaxcut") {
-      Graph g = build_maxcut_graph(problem, n, degree, rng);
-      return tabulate(space, [&g](state_t x) { return maxcut(g, x); });
-    }
-    if (problem == "ksat") {
-      CnfFormula f = random_ksat_density(n, 3, density, rng);
-      return tabulate(space, [&f](state_t x) { return ksat(f, x); });
-    }
-    if (problem == "densest") {
-      Graph g = erdos_renyi(n, 0.5, rng);
-      return tabulate(space,
-                      [&g](state_t x) { return densest_subgraph(g, x); });
-    }
-    if (problem == "vertexcover") {
-      Graph g = erdos_renyi(n, 0.5, rng);
-      return tabulate(space, [&g](state_t x) { return vertex_cover(g, x); });
-    }
-    if (problem == "partition") {
-      std::vector<double> weights(static_cast<std::size_t>(n));
-      for (auto& w : weights) w = std::floor(rng.uniform(1.0, 30.0));
-      return tabulate(space, [&weights](state_t x) {
-        return number_partition(weights, x);
-      });
-    }
-    usage_error("unknown --problem '" + problem + "'");
-  };
-  const std::string table_cache =
-      string_option(argc, argv, "--table-cache", "");
-  dvec obj_vals = table_cache.empty()
-                      ? tabulate_problem()
-                      : io::load_or_build_table(table_cache, tabulate_problem);
-  if (!table_cache.empty()) {
-    FASTQAOA_CHECK(obj_vals.size() == space.dim(),
-                   "--table-cache file does not match this problem's "
-                   "state-space dimension: " + table_cache);
-  }
-
-  // --- mixer ------------------------------------------------------------
-  std::unique_ptr<Mixer> owned_mixer;
-  if (mixer_name == "tf") {
-    owned_mixer = std::make_unique<XMixer>(XMixer::transverse_field(n));
-  } else if (mixer_name == "grover") {
-    owned_mixer = std::make_unique<GroverMixer>(space.dim());
-  } else if (mixer_name == "clique" || mixer_name == "ring") {
-    const std::string cache = string_option(argc, argv, "--mixer-cache", "");
-    auto build = [&] {
-      return mixer_name == "clique" ? EigenMixer::clique(space)
-                                    : EigenMixer::ring(space);
-    };
-    WallTimer timer;
-    owned_mixer = std::make_unique<EigenMixer>(
-        cache.empty() ? build() : io::load_or_build_mixer(cache, build));
-    std::fprintf(stderr, "# %s mixer ready in %.3f s (dim %zu)\n",
-                 mixer_name.c_str(), timer.seconds(), space.dim());
-  } else {
-    usage_error("unknown --mixer '" + mixer_name + "'");
-  }
-  const Mixer& mixer = *owned_mixer;
-
-  // --- options ----------------------------------------------------------
+  // --- search options (shared by both engines) --------------------------
   FindAnglesOptions opt;
   opt.seed = seed;
   opt.direction = minimize ? Direction::Minimize : Direction::Maximize;
   opt.hopping.hops = static_cast<int>(int_option(argc, argv, "--hops", 8));
+  if (opt.hopping.hops < 1) usage_error("--hops must be >= 1");
   opt.checkpoint_file = string_option(argc, argv, "--checkpoint", "");
   opt.parallel_starts =
       static_cast<int>(int_option(argc, argv, "--starts", 1));
@@ -529,7 +283,7 @@ int main(int argc, char** argv) {
   opt.budget.max_evaluations =
       static_cast<std::size_t>(int_option(argc, argv, "--max-evals", 0));
   opt.budget.cancel = &g_cancel;
-  if (progress) {
+  if (has_flag(argc, argv, "--progress")) {
     opt.on_round = [](const AngleSchedule& s, double seconds) {
       std::fprintf(stderr,
                    "# round p=%d done in %.2f s: <C>=%.6f "
@@ -540,27 +294,152 @@ int main(int argc, char** argv) {
   }
   const int restarts =
       static_cast<int>(int_option(argc, argv, "--restarts", 50));
+  if (restarts < 1) usage_error("--restarts must be >= 1");
+  const int grid_points =
+      static_cast<int>(int_option(argc, argv, "--grid-points", 16));
+  if (grid_points < 2) usage_error("--grid-points must be >= 2");
 
-  const ObjectiveStats stats = objective_stats(obj_vals);
-  std::fprintf(stderr,
-               "# problem=%s mixer=%s n=%d k=%d dim=%zu p=%d seed=%llu "
-               "best=%.4f worst=%.4f mean=%.4f\n",
-               problem.c_str(), mixer_name.c_str(), n,
-               constrained ? k : -1, space.dim(), p,
-               static_cast<unsigned long long>(seed), stats.max_value,
-               stats.min_value, stats.mean);
+  // --threads caps both the restart/grid outer loops and the per-state
+  // inner kernels (they share the OpenMP default team size).
+  const int threads = static_cast<int>(int_option(argc, argv, "--threads", 0));
+  if (threads > 0) set_num_threads(threads);
+
+  // Kernel backend override (beats the FASTQAOA_KERNEL env var).
+  const std::string backend = string_option(argc, argv, "--backend", "");
+  if (!backend.empty() && !linalg::kernels::select(backend)) {
+    usage_error("unknown or unsupported --backend '" + backend +
+                "' (available: " + join_names(linalg::kernels::available()) +
+                ")");
+  }
+
+  const std::string metrics_path =
+      string_option(argc, argv, "--metrics", "");
+  const std::string trace_path = string_option(argc, argv, "--trace", "");
+  if (!trace_path.empty()) obs::trace_begin();
+
+  Rng rng(seed);
+
+  // --- engine: plan construction and the stderr header line --------------
+  std::unique_ptr<AngleEngine> engine;
+  std::unique_ptr<mps::MpsPlan> mps_plan;
+  dvec obj_vals;
+  std::unique_ptr<Mixer> owned_mixer;
+  if (use_mps) {
+    mps::MpsOptions mps_options;
+    mps_options.max_bond = static_cast<index_t>(
+        int_option(argc, argv, "--max-bond", 64));
+    mps_options.fidelity_budget =
+        double_option(argc, argv, "--fidelity-budget", 1e-3);
+    mps_options.trunc_tol = double_option(argc, argv, "--trunc-tol", 1e-12);
+    if (mps_options.max_bond < 1) usage_error("--max-bond must be >= 1");
+    if (mps_options.fidelity_budget < 0.0) {
+      usage_error("--fidelity-budget must be >= 0");
+    }
+    if (mps_options.trunc_tol < 0.0) usage_error("--trunc-tol must be >= 0");
+
+    const Graph g = build_maxcut_graph(problem, n, degree, rng);
+    mps_plan = std::make_unique<mps::MpsPlan>(mps::maxcut_hamiltonian(g),
+                                              mps_options);
+    engine = std::make_unique<mps::MpsAngleEngine>(*mps_plan);
+    std::fprintf(stderr,
+                 "# engine=mps problem=%s n=%d edges=%d total_weight=%.4f "
+                 "p=%d seed=%llu chi=%zu fidelity_budget=%g trunc_tol=%g "
+                 "swaps_per_round=%zu\n",
+                 problem.c_str(), n, g.num_edges(), g.total_weight(), p,
+                 static_cast<unsigned long long>(seed),
+                 static_cast<std::size_t>(mps_options.max_bond),
+                 mps_options.fidelity_budget, mps_options.trunc_tol,
+                 mps_plan->swaps_per_round());
+  } else {
+    const bool constrained = mixer_name == "clique" || mixer_name == "ring";
+    if (constrained && (k < 1 || k >= n)) {
+      usage_error("--k must satisfy 1 <= k < n for constrained mixers");
+    }
+    StateSpace space =
+        constrained ? StateSpace::dicke(n, k) : StateSpace::full(n);
+
+    // --table-cache applies the Listing-2 load-or-build pattern to the
+    // tabulated objective: the first run saves the table (crash-safely, via
+    // the atomic writer), later runs skip generation entirely.
+    auto tabulate_problem = [&]() -> dvec {
+      if (problem == "maxcut" || problem == "wmaxcut") {
+        Graph g = build_maxcut_graph(problem, n, degree, rng);
+        return tabulate(space, [&g](state_t x) { return maxcut(g, x); });
+      }
+      if (problem == "ksat") {
+        CnfFormula f = random_ksat_density(n, 3, density, rng);
+        return tabulate(space, [&f](state_t x) { return ksat(f, x); });
+      }
+      if (problem == "densest") {
+        Graph g = erdos_renyi(n, 0.5, rng);
+        return tabulate(space,
+                        [&g](state_t x) { return densest_subgraph(g, x); });
+      }
+      if (problem == "vertexcover") {
+        Graph g = erdos_renyi(n, 0.5, rng);
+        return tabulate(space,
+                        [&g](state_t x) { return vertex_cover(g, x); });
+      }
+      if (problem == "partition") {
+        std::vector<double> weights(static_cast<std::size_t>(n));
+        for (auto& w : weights) w = std::floor(rng.uniform(1.0, 30.0));
+        return tabulate(space, [&weights](state_t x) {
+          return number_partition(weights, x);
+        });
+      }
+      usage_error("unknown --problem '" + problem + "'");
+    };
+    const std::string table_cache =
+        string_option(argc, argv, "--table-cache", "");
+    obj_vals = table_cache.empty()
+                   ? tabulate_problem()
+                   : io::load_or_build_table(table_cache, tabulate_problem);
+    if (!table_cache.empty()) {
+      FASTQAOA_CHECK(obj_vals.size() == space.dim(),
+                     "--table-cache file does not match this problem's "
+                     "state-space dimension: " + table_cache);
+    }
+
+    if (mixer_name == "tf") {
+      owned_mixer = std::make_unique<XMixer>(XMixer::transverse_field(n));
+    } else if (mixer_name == "grover") {
+      owned_mixer = std::make_unique<GroverMixer>(space.dim());
+    } else if (constrained) {
+      const std::string cache =
+          string_option(argc, argv, "--mixer-cache", "");
+      auto build = [&] {
+        return mixer_name == "clique" ? EigenMixer::clique(space)
+                                      : EigenMixer::ring(space);
+      };
+      WallTimer timer;
+      owned_mixer = std::make_unique<EigenMixer>(
+          cache.empty() ? build() : io::load_or_build_mixer(cache, build));
+      std::fprintf(stderr, "# %s mixer ready in %.3f s (dim %zu)\n",
+                   mixer_name.c_str(), timer.seconds(), space.dim());
+    } else {
+      usage_error("unknown --mixer '" + mixer_name + "'");
+    }
+    engine = std::make_unique<ExactAngleEngine>(*owned_mixer, obj_vals);
+
+    const ObjectiveStats stats = objective_stats(obj_vals);
+    std::fprintf(stderr,
+                 "# problem=%s mixer=%s n=%d k=%d dim=%zu p=%d seed=%llu "
+                 "best=%.4f worst=%.4f mean=%.4f\n",
+                 problem.c_str(), mixer_name.c_str(), n,
+                 constrained ? k : -1, space.dim(), p,
+                 static_cast<unsigned long long>(seed), stats.max_value,
+                 stats.min_value, stats.mean);
+  }
 
   // --- run --------------------------------------------------------------
   WallTimer timer;
   std::vector<AngleSchedule> schedules;
   if (strategy == "iterative") {
-    schedules = find_angles(mixer, obj_vals, p, opt);
+    schedules = find_angles(*engine, p, opt);
   } else if (strategy == "random") {
-    schedules.push_back(find_angles_random(mixer, obj_vals, p, restarts, opt));
+    schedules.push_back(find_angles_random(*engine, p, restarts, opt));
   } else if (strategy == "grid") {
-    const int points =
-        static_cast<int>(int_option(argc, argv, "--grid-points", 16));
-    schedules.push_back(find_angles_grid(mixer, obj_vals, p, points, opt));
+    schedules.push_back(find_angles_grid(*engine, p, grid_points, opt));
   } else {
     usage_error("unknown --strategy '" + strategy + "'");
   }
@@ -575,33 +454,48 @@ int main(int argc, char** argv) {
   for (const AngleSchedule& s : schedules) total_evals += s.evaluations;
   const double evals_per_sec =
       elapsed > 0.0 ? static_cast<double>(total_evals) / elapsed : 0.0;
-  std::printf("p,expectation,ratio,ground_state_prob,optimizer_calls,"
-              "evaluations,evals_per_sec%s\n",
-              shots > 0 ? ",shot_estimate,shot_stderr" : "");
+  if (use_mps) {
+    std::printf("p,expectation,optimizer_calls,evaluations,evals_per_sec,"
+                "discarded_weight,max_bond_reached,truncations\n");
+  } else {
+    std::printf("p,expectation,ratio,ground_state_prob,optimizer_calls,"
+                "evaluations,evals_per_sec%s\n",
+                shots > 0 ? ",shot_estimate,shot_stderr" : "");
+  }
   for (const AngleSchedule& s : schedules) {
-    Qaoa engine(mixer, obj_vals, s.p);
-    engine.run_packed(s.packed());
+    if (use_mps) {
+      // One extra evaluation at the winning angles harvests the truncation
+      // stats (the fidelity proxy) for this row.
+      mps::MpsWorkspace ws;
+      mps::evaluate_packed(*mps_plan, ws, s.packed());
+      std::printf("%d,%.8f,%zu,%zu,%.1f,%.3e,%zu,%llu\n", s.p, s.expectation,
+                  s.optimizer_calls, s.evaluations, evals_per_sec,
+                  ws.stats.discarded_weight,
+                  static_cast<std::size_t>(ws.stats.max_bond_reached),
+                  static_cast<unsigned long long>(ws.stats.truncations));
+      continue;
+    }
+    Qaoa qaoa(*owned_mixer, obj_vals, s.p);
+    qaoa.run_packed(s.packed());
     const double ratio =
         approximation_ratio(s.expectation, obj_vals, opt.direction);
-    const double gs = engine.ground_state_probability(opt.direction);
+    const double gs = qaoa.ground_state_probability(opt.direction);
+    std::printf("%d,%.8f,%.6f,%.6f,%zu,%zu,%.1f", s.p, s.expectation, ratio,
+                gs, s.optimizer_calls, s.evaluations, evals_per_sec);
     if (shots > 0) {
-      MeasurementSampler sampler(engine.state());
+      MeasurementSampler sampler(qaoa.state());
       Rng shot_rng(seed ^ 0xABCDEF);
-      std::printf("%d,%.8f,%.6f,%.6f,%zu,%zu,%.1f,%.8f,%.8f\n", s.p,
-                  s.expectation, ratio, gs, s.optimizer_calls, s.evaluations,
-                  evals_per_sec,
+      std::printf(",%.8f,%.8f",
                   sampler.estimate_expectation(obj_vals, shots, shot_rng),
                   sampler.standard_error(obj_vals, shots));
-    } else {
-      std::printf("%d,%.8f,%.6f,%.6f,%zu,%zu,%.1f\n", s.p, s.expectation,
-                  ratio, gs, s.optimizer_calls, s.evaluations,
-                  evals_per_sec);
     }
+    std::printf("\n");
   }
   std::fprintf(stderr,
                "# angle finding took %.2f s (%zu evaluations, %.1f evals/s, "
-               "batch=%d)\n",
-               elapsed, total_evals, evals_per_sec, batch);
+               "engine=%s, batch=%d)\n",
+               elapsed, total_evals, evals_per_sec, engine_name.c_str(),
+               batch);
 
   // Structured stop reporting: a tripped budget / Ctrl-C is not an error —
   // the partial rows above are valid best-so-far results — but the caller
