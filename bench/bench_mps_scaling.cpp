@@ -7,8 +7,8 @@
 //      proxies (cumulative discarded weight, largest bond reached,
 //      truncation count). The proxies are the honesty columns: a fast row
 //      with large discarded weight is an approximation, not a speedup.
-//   2. the acceptance run: a full find_angles_mps() at n = 60, p = 4 on
-//      one node, bounded by --max-evals so CI finishes in seconds.
+//   2. the acceptance run: a full find_angles(MpsAngleEngine) at n = 60,
+//      p = 4 on one node, bounded by --max-evals so CI finishes in seconds.
 //   3. crossover sweep: n = 16..24 with both engines on the same instance
 //      and angles, at every bond cap — per-eval medians each way plus the
 //      MPS discarded weight. "mps_vs_exact_speedup_n20" (the n=20 point at
@@ -42,8 +42,8 @@
 #include "core/plan.hpp"
 #include "mixers/x_mixer.hpp"
 #include "mps/hamiltonian.hpp"
+#include "mps/mps_objective.hpp"
 #include "mps/mps_plan.hpp"
-#include "mps/mps_strategies.hpp"
 #include "problems/cost_functions.hpp"
 #include "problems/weighted_maxcut.hpp"
 
@@ -137,7 +137,8 @@ int main(int argc, char** argv) {
   double fa_best = 0.0;
   if (!quick) {
     const index_t fa_chi = chis.front();
-    std::printf("\nfind_angles_mps() n=%d chi=%d p=%d (<= %lld evaluations)\n",
+    std::printf("\nfind_angles(MpsAngleEngine) n=%d chi=%d p=%d "
+                "(<= %lld evaluations)\n",
                 fa_n, static_cast<int>(fa_chi), p, max_evals);
     mps::MpsPlan fa_plan(mps::maxcut_hamiltonian(instance(fa_n)),
                          {.max_bond = fa_chi, .fidelity_budget = 1.0,
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(max_evals);
     WallTimer fa_timer;
     const std::vector<AngleSchedule> schedules =
-        mps::find_angles_mps(fa_plan, p, fa_opt);
+        find_angles(mps::MpsAngleEngine(fa_plan), p, fa_opt);
     fa_secs = fa_timer.seconds();
     fa_best = schedules.back().expectation;
     std::printf("%8s %10s %12s %10s\n", "rounds", "seconds", "best <C>",

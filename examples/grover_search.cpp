@@ -8,12 +8,19 @@
 // round costs O(#classes) = O(1). The printed success probabilities follow
 // sin^2((2p+1) asin(sqrt(M/N))) exactly.
 //
+// The second table learns the angles instead of fixing them at (pi, pi):
+// find_angles() runs INTERP + basinhopping on the compressed engine
+// (GroverAngleEngine) for p = 1..3 over N = 2^24 states with M = 4096
+// marked, and each round's optimum is printed next to sin^2((2p+1)theta).
+//
 // Run: ./grover_search [n] [marked]
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "anglefind/grover_objective.hpp"
+#include "anglefind/strategies.hpp"
 #include "common/timer.hpp"
 #include "core/grover_fast.hpp"
 
@@ -55,6 +62,26 @@ int main(int argc, char** argv) {
                 "cap)\n",
                 optimal_p, "-",
                 std::pow(std::sin((2.0 * optimal_p + 1.0) * theta), 2));
+  }
+
+  // Learned angles: the shared angle-finding driver on the compressed
+  // engine, at a size where the success probability is still resolvable.
+  const double learn_states = std::pow(2.0, 24);
+  const double learn_marked = 4096.0;
+  const double learn_theta = std::asin(std::sqrt(learn_marked / learn_states));
+  const GroverQaoa search = grover_search_qaoa(learn_states, learn_marked);
+  FindAnglesOptions options;
+  options.hopping.hops = 6;
+  options.seed = 7;
+  std::printf("\nfind_angles(GroverAngleEngine): N=2^24, M=%.0f\n",
+              learn_marked);
+  std::printf("%12s %20s %20s %12s\n", "p", "P(success) learned",
+              "sin^2((2p+1)theta)", "evaluations");
+  for (const AngleSchedule& s :
+       find_angles(GroverAngleEngine(search), 3, options)) {
+    std::printf("%12d %20.6f %20.6f %12zu\n", s.p, s.expectation,
+                std::pow(std::sin((2.0 * s.p + 1.0) * learn_theta), 2),
+                s.evaluations);
   }
   return 0;
 }

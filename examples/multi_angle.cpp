@@ -11,6 +11,7 @@
 #include "mixers/grover_mixer.hpp"
 #include "mixers/x_mixer.hpp"
 #include "problems/cost_functions.hpp"
+#include "problems/warm_start.hpp"
 
 int main(int argc, char** argv) {
   using namespace fastqaoa;
@@ -73,12 +74,9 @@ int main(int argc, char** argv) {
   // 4. Warm start: bias the initial state toward one optimal solution.
   {
     Qaoa engine(tf, obj_vals, 2);
-    cvec warm(obj_vals.size(), cplx{0.0, 0.0});
     // 80% mass on the best state, the rest spread uniformly.
-    const double rest = std::sqrt(0.2 / static_cast<double>(warm.size() - 1));
-    for (auto& a : warm) a = cplx{rest, 0.0};
-    warm[stats.argmax] = cplx{std::sqrt(0.8), 0.0};
-    engine.set_initial_state(warm);
+    engine.set_initial_state(warm_start_biased_state(
+        StateSpace::full(n), static_cast<state_t>(stats.argmax), 0.8));
     std::vector<double> betas = {beta1, beta2};
     std::vector<double> gammas = {gamma1, gamma2};
     std::printf("warm start (80%% best): <C> = %.5f\n",

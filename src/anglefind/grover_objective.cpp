@@ -1,15 +1,14 @@
 #include "anglefind/grover_objective.hpp"
 
-#include <chrono>
+#include <memory>
+#include <sstream>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fastqaoa {
 
-GroverObjective::GroverObjective(GroverQaoa& engine, Direction direction)
-    : engine_(&engine), direction_(direction) {}
+GroverObjective::GroverObjective(GroverQaoa engine, Direction direction)
+    : engine_(std::move(engine)), direction_(direction) {}
 
 double GroverObjective::operator()(std::span<const double> packed,
                                    std::span<double> grad) {
@@ -18,13 +17,15 @@ double GroverObjective::operator()(std::span<const double> packed,
   const std::size_t p = packed.size() / 2;
   const double sign = direction_ == Direction::Maximize ? -1.0 : 1.0;
   if (grad.empty()) {
-    return sign * engine_->run(packed.subspan(0, p), packed.subspan(p, p));
+    ++evals_;
+    return sign * engine_.run(packed.subspan(0, p), packed.subspan(p, p));
   }
   FASTQAOA_CHECK(grad.size() == packed.size(),
                  "GroverObjective: gradient span size mismatch");
+  evals_ += 2;
   grad_betas_.resize(p);
   grad_gammas_.resize(p);
-  const double value = engine_->value_and_gradient(
+  const double value = engine_.value_and_gradient(
       packed.subspan(0, p), packed.subspan(p, p), grad_betas_, grad_gammas_);
   for (std::size_t i = 0; i < p; ++i) {
     grad[i] = sign * grad_betas_[i];
@@ -33,60 +34,25 @@ double GroverObjective::operator()(std::span<const double> packed,
   return sign * value;
 }
 
-GradObjective GroverObjective::as_grad_objective() {
-  return [this](std::span<const double> x, std::span<double> g) {
-    return (*this)(x, g);
+ObjectiveFactory GroverAngleEngine::at_depth(
+    int /*p*/, const FindAnglesOptions& options) const {
+  GroverQaoa prototype = qaoa_;
+  if (options.phase_values) {
+    prototype.set_phase_values(std::vector<double>(
+        options.phase_values->begin(), options.phase_values->end()));
+  }
+  return [prototype = std::make_shared<const GroverQaoa>(std::move(prototype)),
+          direction = options.direction] {
+    return std::make_unique<GroverObjective>(*prototype, direction);
   };
 }
 
-std::vector<AngleSchedule> find_angles_compressed(
-    GroverQaoa& engine, int max_rounds, const FindAnglesOptions& options) {
-  FASTQAOA_CHECK(max_rounds >= 1, "find_angles_compressed: need rounds >= 1");
-  Rng rng(options.seed);
-  GroverObjective objective(engine, options.direction);
-  GradObjective fn = objective.as_grad_objective();
-
-  // The compressed engine has no EvalWorkspace; record through a local sink
-  // bound for the whole (serial) search and merged once at the end.
-  obs::MetricsSink sink;
-  FASTQAOA_OBS_SCOPE(sink);
-
-  std::vector<AngleSchedule> schedules;
-  for (int p = 1; p <= max_rounds; ++p) {
-    FASTQAOA_TRACE_SPAN("find_angles_compressed_round");
-    const auto round_start = std::chrono::steady_clock::now();
-    std::vector<double> x0;
-    if (schedules.empty()) {
-      x0 = {rng.uniform(0.0, 2.0 * kPi), rng.uniform(0.0, 2.0 * kPi)};
-    } else {
-      const AngleSchedule& prev = schedules.back();
-      const auto betas = interp_extrapolate(prev.betas);
-      const auto gammas = interp_extrapolate(prev.gammas);
-      x0.insert(x0.end(), betas.begin(), betas.end());
-      x0.insert(x0.end(), gammas.begin(), gammas.end());
-    }
-    OptResult res = basinhopping(fn, x0, rng, options.hopping);
-    AngleSchedule s;
-    s.p = p;
-    s.betas.assign(res.x.begin(), res.x.begin() + p);
-    s.gammas.assign(res.x.begin() + p, res.x.end());
-    s.expectation = objective.to_expectation(res.f);
-    s.optimizer_calls = res.evaluations;
-    s.evaluations = res.evaluations;  // every callback is one compressed eval
-    schedules.push_back(std::move(s));
-    if (!options.checkpoint_file.empty()) {
-      save_checkpoint(options.checkpoint_file, schedules);
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      round_start)
-            .count();
-    FASTQAOA_OBS_COUNT("anglefind.rounds", 1);
-    FASTQAOA_OBS_TIME("anglefind.round", seconds);
-    if (options.on_round) options.on_round(schedules.back(), seconds);
-  }
-  FASTQAOA_OBS_MERGE_GLOBAL(sink);
-  return schedules;
+std::string GroverAngleEngine::tag() const {
+  std::ostringstream out;
+  out.precision(17);
+  out << "grover:N=" << qaoa_.total_states()
+      << " classes=" << qaoa_.num_classes();
+  return out.str();
 }
 
 }  // namespace fastqaoa

@@ -16,9 +16,6 @@ namespace fastqaoa {
 using GradObjective =
     std::function<double(std::span<const double>, std::span<double>)>;
 
-/// Gradient-free objective.
-using PlainObjective = std::function<double(std::span<const double>)>;
-
 /// Batched gradient-free objective: `points` holds out.size() lane-major
 /// packed angle vectors (lane l at points[l*width ..)), out[l] receives
 /// f(lane l). Contract: per-lane values are bit-identical to the plain
@@ -44,9 +41,5 @@ struct OptResult {
     return stop_reason != runtime::StopReason::None;
   }
 };
-
-/// Wrap a gradient-free objective as a GradObjective that refuses gradient
-/// requests (for optimizers that never ask, like Nelder–Mead).
-GradObjective no_gradient(PlainObjective fn);
 
 }  // namespace fastqaoa

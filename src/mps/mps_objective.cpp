@@ -2,10 +2,11 @@
 
 #include <memory>
 #include <span>
+#include <sstream>
 #include <vector>
 
+#include "anglefind/strategies.hpp"
 #include "common/error.hpp"
-#include "mps/mps_strategies.hpp"
 
 namespace fastqaoa::mps {
 
@@ -61,6 +62,15 @@ class MpsObjective final : public AngleObjective {
 };
 
 }  // namespace
+
+std::string fingerprint_tag(const MpsPlan& plan) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "mps:tf chi=" << plan.options().max_bond
+      << " tol=" << plan.options().trunc_tol
+      << " budget=" << plan.options().fidelity_budget;
+  return out.str();
+}
 
 ObjectiveFactory MpsAngleEngine::at_depth(
     int /*p*/, const FindAnglesOptions& options) const {

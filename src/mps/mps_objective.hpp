@@ -13,7 +13,17 @@
 
 namespace fastqaoa::mps {
 
-/// One MpsPlan serves every depth; checkpoints are tagged with dim = n and
+/// Engine-tagged checkpoint mixer string: "mps:tf chi=<max_bond>
+/// tol=<trunc_tol> budget=<fidelity_budget>". Encodes every knob that
+/// changes results, so resuming with different truncation settings is
+/// refused loudly.
+std::string fingerprint_tag(const MpsPlan& plan);
+
+/// The MPS engine for every driver in anglefind/strategies.hpp, e.g.
+/// find_angles(MpsAngleEngine(plan), ...). options.gradient is ignored
+/// (always central differences), and so is options.eval_batch: hops score
+/// one proposal and the grid sweeps point by point. One MpsPlan serves
+/// every depth; checkpoints are tagged with dim = n and
 /// fingerprint_tag(plan). Holds a reference; the plan must outlive it.
 class MpsAngleEngine final : public AngleEngine {
  public:

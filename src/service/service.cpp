@@ -4,11 +4,12 @@
 #include <cmath>
 #include <utility>
 
+#include "anglefind/strategies.hpp"
 #include "autodiff/adjoint.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "mps/mps_strategies.hpp"
+#include "mps/mps_objective.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sampling/sampler.hpp"

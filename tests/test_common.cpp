@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
-#include "common/version.hpp"
 
 namespace fastqaoa {
 namespace {
@@ -136,8 +135,6 @@ TEST(Error, CheckThrowsWithContext) {
 TEST(Error, CheckPassesSilently) {
   EXPECT_NO_THROW(FASTQAOA_CHECK(true, "never seen"));
 }
-
-TEST(Version, NonEmpty) { EXPECT_STRNE(version(), ""); }
 
 }  // namespace
 }  // namespace fastqaoa

@@ -26,7 +26,7 @@
 #include "common/rng.hpp"
 #include "common/threading.hpp"
 #include "mixers/x_mixer.hpp"
-#include "mps/mps_strategies.hpp"
+#include "mps/mps_objective.hpp"
 #include "obs/metrics.hpp"
 #include "problems/cost_functions.hpp"
 #include "runtime/checkpoint.hpp"
@@ -145,7 +145,7 @@ TEST(FaultInjection, PoisonedMpsChainIsQuarantinedAndBestStaysFinite) {
   const std::uint64_t before = quarantined();
 #endif
   fault::arm("anglefind.chain_nan", /*index=*/3);
-  AngleSchedule injected = mps::find_angles_at_mps(plan, 2, x0, opt);
+  AngleSchedule injected = find_angles_at(mps::MpsAngleEngine(plan), 2, x0, opt);
   EXPECT_EQ(fault::fired_count("anglefind.chain_nan"), 1);
   EXPECT_TRUE(std::isfinite(injected.expectation));
   EXPECT_FALSE(injected.betas.empty());

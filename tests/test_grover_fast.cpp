@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <string>
 
 #include "anglefind/grover_objective.hpp"
 #include "autodiff/adjoint.hpp"
 #include "common/rng.hpp"
+#include "common/threading.hpp"
 #include "core/grover_fast.hpp"
 #include "core/qaoa.hpp"
 #include "mixers/grover_mixer.hpp"
@@ -217,7 +223,7 @@ TEST(GroverFast, CompressedAngleFindingBeyondStatevectorScale) {
   FindAnglesOptions opt;
   opt.hopping.hops = 6;
   opt.seed = 7;
-  auto schedules = find_angles_compressed(engine, 3, opt);
+  auto schedules = find_angles(GroverAngleEngine(engine), 3, opt);
   ASSERT_EQ(schedules.size(), 3u);
   const double theta = std::asin(std::sqrt(4096.0 / num_states));
   for (const AngleSchedule& s : schedules) {
@@ -244,6 +250,122 @@ TEST(GroverFast, CompressedObjectiveGradientsFeedBfgs) {
       bfgs_minimize(objective.as_grad_objective(), {0.5, 0.5, 0.8, 0.8});
   // BFGS with compressed gradients improves on the uniform-state mean.
   EXPECT_GT(objective.to_expectation(res.f), objective_stats(table).mean);
+}
+
+// ---------------------------------------------------------------------------
+// The shared angle-finding drivers on the compressed engine
+
+/// Checkpoint path private to this process (gtest_discover_tests runs every
+/// TEST in its own process, possibly concurrently).
+std::string checkpoint_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("fastqaoa_grover_" + std::to_string(::getpid()) + "_" + name))
+      .string();
+}
+
+void expect_bitwise_equal(const AngleSchedule& a, const AngleSchedule& b) {
+  EXPECT_EQ(std::memcmp(&a.expectation, &b.expectation, sizeof(double)), 0);
+  EXPECT_EQ(a.betas, b.betas);
+  EXPECT_EQ(a.gammas, b.gammas);
+  EXPECT_EQ(a.optimizer_calls, b.optimizer_calls);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.stop_reason, b.stop_reason);
+}
+
+/// A 7-qubit MaxCut table: a handful of cut-value classes, small enough for
+/// the exact engine too.
+dvec grover_test_table() {
+  Rng rng(61);
+  Graph g = erdos_renyi(7, 0.5, rng);
+  return tabulate(StateSpace::full(7),
+                  [&g](state_t x) { return maxcut(g, x); });
+}
+
+FindAnglesOptions short_search() {
+  FindAnglesOptions options;
+  options.hopping.hops = 2;
+  options.hopping.local.max_iterations = 20;
+  options.seed = 23;
+  return options;
+}
+
+TEST(GroverDrivers, CheckpointResumeIsBitIdentical) {
+  const GroverQaoa qaoa(degeneracy_table(grover_test_table()));
+  FindAnglesOptions options = short_search();
+  const auto uninterrupted = find_angles(GroverAngleEngine(qaoa), 3, options);
+
+  // A run that stops after round 2 leaves a checkpoint the next run resumes.
+  options.checkpoint_file = checkpoint_path("resume.txt");
+  std::filesystem::remove(options.checkpoint_file);
+  ASSERT_EQ(find_angles(GroverAngleEngine(qaoa), 2, options).size(), 2u);
+  const auto resumed = find_angles(GroverAngleEngine(qaoa), 3, options);
+  std::filesystem::remove(options.checkpoint_file);
+
+  ASSERT_EQ(resumed.size(), uninterrupted.size());
+  for (std::size_t r = 0; r < resumed.size(); ++r) {
+    expect_bitwise_equal(resumed[r], uninterrupted[r]);
+  }
+}
+
+TEST(GroverDrivers, RefusesExactEngineCheckpoint) {
+  const dvec table = grover_test_table();
+  const GroverQaoa qaoa(degeneracy_table(table));
+  const GroverMixer mixer(table.size());
+  FindAnglesOptions options = short_search();
+  options.checkpoint_file = checkpoint_path("exact.txt");
+  std::filesystem::remove(options.checkpoint_file);
+  find_angles(mixer, table, 1, options);
+  EXPECT_THROW(find_angles(GroverAngleEngine(qaoa), 2, options), Error);
+  std::filesystem::remove(options.checkpoint_file);
+}
+
+TEST(GroverDrivers, ParallelStartsInvariantToThreadCount) {
+  const GroverQaoa qaoa(degeneracy_table(grover_test_table()));
+  FindAnglesOptions options = short_search();
+  options.parallel_starts = 4;
+  set_num_threads(1);
+  const auto serial = find_angles(GroverAngleEngine(qaoa), 3, options);
+  set_num_threads(4);
+  const auto parallel = find_angles(GroverAngleEngine(qaoa), 3, options);
+  set_num_threads(1);
+  ASSERT_EQ(serial.size(), 3u);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t r = 0; r < serial.size(); ++r) {
+    expect_bitwise_equal(serial[r], parallel[r]);
+  }
+}
+
+TEST(GroverDrivers, ExpiredDeadlineReturnsFlaggedRoundOne) {
+  const GroverQaoa qaoa(degeneracy_table(grover_test_table()));
+  FindAnglesOptions options = short_search();
+  options.budget.wall_seconds = 1e-6;  // expired before the first iteration
+  const auto schedules = find_angles(GroverAngleEngine(qaoa), 3, options);
+  ASSERT_EQ(schedules.size(), 1u);  // round 1 always produces an answer
+  EXPECT_EQ(schedules[0].stop_reason, runtime::StopReason::Deadline);
+  EXPECT_TRUE(std::isfinite(schedules[0].expectation));
+  ASSERT_EQ(schedules[0].betas.size(), 1u);
+}
+
+TEST(GroverDrivers, PhaseValuesOptionReplacesEngineTable) {
+  // options.phase_values carries one phase value per class, exactly like
+  // GroverQaoa::set_phase_values.
+  const GroverQaoa qaoa = grover_search_qaoa(1024.0, 8.0);
+  const std::vector<double> packed = {0.7, 1.9};
+  FindAnglesOptions options;
+  options.phase_values = dvec{0.0, 2.5};
+  GroverQaoa direct = qaoa;
+  direct.set_phase_values({0.0, 2.5});
+  EXPECT_EQ(evaluate_angles(GroverAngleEngine(qaoa), packed, options),
+            direct.run_packed(packed));
+  EXPECT_NE(evaluate_angles(GroverAngleEngine(qaoa), packed),
+            direct.run_packed(packed));
+}
+
+TEST(GroverDrivers, TagEncodesStateAndClassCounts) {
+  const GroverQaoa qaoa = grover_search_qaoa(1024.0, 8.0);
+  const GroverAngleEngine engine(qaoa);
+  EXPECT_EQ(engine.dim(), 2u);
+  EXPECT_EQ(engine.tag(), "grover:N=1024 classes=2");
 }
 
 TEST(GroverFast, Validation) {

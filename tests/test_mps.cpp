@@ -16,15 +16,16 @@
 #include <thread>
 #include <vector>
 
+#include "anglefind/strategies.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/threading.hpp"
 #include "core/plan.hpp"
 #include "mixers/x_mixer.hpp"
 #include "mps/hamiltonian.hpp"
+#include "mps/mps_objective.hpp"
 #include "mps/mps_plan.hpp"
 #include "mps/mps_state.hpp"
-#include "mps/mps_strategies.hpp"
 #include "problems/cost_functions.hpp"
 #include "problems/state_space.hpp"
 #include "runtime/budget.hpp"
@@ -378,9 +379,9 @@ TEST(MpsDeterminism, FindAnglesInvariantToThreadCount) {
   options.seed = 99;
 
   set_num_threads(1);
-  const auto serial = find_angles_mps(plan, 2, options);
+  const auto serial = find_angles(MpsAngleEngine(plan), 2, options);
   set_num_threads(4);
-  const auto parallel = find_angles_mps(plan, 2, options);
+  const auto parallel = find_angles(MpsAngleEngine(plan), 2, options);
   set_num_threads(1);
 
   ASSERT_EQ(serial.size(), parallel.size());
@@ -405,9 +406,9 @@ TEST(MpsDeterminism, GridSweepInvariantToThreadCount) {
   FindAnglesOptions options;
   options.seed = 7;
   set_num_threads(1);
-  const auto serial = find_angles_grid_mps(plan, 1, 5, options, false);
+  const auto serial = find_angles_grid(MpsAngleEngine(plan), 1, 5, options, false);
   set_num_threads(4);
-  const auto parallel = find_angles_grid_mps(plan, 1, 5, options, false);
+  const auto parallel = find_angles_grid(MpsAngleEngine(plan), 1, 5, options, false);
   set_num_threads(1);
   EXPECT_EQ(std::memcmp(&serial.expectation, &parallel.expectation,
                         sizeof(double)),
@@ -459,10 +460,10 @@ TEST(MpsRuntime, FindAnglesAtMatchesDirectEvaluation) {
   options.hopping.hops = 1;
   options.hopping.local.max_iterations = 10;
   const auto schedule =
-      find_angles_at_mps(plan, 1, {0.3, 0.8}, options);
+      find_angles_at(MpsAngleEngine(plan), 1, {0.3, 0.8}, options);
   ASSERT_EQ(schedule.p, 1);
   const double direct =
-      evaluate_angles_mps(plan, schedule.packed());
+      evaluate_angles(MpsAngleEngine(plan), schedule.packed());
   EXPECT_NEAR(schedule.expectation, direct, 1e-10);
 }
 
@@ -496,12 +497,12 @@ FindAnglesOptions short_search() {
 TEST(MpsDrivers, CheckpointResumeIsBitIdentical) {
   MpsPlan plan(maxcut_hamiltonian(ring_graph(6)), {.max_bond = 4});
   FindAnglesOptions options = short_search();
-  const auto uninterrupted = find_angles_mps(plan, 3, options);
+  const auto uninterrupted = find_angles(MpsAngleEngine(plan), 3, options);
 
   options.checkpoint_file = checkpoint_path("resume.txt");
   std::filesystem::remove(options.checkpoint_file);
-  ASSERT_EQ(find_angles_mps(plan, 2, options).size(), 2u);
-  const auto resumed = find_angles_mps(plan, 3, options);
+  ASSERT_EQ(find_angles(MpsAngleEngine(plan), 2, options).size(), 2u);
+  const auto resumed = find_angles(MpsAngleEngine(plan), 3, options);
   std::filesystem::remove(options.checkpoint_file);
 
   ASSERT_EQ(resumed.size(), uninterrupted.size());
@@ -519,14 +520,14 @@ TEST(MpsDrivers, CheckpointsNeverResumeAcrossEngines) {
 
   options.checkpoint_file = checkpoint_path("mps.txt");
   std::filesystem::remove(options.checkpoint_file);
-  find_angles_mps(plan, 1, options);
+  find_angles(MpsAngleEngine(plan), 1, options);
   EXPECT_THROW(find_angles(mixer, table, 2, options), Error);
   std::filesystem::remove(options.checkpoint_file);
 
   options.checkpoint_file = checkpoint_path("exact.txt");
   std::filesystem::remove(options.checkpoint_file);
   find_angles(mixer, table, 1, options);
-  EXPECT_THROW(find_angles_mps(plan, 2, options), Error);
+  EXPECT_THROW(find_angles(MpsAngleEngine(plan), 2, options), Error);
   std::filesystem::remove(options.checkpoint_file);
 }
 

@@ -1,5 +1,5 @@
-// Unit tests for the classical optimizers: BFGS (strong Wolfe), Nelder–Mead
-// and basinhopping, on standard test functions.
+// Unit tests for the classical optimizers: BFGS (strong Wolfe) and
+// basinhopping, on standard test functions.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "anglefind/basinhopping.hpp"
 #include "anglefind/bfgs.hpp"
-#include "anglefind/nelder_mead.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -102,48 +101,6 @@ TEST(Bfgs, CountsEvaluations) {
   OptResult res = bfgs_minimize(rosenbrock, {-1.2, 1.0});
   EXPECT_GT(res.evaluations, 10u);
   EXPECT_LT(res.evaluations, 1000u);
-}
-
-TEST(NelderMead, SolvesQuadratic) {
-  auto plain = [](std::span<const double> x) {
-    double f = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double d = x[i] - static_cast<double>(i);
-      f += d * d;
-    }
-    return f;
-  };
-  OptResult res = nelder_mead_minimize(plain, {3.0, -2.0});
-  EXPECT_NEAR(res.f, 0.0, 1e-8);
-  EXPECT_NEAR(res.x[0], 0.0, 1e-4);
-  EXPECT_NEAR(res.x[1], 1.0, 1e-4);
-}
-
-TEST(NelderMead, SolvesRosenbrockSlowly) {
-  auto plain = [](std::span<const double> x) {
-    const double a = 1.0 - x[0];
-    const double b = x[1] - x[0] * x[0];
-    return a * a + 100.0 * b * b;
-  };
-  NelderMeadOptions opt;
-  opt.max_iterations = 5000;
-  OptResult res = nelder_mead_minimize(plain, {-1.2, 1.0}, opt);
-  EXPECT_NEAR(res.f, 0.0, 1e-6);
-}
-
-TEST(NelderMead, EmptyStartThrows) {
-  auto plain = [](std::span<const double>) { return 0.0; };
-  EXPECT_THROW(nelder_mead_minimize(plain, {}), Error);
-}
-
-TEST(NoGradient, WrapperRefusesGradientRequests) {
-  GradObjective fn = no_gradient([](std::span<const double> x) {
-    return x[0] * x[0];
-  });
-  std::vector<double> x = {2.0};
-  EXPECT_DOUBLE_EQ(fn(x, {}), 4.0);
-  std::vector<double> g(1);
-  EXPECT_THROW(fn(x, g), Error);
 }
 
 TEST(BasinHopping, EscapesLocalMinimaOfRastrigin) {

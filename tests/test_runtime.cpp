@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "anglefind/bfgs.hpp"
-#include "anglefind/nelder_mead.hpp"
 #include "anglefind/strategies.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -311,18 +310,6 @@ TEST(NonFinite, BfgsReportsFullyPoisonedObjective) {
   OptResult res = bfgs_minimize(fn, {0.5}, {});
   EXPECT_EQ(res.stop_reason, runtime::StopReason::NonFinite);
   EXPECT_FALSE(res.converged);
-}
-
-TEST(NonFinite, NelderMeadContractsAwayFromNaN) {
-  PlainObjective fn = [](std::span<const double> x) {
-    if (x[0] < -0.25) return std::numeric_limits<double>::quiet_NaN();
-    return (x[0] - 1.0) * (x[0] - 1.0);
-  };
-  // Start right next to the NaN wall so early reflections probe it: the
-  // clamp-to-worst guard must contract the simplex back to finite ground.
-  OptResult res = nelder_mead_minimize(fn, {-0.2}, {});
-  EXPECT_TRUE(std::isfinite(res.f));
-  EXPECT_NEAR(res.x[0], 1.0, 1e-3);
 }
 
 // --- checkpoint persistence --------------------------------------------

@@ -73,7 +73,7 @@
 #include "mixers/eigen_mixer.hpp"
 #include "mixers/grover_mixer.hpp"
 #include "mixers/x_mixer.hpp"
-#include "mps/mps_strategies.hpp"
+#include "mps/mps_objective.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "problems/cost_functions.hpp"
