@@ -8,10 +8,7 @@
 //   3. the headline: the fused round on the best available backend vs the
 //      full seed-era evaluate round (libm sincos phase sweep, per-stage
 //      WHT, separate scale and reduction passes),
-//   4. batched multi-angle evaluation: evaluate_batch() carrying B
-//      statevectors through the fused rounds together vs B sequential
-//      evaluate() calls on the same plan, B in {1, 2, 4, 8, 16, 32},
-//   5. the quantized phase route on single-state sweeps: linalg::phase_wht
+//   4. the quantized phase route on single-state sweeps: linalg::phase_wht
 //      with vs without the table's DiagDict, per backend (one sincos per
 //      distinct cost value vs one per element). A speedup near 1.0 on a
 //      fast-sincos backend means the route silently stopped engaging.
@@ -19,22 +16,19 @@
 // Sweeps run per backend via kernels::select(); the seed references are
 // compiled locally in this TU with the build's default flags so they stay
 // an honest baseline. Results land in bench/baselines/kernel_backends.json
-// through the shared --json flag; the batch sweep additionally lands in
-// its own artifact (bench/baselines/batch_eval.json) via --batch-json.
+// through the shared --json flag.
 //
-// The batch sweep times each rep as an interleaved sequential/batched pair
-// and reports the median of the per-rep ratios — back-to-back A/B pairs
-// under one machine state are the only timing comparison that survives the
-// clock drift of shared runners.
+// The phase-route sweep times each rep as an interleaved pair and reports
+// the median of the per-rep ratios — back-to-back A/B pairs under one
+// machine state are the only timing comparison that survives the clock
+// drift of shared runners.
 //
 // Usage: ablation_kernels [--full] [--reps=N] [--json=path]
-//                         [--batch-json=path]
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -43,12 +37,10 @@
 #include "common/threading.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
-#include "core/plan.hpp"
 #include "graphs/graph.hpp"
 #include "linalg/diag_dict.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/wht.hpp"
-#include "mixers/x_mixer.hpp"
 #include "problems/cost_functions.hpp"
 
 namespace {
@@ -258,116 +250,10 @@ int main(int argc, char** argv) {
     report.field("speedup", speedup);
   }
 
-  // -- 4. batched evaluate_batch vs sequential evaluate, per backend ---------
-  // Whole-plan measurement (phase round + mixer round + fused expectation)
-  // on a MaxCut plan whose integer-valued diagonals engage the quantized
-  // phase route, i.e. the shape anglefind and the service actually run.
-  // Each rep interleaves B sequential evaluate() calls with one
-  // evaluate_batch() of the same B angle sets; the reported speedup is the
-  // median of the per-rep ratios. Lane expectations are compared bitwise
-  // every rep — a row with bit_identical=0 is a bug, not a measurement.
-  {
-    const int nb = 20;
-    const std::vector<int> widths = {1, 2, 4, 8, 16, 32};
-    benchutil::JsonReport batch_report(
-        "batch_eval",
-        benchutil::string_option(argc, argv, "--batch-json", ""));
-    batch_report.meta("n", static_cast<long long>(nb));
-    batch_report.meta("p", 1LL);
-    batch_report.meta("threads", static_cast<long long>(num_threads()));
-    batch_report.meta("reps", static_cast<long long>(reps));
-
-    Rng graph_rng(23);
-    const Graph graph = erdos_renyi(nb, 0.3, graph_rng);
-    const dvec cost = tabulate(StateSpace::full(nb), [&graph](state_t x) {
-      return maxcut(graph, x);
-    });
-    const XMixer mixer = XMixer::transverse_field(nb);
-    const QaoaPlan plan(mixer, cost, 1);
-
-    std::printf("\n[batch] evaluate_batch vs B sequential evaluate "
-                "(maxcut n=%d, p=1)\n", nb);
-    std::printf("%-8s %4s %14s %14s %12s %9s\n", "backend", "B",
-                "seq_s_per_ev", "bat_s_per_ev", "evals_per_s", "speedup");
-    double best_speedup_b16 = 0.0;
-    std::string best_backend_b16;
-    for (const auto& name : backends) {
-      if (!kn::select(name)) continue;
-      for (const int lanes : widths) {
-        std::vector<double> betas(static_cast<std::size_t>(lanes));
-        std::vector<double> gammas(static_cast<std::size_t>(lanes));
-        for (int l = 0; l < lanes; ++l) {
-          betas[static_cast<std::size_t>(l)] = 0.7 - 0.01 * l;
-          gammas[static_cast<std::size_t>(l)] = 0.3 + 0.01 * l;
-        }
-        EvalWorkspace ws_seq;
-        EvalWorkspace ws_bat;
-        std::vector<double> e_seq(static_cast<std::size_t>(lanes));
-        std::vector<double> e_bat(static_cast<std::size_t>(lanes));
-        std::vector<double> t_seq;
-        std::vector<double> t_bat;
-        std::vector<double> ratio;
-        bool bit_identical = true;
-        for (int rep = 0; rep <= reps; ++rep) {  // rep 0 = warmup
-          WallTimer seq_timer;
-          for (int l = 0; l < lanes; ++l) {
-            e_seq[static_cast<std::size_t>(l)] = evaluate(
-                plan, ws_seq,
-                std::span<const double>(&betas[static_cast<std::size_t>(l)], 1),
-                std::span<const double>(&gammas[static_cast<std::size_t>(l)],
-                                        1));
-          }
-          const double seq_s = seq_timer.seconds();
-          WallTimer bat_timer;
-          evaluate_batch(plan, ws_bat, betas, gammas, e_bat);
-          const double bat_s = bat_timer.seconds();
-          if (std::memcmp(e_seq.data(), e_bat.data(),
-                          e_seq.size() * sizeof(double)) != 0) {
-            bit_identical = false;
-          }
-          g_sink += e_bat[0];
-          if (rep == 0) continue;
-          t_seq.push_back(seq_s);
-          t_bat.push_back(bat_s);
-          ratio.push_back(seq_s / bat_s);
-        }
-        std::sort(t_seq.begin(), t_seq.end());
-        std::sort(t_bat.begin(), t_bat.end());
-        std::sort(ratio.begin(), ratio.end());
-        const double seq_per_ev = t_seq[t_seq.size() / 2] / lanes;
-        const double bat_per_ev = t_bat[t_bat.size() / 2] / lanes;
-        const double speedup = ratio[ratio.size() / 2];
-        if (lanes == 16 && speedup > best_speedup_b16) {
-          best_speedup_b16 = speedup;
-          best_backend_b16 = name;
-        }
-        std::printf("%-8s %4d %14.6f %14.6f %12.1f %8.2fx%s\n", name.c_str(),
-                    lanes, seq_per_ev, bat_per_ev, 1.0 / bat_per_ev, speedup,
-                    bit_identical ? "" : "  BITDIFF");
-        batch_report.row();
-        batch_report.field("backend", name);
-        batch_report.field("lanes", static_cast<long long>(lanes));
-        batch_report.field("seq_s_per_eval", seq_per_ev);
-        batch_report.field("batch_s_per_eval", bat_per_ev);
-        batch_report.field("evals_per_sec", 1.0 / bat_per_ev);
-        batch_report.field("speedup", speedup);
-        batch_report.field("bit_identical",
-                           static_cast<long long>(bit_identical ? 1 : 0));
-      }
-    }
-    std::printf("acceptance: evaluate_batch vs sequential (n=%d, B=16): "
-                "%.2fx on %s\n", nb, best_speedup_b16,
-                best_backend_b16.c_str());
-    batch_report.meta("best_vs_seq_speedup_n20_b16", best_speedup_b16);
-    batch_report.meta("best_backend_b16", best_backend_b16);
-    batch_report.write();
-    report.meta("batch_best_vs_seq_speedup_n20_b16", best_speedup_b16);
-  }
-
-  // -- 5. quantized phase route on single-state sweeps, per backend --------
+  // -- 4. quantized phase route on single-state sweeps, per backend --------
   // The orthonormal scale keeps repeated in-place calls norm-preserving.
   // Each rep times an interleaved pair (kRouteCalls calls per side); the
-  // speedup is the median of the per-rep ratios, as in section 4. The gated
+  // speedup is the median of the per-rep ratios. The gated
   // field is the best backend's; the scalar backend keeps the per-element
   // sweep for single states, so its row reads ~1.0 by design.
   std::printf("\n[phase_route] single-state phase_wht: DiagDict lookup vs "

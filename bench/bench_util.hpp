@@ -116,12 +116,6 @@ class JsonReport {
       : tool_(std::move(tool)),
         path_(string_option(argc, argv, "--json", "")) {}
 
-  /// Explicit-path report, for harnesses that emit more than one artifact
-  /// (e.g. ablation_kernels' --batch-json sweep next to the main --json).
-  /// An empty path disables it, same as omitting the flag.
-  JsonReport(std::string tool, std::string path)
-      : tool_(std::move(tool)), path_(std::move(path)) {}
-
   [[nodiscard]] bool enabled() const { return !path_.empty(); }
 
   void meta(const std::string& key, const std::string& value) {

@@ -38,9 +38,9 @@ class AngleObjective {
   virtual double operator()(std::span<const double> packed,
                             std::span<double> grad) = 0;
 
-  /// Batched values (the BatchObjective contract), or nullptr for an engine
-  /// without batched kernels: hops then score one proposal and the grid
-  /// sweeps point by point.
+  /// Batched values (the BatchObjective contract) for scoring hop
+  /// proposals, or nullptr for an engine without a batch hook: hops then
+  /// score one proposal.
   virtual const BatchObjective* batch() { return nullptr; }
 
   /// Underlying engine evaluations so far.
@@ -67,8 +67,8 @@ class AngleEngine {
   virtual ~AngleEngine() = default;
 
   /// The depth-p setup that every chain of a round shares read-only.
-  /// `options` supplies the direction, gradient provider, batch width and
-  /// the live budget (options.hopping.local.budget).
+  /// `options` supplies the direction, gradient provider and the live
+  /// budget (options.hopping.local.budget).
   [[nodiscard]] virtual ObjectiveFactory at_depth(
       int p, const FindAnglesOptions& options) const = 0;
 

@@ -25,8 +25,8 @@ struct BasinHoppingOptions {
   /// most promising one — the batch analogue of the hop. Needs a
   /// BatchObjective passed to basinhopping(); silently behaves as 1
   /// otherwise. Results depend on P (more exploration per hop) but, for a
-  /// fixed P, are thread-count and kernel-batch-size invariant: the draws
-  /// are serial and batched values are bit-identical to sequential ones.
+  /// fixed P, are thread-count invariant: the draws are serial and batched
+  /// values are bit-identical to sequential ones.
   int proposals = 1;
   BfgsOptions local;             ///< local minimizer settings
 };

@@ -51,8 +51,8 @@ class GroverObjective final : public AngleObjective {
 /// qaoa), ...) and the other drivers. Checkpoints carry dim = num_classes()
 /// and a tag with the total state count and the class count.
 /// options.phase_values, when set, holds one phase value per class (it
-/// replaces the engine's own); options.gradient and options.eval_batch are
-/// ignored (always the compressed adjoint, no batch hook). Holds a
+/// replaces the engine's own); options.gradient is ignored (always the
+/// compressed adjoint), and hops score one proposal (no batch hook). Holds a
 /// reference; the GroverQaoa must outlive the engine.
 class GroverAngleEngine final : public AngleEngine {
  public:

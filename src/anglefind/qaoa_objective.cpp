@@ -5,19 +5,13 @@
 namespace fastqaoa {
 
 QaoaObjective::QaoaObjective(const QaoaPlan& plan, EvalWorkspace& ws,
-                             Direction direction, GradientProvider provider,
-                             int eval_batch)
+                             Direction direction, GradientProvider provider)
     : plan_(&plan),
       ws_(&ws),
       direction_(direction),
       provider_(provider),
       central_(plan, ws, FdScheme::Central),
-      forward_(plan, ws, FdScheme::Forward),
-      eval_batch_(eval_batch) {
-  FASTQAOA_CHECK(eval_batch >= 1, "QaoaObjective: need eval_batch >= 1");
-  central_.set_eval_batch(eval_batch);
-  forward_.set_eval_batch(eval_batch);
-}
+      forward_(plan, ws, FdScheme::Forward) {}
 
 QaoaObjective::QaoaObjective(Qaoa& engine, Direction direction,
                              GradientProvider provider)

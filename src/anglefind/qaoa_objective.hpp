@@ -30,13 +30,9 @@ enum class GradientProvider {
 /// thread's QaoaObjective just needs its own EvalWorkspace.
 class QaoaObjective {
  public:
-  /// `eval_batch` > 1 routes finite-difference gradients and value_batch()
-  /// through evaluate_batch with that many lanes per kernel call; values
-  /// stay bit-identical to the sequential path, only throughput changes.
   QaoaObjective(const QaoaPlan& plan, EvalWorkspace& ws,
                 Direction direction = Direction::Maximize,
-                GradientProvider provider = GradientProvider::Adjoint,
-                int eval_batch = 1);
+                GradientProvider provider = GradientProvider::Adjoint);
 
   /// Convenience: bind to a Qaoa engine's plan + workspace.
   explicit QaoaObjective(Qaoa& engine,
@@ -68,7 +64,6 @@ class QaoaObjective {
   GradientProvider provider_;
   FiniteDiffDifferentiator central_;
   FiniteDiffDifferentiator forward_;
-  int eval_batch_ = 1;
   std::size_t evals_ = 0;
 };
 

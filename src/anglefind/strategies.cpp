@@ -71,9 +71,9 @@ namespace {
 class ExactObjective final : public AngleObjective {
  public:
   ExactObjective(std::shared_ptr<const QaoaPlan> plan, Direction direction,
-                 GradientProvider gradient, int eval_batch)
+                 GradientProvider gradient)
       : plan_(std::move(plan)),
-        objective_(*plan_, ws_, direction, gradient, eval_batch),
+        objective_(*plan_, ws_, direction, gradient),
         batch_([this](std::span<const double> points, std::span<double> out) {
           objective_.value_batch(points, out);
         }) {}
@@ -325,9 +325,8 @@ ObjectiveFactory ExactAngleEngine::at_depth(
   if (options.phase_values) plan_options.phase_values = *options.phase_values;
   auto plan = std::make_shared<const QaoaPlan>(mixer_, obj_vals_, p,
                                                std::move(plan_options));
-  return [plan, direction = options.direction, gradient = options.gradient,
-          batch = std::max(1, options.eval_batch)] {
-    return std::make_unique<ExactObjective>(plan, direction, gradient, batch);
+  return [plan, direction = options.direction, gradient = options.gradient] {
+    return std::make_unique<ExactObjective>(plan, direction, gradient);
   };
 }
 
@@ -541,50 +540,6 @@ AngleSchedule find_angles_grid(const AngleEngine& engine, int p,
   long long best_index = -1;
   std::size_t grid_evals = 0;
   std::exception_ptr error;
-  const int batch = std::max(1, options.eval_batch);
-  // An engine without a batch hook sweeps point by point at any width.
-  const std::unique_ptr<AngleObjective> batched =
-      batch > 1 ? make_objective() : nullptr;
-  const BatchObjective* batch_values = batched ? batched->batch() : nullptr;
-  if (batch_values != nullptr) {
-    // Batched sweep: `batch` grid points per batched call through one
-    // objective. Batched values are bit-identical to sequential ones and the
-    // chunks walk the same flat enumeration, so the lexicographic (f, index)
-    // winner is exactly the scalar sweep's at any batch width.
-    FASTQAOA_OBS_SCOPE(batched->metrics());
-    std::vector<double> points(static_cast<std::size_t>(batch) *
-                               static_cast<std::size_t>(dims));
-    std::vector<double> values(static_cast<std::size_t>(batch));
-    for (long long t0 = 0; t0 < total;
-         t0 += static_cast<long long>(batch)) {
-      // Cooperative stop at chunk granularity; the partial winner is
-      // flagged stopped_early below exactly like the scalar sweep.
-      if (tracker->active() &&
-          tracker->check() != runtime::StopReason::None) {
-        break;
-      }
-      const int chunk = static_cast<int>(
-          std::min<long long>(batch, total - t0));
-      for (int j = 0; j < chunk; ++j) {
-        grid_point(t0 + j, points_per_axis, step,
-                   std::span<double>(points).subspan(
-                       static_cast<std::size_t>(j * dims),
-                       static_cast<std::size_t>(dims)));
-      }
-      (*batch_values)(
-          std::span<const double>(points.data(),
-                                  static_cast<std::size_t>(chunk * dims)),
-          std::span<double>(values.data(), static_cast<std::size_t>(chunk)));
-      for (int j = 0; j < chunk; ++j) {
-        if (values[static_cast<std::size_t>(j)] < best_f) {
-          best_f = values[static_cast<std::size_t>(j)];
-          best_index = t0 + j;
-        }
-      }
-    }
-    grid_evals = batched->evaluations();
-    FASTQAOA_OBS_MERGE_GLOBAL(batched->metrics());
-  } else {
 #pragma omp parallel if (total > 1)
   {
     const std::unique_ptr<AngleObjective> objective = make_objective();
@@ -626,7 +581,6 @@ AngleSchedule find_angles_grid(const AngleEngine& engine, int p,
 #pragma omp atomic
     grid_evals += mine;
     FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
-  }
   }
   if (error) std::rethrow_exception(error);
   tracker->add_evaluations(grid_evals);

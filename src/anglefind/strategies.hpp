@@ -90,15 +90,6 @@ struct FindAnglesOptions {
   /// streams, so the best-of-chains result is identical at any thread
   /// count. 1 = the classic single-chain behaviour.
   int parallel_starts = 1;
-  /// Statevector lanes per evaluate_batch kernel call (1 = classic
-  /// single-point evaluation). With B > 1, grid search evaluates B grid
-  /// points per batch, finite-difference gradients batch their whole
-  /// stencil, and basinhopping scores hop proposals in batches (see
-  /// BasinHoppingOptions::proposals). Batched values are bit-identical to
-  /// sequential ones, so every search result is invariant in this knob —
-  /// it is purely a throughput lever (qaoa_cli --batch). Engines without a
-  /// batch hook (MPS) ignore it.
-  int eval_batch = 1;
   /// Called by find_angles() after each freshly optimized round (not for
   /// rounds restored from a checkpoint) with the round's schedule and its
   /// wall-clock seconds — the hook behind qaoa_cli --progress. Runs on the
@@ -164,9 +155,8 @@ inline AngleSchedule find_angles_random(
 
 /// Grid search over [0, 2*pi)^{2p} — the third common strategy the paper
 /// names (§2.3). `points_per_axis` grid points per angle; every grid point
-/// is evaluated (OpenMP-parallel over the grid, one objective per thread,
-/// or options.eval_batch points per batched call when the engine has a
-/// batch hook) and the best is optionally polished with BFGS. Exponential
+/// is evaluated (OpenMP-parallel over the grid, one objective per thread)
+/// and the best is optionally polished with BFGS. Exponential
 /// in p — practical for p = 1 (the regime [22] used it in).
 AngleSchedule find_angles_grid(const AngleEngine& engine, int p,
                                int points_per_axis,

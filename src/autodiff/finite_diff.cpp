@@ -1,7 +1,5 @@
 #include "autodiff/finite_diff.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace fastqaoa {
@@ -24,74 +22,6 @@ double FiniteDiffDifferentiator::do_evaluate(std::span<const double> betas,
   return evaluate(*plan_, *ws_, betas, gammas);
 }
 
-void FiniteDiffDifferentiator::set_eval_batch(int lanes) {
-  FASTQAOA_CHECK(lanes >= 1, "set_eval_batch: need lanes >= 1");
-  eval_batch_ = lanes;
-}
-
-/// Whole-stencil batching: materialize every shifted point (base first,
-/// then per-angle +h / -h in the same order the sequential loop visits
-/// them), evaluate them eval_batch_ lanes at a time, and combine with the
-/// exact expressions of the sequential path. Each stencil value is a pure
-/// function of its angles and evaluate_batch is bit-identical to
-/// sequential evaluate(), so value and gradient match the sequential path
-/// bit for bit.
-double FiniteDiffDifferentiator::batched_value_and_gradient(
-    std::span<const double> betas, std::span<const double> gammas,
-    std::span<double> grad_betas, std::span<double> grad_gammas) {
-  const std::size_t pb = betas.size();
-  const std::size_t pg = gammas.size();
-  const std::size_t m = pb + pg;
-  const std::size_t per_angle = scheme_ == FdScheme::Central ? 2 : 1;
-  const std::size_t lanes = 1 + per_angle * m;
-
-  std::vector<double> lane_betas(lanes * pb);
-  std::vector<double> lane_gammas(lanes * pg);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    std::copy(betas.begin(), betas.end(), lane_betas.begin() + l * pb);
-    std::copy(gammas.begin(), gammas.end(), lane_gammas.begin() + l * pg);
-  }
-  auto nudge = [&](std::size_t lane, std::size_t angle, double delta) {
-    if (angle < pb) {
-      lane_betas[lane * pb + angle] += delta;
-    } else {
-      lane_gammas[lane * pg + (angle - pb)] += delta;
-    }
-  };
-  for (std::size_t i = 0; i < m; ++i) {
-    nudge(1 + per_angle * i, i, step_);
-    if (scheme_ == FdScheme::Central) nudge(2 + per_angle * i, i, -step_);
-  }
-
-  std::vector<double> values(lanes);
-  for (std::size_t l0 = 0; l0 < lanes;
-       l0 += static_cast<std::size_t>(eval_batch_)) {
-    const std::size_t chunk =
-        std::min(static_cast<std::size_t>(eval_batch_), lanes - l0);
-    evaluate_batch(
-        *plan_, *ws_,
-        std::span<const double>(lane_betas.data() + l0 * pb, chunk * pb),
-        std::span<const double>(lane_gammas.data() + l0 * pg, chunk * pg),
-        std::span<double>(values.data() + l0, chunk));
-  }
-  evals_ += lanes;
-
-  const double value = values[0];
-  for (std::size_t i = 0; i < m; ++i) {
-    const double plus = values[1 + per_angle * i];
-    const double derivative =
-        scheme_ == FdScheme::Central
-            ? (plus - values[2 + per_angle * i]) / (2.0 * step_)
-            : (plus - value) / step_;
-    if (i < pb) {
-      grad_betas[i] = derivative;
-    } else {
-      grad_gammas[i - pb] = derivative;
-    }
-  }
-  return value;
-}
-
 double FiniteDiffDifferentiator::value_and_gradient(
     std::span<const double> betas, std::span<const double> gammas,
     std::span<double> grad_betas, std::span<double> grad_gammas) {
@@ -99,9 +29,6 @@ double FiniteDiffDifferentiator::value_and_gradient(
                  "value_and_gradient: grad_betas size mismatch");
   FASTQAOA_CHECK(grad_gammas.size() == gammas.size(),
                  "value_and_gradient: grad_gammas size mismatch");
-  if (eval_batch_ > 1) {
-    return batched_value_and_gradient(betas, gammas, grad_betas, grad_gammas);
-  }
   work_betas_.assign(betas.begin(), betas.end());
   work_gammas_.assign(gammas.begin(), gammas.end());
 

@@ -49,26 +49,14 @@ class FiniteDiffDifferentiator {
   [[nodiscard]] std::size_t evaluations() const noexcept { return evals_; }
   void reset_evaluations() noexcept { evals_ = 0; }
 
-  /// Route the stencil evaluations through evaluate_batch, `lanes` points
-  /// per kernel call (1 = classic sequential). The stencil values — and
-  /// therefore the gradient, combined by the exact same expressions — are
-  /// bit-identical either way; only throughput changes.
-  void set_eval_batch(int lanes);
-  [[nodiscard]] int eval_batch() const noexcept { return eval_batch_; }
-
  private:
   double do_evaluate(std::span<const double> betas,
                      std::span<const double> gammas);
-  double batched_value_and_gradient(std::span<const double> betas,
-                                    std::span<const double> gammas,
-                                    std::span<double> grad_betas,
-                                    std::span<double> grad_gammas);
 
   const QaoaPlan* plan_;
   EvalWorkspace* ws_;
   FdScheme scheme_;
   double step_;
-  int eval_batch_ = 1;
   std::size_t evals_ = 0;
   std::vector<double> work_betas_;
   std::vector<double> work_gammas_;

@@ -1,10 +1,8 @@
 #include "core/plan.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "linalg/kernels/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/trace.hpp"
 
@@ -99,7 +97,7 @@ void QaoaPlan::validate_and_finalize(QaoaPlanOptions options) {
     linalg::fill(psi0_, cplx{amp, 0.0});
   }
 
-  // Quantize the phase table eagerly (O(dim), done once) so every batched
+  // Quantize the phase table eagerly (O(dim), done once) so every
   // evaluation gets the per-distinct-value sincos route for free.
   phase_dict_ = linalg::build_diag_dict(phase_values());
 }
@@ -163,110 +161,26 @@ double evaluate_packed(const QaoaPlan& plan, EvalWorkspace& ws,
   return evaluate(plan, ws, angles.subspan(0, p), angles.subspan(p, p));
 }
 
-namespace {
-
-/// Lanes per kernel sub-batch: wide enough to amortize the shared table and
-/// twiddle sweeps, small enough that a tile of statevectors still fits the
-/// outer cache level alongside the tables (measured knee on the reference
-/// machine; see bench/baselines/batch_eval.json).
-constexpr int kEvalBatchTile = 8;
-
-}  // namespace
-
 void evaluate_batch(const QaoaPlan& plan, EvalWorkspace& ws,
                     std::span<const double> betas,
                     std::span<const double> gammas, std::span<double> out) {
-  const int b_count = static_cast<int>(out.size());
+  const std::size_t b_count = out.size();
   FASTQAOA_CHECK(b_count >= 1, "evaluate_batch: empty output span");
   const std::size_t nb = static_cast<std::size_t>(plan.num_betas());
   const std::size_t ng = static_cast<std::size_t>(plan.num_gammas());
-  FASTQAOA_CHECK(betas.size() == nb * static_cast<std::size_t>(b_count),
+  FASTQAOA_CHECK(betas.size() == nb * b_count,
                  "evaluate_batch: wrong number of beta angles");
-  FASTQAOA_CHECK(gammas.size() == ng * static_cast<std::size_t>(b_count),
+  FASTQAOA_CHECK(gammas.size() == ng * b_count,
                  "evaluate_batch: wrong number of gamma angles");
-  if (b_count == 1) {
-    // One-lane batches take the single-point path outright, so lane 0 and
-    // evaluate() share psi by construction instead of silently diverging.
-    out[0] = evaluate(plan, ws, betas, gammas);
-    ws.batch_lanes = 1;
-    FASTQAOA_ASSERT(ws.lane_state(0) == ws.psi.data(),
-                    "evaluate_batch: one-lane batch must alias the "
-                    "single-point buffers");
-    return;
-  }
   FASTQAOA_OBS_SCOPE(ws.metrics);
   FASTQAOA_OBS_COUNT("core.evaluate_batch.calls", 1);
-  FASTQAOA_OBS_COUNT("core.evaluate.batched_lanes", b_count);
   FASTQAOA_OBS_TIMED("core.evaluate_batch");
   FASTQAOA_OBS_HIST_TIMED("core.evaluate_batch.latency_seconds");
   FASTQAOA_OBS_HIST("core.evaluate_batch.width", b_count);
   FASTQAOA_TRACE_SPAN("evaluate_batch");
-
-  const index_t d = plan.dim();
-  // Lane stride: dim rounded up to a whole cache line of cplx, plus a
-  // 64-cplx pad that skews the cache-set mapping of equal offsets across
-  // lanes (power-of-two strides alias brutally in set-associative caches).
-  const index_t stride = ((d + index_t{3}) & ~index_t{3}) + 64;
-  // Grow only: shrinking and regrowing would zero-fill lanes the kernels
-  // overwrite anyway (a grid sweep's short last chunk, then a full one).
-  const index_t need = stride * static_cast<index_t>(b_count);
-  if (ws.batch_states.size() < need) ws.batch_states.resize(need);
-  ws.batch_stride = stride;
-  ws.batch_lanes = b_count;
-
-  const dvec& phase = plan.phase_values();
-  const linalg::DiagDict* pdict = &plan.phase_dict();
-  const auto& layers = plan.layers();
-  double gk[kEvalBatchTile];
-  double bk[kEvalBatchTile];
-
-  // Tile-outer, round-inner: each tile of lanes runs the whole circuit
-  // before the next tile starts, so a tile's statevectors stay cache-warm
-  // across rounds while every table sweep is shared tile-wide.
-  for (int l0 = 0; l0 < b_count; l0 += kEvalBatchTile) {
-    const int lanes = std::min(kEvalBatchTile, b_count - l0);
-    StateBatch tile{ws.batch_states.data() + stride * static_cast<index_t>(l0),
-                    stride, lanes, nullptr};
-    std::size_t beta_index = 0;
-    bool fused_expect = false;
-    for (std::size_t k = 0; k < layers.size(); ++k) {
-      FASTQAOA_OBS_TIMED("core.evaluate_batch.round");
-      FASTQAOA_OBS_HIST_TIMED("core.evaluate_batch.round_latency_seconds");
-      const auto& ms = layers[k].mixers;
-      const bool last = k + 1 == layers.size();
-      // All lanes start from the shared |psi0>; the copy is fused into the
-      // first round's first pass over the data.
-      tile.init = k == 0 ? plan.initial_state().data() : nullptr;
-      for (int l = 0; l < lanes; ++l) {
-        gk[l] = gammas[static_cast<std::size_t>(l0 + l) * ng + k];
-        bk[l] = betas[static_cast<std::size_t>(l0 + l) * nb + beta_index];
-      }
-      if (last && ms.size() == 1) {
-        ms[0]->apply_phase_exp_expect_batch(tile, phase, pdict, gk, bk,
-                                            plan.objective(),
-                                            out.data() + l0, ws.scratch);
-        fused_expect = true;
-        break;
-      }
-      ms[0]->apply_phase_exp_batch(tile, phase, pdict, gk, bk, ws.scratch);
-      ++beta_index;
-      tile.init = nullptr;
-      for (std::size_t j = 1; j < ms.size(); ++j) {
-        for (int l = 0; l < lanes; ++l) {
-          bk[l] = betas[static_cast<std::size_t>(l0 + l) * nb + beta_index];
-        }
-        ms[j]->apply_exp_batch(tile, bk, ws.scratch);
-        ++beta_index;
-      }
-    }
-    if (!fused_expect) {
-      const auto& be = linalg::kernels::active();
-      for (int l = 0; l < lanes; ++l) {
-        out[l0 + l] = be.diag_expectation(
-            plan.objective().data(),
-            tile.states + stride * static_cast<index_t>(l), d);
-      }
-    }
+  for (std::size_t l = 0; l < b_count; ++l) {
+    out[l] = evaluate(plan, ws, betas.subspan(l * nb, nb),
+                      gammas.subspan(l * ng, ng));
   }
 }
 

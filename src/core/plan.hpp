@@ -80,10 +80,9 @@ class QaoaPlan {
   }
   /// Quantized dictionary over phase_values(), built eagerly at
   /// construction. Valid whenever the phase table has few distinct values
-  /// (integer-weighted cost functions, indicators); lets evaluate(),
-  /// evaluate_batch() and the adjoint gradient collapse the phase-separator
-  /// sincos sweep to one call per distinct value (per lane). Invalid
-  /// dictionaries are simply not used.
+  /// (integer-weighted cost functions, indicators); lets evaluate() and
+  /// the adjoint gradient collapse the phase-separator sincos sweep to one
+  /// call per distinct value. Invalid dictionaries are simply not used.
   [[nodiscard]] const linalg::DiagDict& phase_dict() const noexcept {
     return phase_dict_;
   }
@@ -117,25 +116,12 @@ class QaoaPlan {
 /// (buffers are grown on first use, then evaluation is allocation-free).
 /// One workspace per thread; never share a workspace across threads.
 ///
-/// Single-point vs batch semantics: evaluate() writes psi and expectation.
-/// evaluate_batch() with B == 1 delegates to evaluate() — lane 0 of a
-/// one-lane batch and the single-point path share the same buffers (psi),
-/// debug-asserted rather than silently diverging. With B > 1 the per-lane
-/// final statevectors live in the strided batch matrix (lane_state) and the
-/// per-lane expectations in the caller's out span; the legacy single-point
-/// fields psi and expectation are left untouched and keep reflecting the
-/// last single-point evaluate().
+/// evaluate() writes psi and expectation. evaluate_batch() runs evaluate()
+/// once per lane, so after a batch psi and expectation hold the LAST lane's
+/// final state and <C>; the other lanes' states are not kept.
 struct EvalWorkspace {
   cvec psi;      ///< statevector of the last evaluate()
   cvec scratch;  ///< mixer workspace
-  /// Batched-evaluation state matrix: lane l of the last evaluate_batch()
-  /// (B > 1) occupies batch_states[l*batch_stride .. l*batch_stride+dim).
-  /// The stride is padded past dim to keep lanes 64-byte aligned while
-  /// skewing their cache-set mapping; the pad tail is zeroed. The matrix
-  /// only grows, so lanes at or past batch_lanes hold stale data.
-  cvec batch_states;
-  index_t batch_stride = 0;  ///< lane stride of batch_states, in elements
-  int batch_lanes = 0;       ///< lane count of the last evaluate_batch()
   /// Adjoint-gradient buffers (see autodiff/adjoint.hpp); unused — and
   /// unallocated — by plain evaluation.
   cvec adjoint_psi;
@@ -153,14 +139,6 @@ struct EvalWorkspace {
   /// Pre-size the forward buffers for a plan (optional warm-up; evaluation
   /// grows them on demand anyway).
   void reserve(const QaoaPlan& plan);
-
-  /// Lane l's final statevector after the last evaluate_batch(). For a
-  /// one-lane batch this aliases psi.data() (shared-buffer contract above).
-  [[nodiscard]] const cplx* lane_state(int lane) const noexcept {
-    return batch_lanes <= 1 ? psi.data()
-                            : batch_states.data() +
-                                  batch_stride * static_cast<index_t>(lane);
-  }
 };
 
 /// Evolve |β,γ> = e^{-iβ_p H_M} e^{-iγ_p H_C} ... |ψ0> and return <C>.
@@ -175,18 +153,13 @@ double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
 double evaluate_packed(const QaoaPlan& plan, EvalWorkspace& ws,
                        std::span<const double> angles);
 
-/// Batched evaluation: B = out.size() independent angle sets carried through
-/// the fused phase→WHT→expect kernels together, sharing every sweep over the
-/// plan's cost/phase tables across the batch. Angles are lane-major:
+/// Batched evaluation: B = out.size() independent angle sets, evaluated in
+/// lane order by B calls of evaluate() on `ws`. Angles are lane-major:
 /// betas.size() == B * plan.num_betas() with lane l's betas at
-/// betas[l*num_betas ..), and likewise gammas. out[l] receives lane l's <C>.
-///
-/// Contract: out is bit-identical, lane for lane, to B sequential
-/// evaluate() calls with the same workspace — batching reorders execution,
-/// never arithmetic association — at any thread count and any batch size.
-/// B == 1 delegates to evaluate() (see EvalWorkspace buffer-sharing notes).
-/// Lanes are tiled through the kernels in fixed-size sub-batches, so memory
-/// is batch_states (B lanes) plus nothing else; very large B is fine.
+/// betas[l*num_betas ..), and likewise gammas. out[l] receives lane l's <C>,
+/// bit-identical to a lone evaluate() of lane l's angles. Memory does not
+/// grow with B: afterwards ws holds only the last lane's state (see
+/// EvalWorkspace).
 void evaluate_batch(const QaoaPlan& plan, EvalWorkspace& ws,
                     std::span<const double> betas,
                     std::span<const double> gammas, std::span<double> out);

@@ -47,15 +47,15 @@ struct CplxSum {
 /// +0.0 and -0.0 are distinct entries). QAOA diagonals are usually highly
 /// degenerate — X-mixer eigenvalues take n+1 values, integer-weighted cost
 /// functions a few hundred — so a phase sweep can compute one sincos per
-/// distinct value per lane and apply the factors by lookup. The batched
-/// entries take this route on every backend; single-state sweeps (one-lane
-/// batched calls, diag_phase) take it on the fast-sincos backends
-/// only. The looked-up factors are produced by the same sincos code as the
-/// per-element sweep, so the result is bit-identical to the unquantized
-/// path; kernels fall back to the per-element sweep whenever the quantized
-/// route could diverge (too many values, fewer than 64 elements, or phases
-/// beyond the fast-sincos range). idx may be null to disable the quantized
-/// path.
+/// distinct value and apply the factors by lookup. The entries that take a
+/// view (the batched WHT family, lane by lane, and diag_phase) use it on
+/// the fast-sincos backends only; the scalar backend always sweeps per
+/// element. The looked-up factors are produced by the same sincos code as
+/// the per-element sweep, so the result is bit-identical to the
+/// unquantized path; kernels fall back to the per-element sweep whenever
+/// the quantized route could diverge (too many values, fewer than 64
+/// elements, or phases beyond the fast-sincos range). idx may be null to
+/// disable the quantized path.
 struct QuantizedDiag {
   const std::uint16_t* idx = nullptr;
   const double* vals = nullptr;
@@ -63,7 +63,7 @@ struct QuantizedDiag {
 };
 
 /// Largest nv for which the kernels take the quantized phase route
-/// (the per-lane factor tables must stay L1-resident).
+/// (the factor table must stay L1-resident).
 inline constexpr index_t kQuantizedDiagMax = 512;
 
 /// The dispatch table. All pointers are non-null in a registered backend.
@@ -90,20 +90,17 @@ struct KernelBackend {
 
   // --- batched WHT family -------------------------------------------------
   // `lanes` independent statevectors, lane l at a + l*stride (stride in
-  // complex elements, stride >= n), each phased by its own angles[l], share
-  // one sweep over the d/obj tables and one cache-resident pass over the
-  // strided top butterfly stages. Per-lane results are bit-identical to
-  // `lanes` sequential calls of the corresponding single-state kernel: the
-  // butterflies are elementwise (batching reorders execution, never
-  // association) and the fused expectation keeps the classic per-item
-  // serial accumulation, partials summed in item order per lane.
+  // complex elements, stride >= n), each phased by its own angles[l] and
+  // run through the single-state driver in lane order; the pad between
+  // lanes is never touched. Per-lane results are bit-identical to the
+  // one-lane call. These entries are the ones that carry a quantized view,
+  // so the single-state wrappers (linalg::phase_wht, phase_wht_expect)
+  // call them with lanes == 1.
   /// Batched phase_wht; d may be null (pure per-lane scale), dq may be null
   /// (no quantized view of d available). With lanes == 1 this is the
   /// single-state phase_wht plus the quantized route. init, when non-null,
-  /// is a shared input vector: every lane starts from init instead of its
-  /// own slab contents, with the copy fused into the first cache-resident
-  /// pass — one shared read replaces a per-lane copy pass (the first round
-  /// of a batched evaluation, where all lanes start from the same |psi_0>).
+  /// is a shared input vector copied into every lane before its transform
+  /// (instead of transforming the lane's own contents).
   void (*phase_wht_batch)(cplx* a, index_t stride, int lanes, const cplx* init,
                           const double* d, const QuantizedDiag* dq,
                           const double* angles, double scale, index_t n);

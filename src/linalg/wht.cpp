@@ -36,8 +36,8 @@ void wht_orthonormal(StateRef v) {
   kernels::active().phase_wht(v.data(), nullptr, 0.0, scale, n);
 }
 
-// The single-state phase sweeps run as one-lane batched calls: the batched
-// entries are the ones that carry the quantized view, and one lane of them
+// The phase sweeps run as one-lane calls of the kernels' batched entries:
+// those are the entries that carry the quantized view, and one lane of them
 // is the single-state driver bit for bit — with an empty view, exactly the
 // driver the phase_wht entry runs.
 
@@ -84,65 +84,6 @@ double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
   kernels::active().phase_wht_expect_batch(v.data(), n, 1, d.data(), &dq,
                                            &angle, scale, obj.data(), &out, n);
   return out;
-}
-
-namespace {
-
-void check_batch(index_t stride, int lanes, index_t n, const char* who) {
-  FASTQAOA_CHECK(is_power_of_two(n), "wht: length must be a power of 2");
-  FASTQAOA_CHECK(lanes >= 1, std::string(who) + ": need at least one lane");
-  FASTQAOA_CHECK(stride >= n, std::string(who) + ": stride below lane length");
-}
-
-}  // namespace
-
-void phase_wht_batch(cplx* states, index_t stride, int lanes, const cplx* init,
-                     const dvec& d, const DiagDict* dict, const double* angles,
-                     double scale) {
-  const index_t n = d.size();
-  check_batch(stride, lanes, n, "phase_wht_batch");
-  FASTQAOA_OBS_COUNT("linalg.wht.applies", lanes);
-  FASTQAOA_OBS_COUNT("linalg.wht.batched_lanes", lanes);
-  FASTQAOA_OBS_TIMED("linalg.wht");
-  const kernels::QuantizedDiag dq = dict_view(dict);
-  kernels::active().phase_wht_batch(states, stride, lanes, init, d.data(), &dq,
-                                    angles, scale, n);
-}
-
-void wht_batch(cplx* states, index_t stride, int lanes, index_t n) {
-  check_batch(stride, lanes, n, "wht_batch");
-  FASTQAOA_OBS_COUNT("linalg.wht.applies", lanes);
-  FASTQAOA_OBS_COUNT("linalg.wht.batched_lanes", lanes);
-  FASTQAOA_OBS_TIMED("linalg.wht");
-  kernels::active().phase_wht_batch(states, stride, lanes, nullptr, nullptr,
-                                    nullptr, nullptr, 1.0, n);
-}
-
-void wht_expect_batch(cplx* states, index_t stride, int lanes, const dvec& obj,
-                      double* out) {
-  const index_t n = obj.size();
-  check_batch(stride, lanes, n, "wht_expect_batch");
-  FASTQAOA_OBS_COUNT("linalg.wht.applies", lanes);
-  FASTQAOA_OBS_COUNT("linalg.wht.batched_lanes", lanes);
-  FASTQAOA_OBS_TIMED("linalg.wht");
-  kernels::active().wht_expect_batch(states, stride, lanes, obj.data(), out,
-                                     n);
-}
-
-void phase_wht_expect_batch(cplx* states, index_t stride, int lanes,
-                            const dvec& d, const DiagDict* dict,
-                            const double* angles, double scale, const dvec& obj,
-                            double* out) {
-  const index_t n = d.size();
-  check_batch(stride, lanes, n, "phase_wht_expect_batch");
-  FASTQAOA_CHECK(obj.size() == n,
-                 "phase_wht_expect_batch: objective size mismatch");
-  FASTQAOA_OBS_COUNT("linalg.wht.applies", lanes);
-  FASTQAOA_OBS_COUNT("linalg.wht.batched_lanes", lanes);
-  FASTQAOA_OBS_TIMED("linalg.wht");
-  const kernels::QuantizedDiag dq = dict_view(dict);
-  kernels::active().phase_wht_expect_batch(states, stride, lanes, d.data(), &dq,
-                                           angles, scale, obj.data(), out, n);
 }
 
 }  // namespace fastqaoa::linalg

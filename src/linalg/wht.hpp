@@ -48,35 +48,6 @@ double wht_expect(StateRef v, const dvec& obj);
 double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
                         const dvec& obj, const DiagDict* dict = nullptr);
 
-// --- batched variants ------------------------------------------------------
-// `lanes` independent statevectors, lane l at states + l*stride (stride in
-// complex elements, stride >= d.size()), each phased by its own angles[l].
-// One sweep over the shared d/obj tables serves the whole batch, and a
-// DiagDict view (when valid) replaces the per-element sincos sweep with a
-// per-distinct-value one. Per-lane results are bit-identical to `lanes`
-// sequential calls of the single-state function. `dict` may be null.
-
-/// Batched phase_wht. `init`, when non-null, is a shared length-d.size()
-/// input: every lane starts from init (copy fused into the first pass)
-/// instead of its own slab contents — the first round of a batched
-/// evaluation, where all lanes start from the same |psi0>.
-void phase_wht_batch(cplx* states, index_t stride, int lanes, const cplx* init,
-                     const dvec& d, const DiagDict* dict, const double* angles,
-                     double scale);
-
-/// Batched plain unnormalized WHT (no phase, no scale) of length-n lanes.
-void wht_batch(cplx* states, index_t stride, int lanes, index_t n);
-
-/// Batched wht_expect: out[l] = sum_i obj_i |states_{l,i}|^2 after the WHT.
-void wht_expect_batch(cplx* states, index_t stride, int lanes, const dvec& obj,
-                      double* out);
-
-/// Batched phase_wht_expect: the whole final QAOA round for every lane.
-void phase_wht_expect_batch(cplx* states, index_t stride, int lanes,
-                            const dvec& d, const DiagDict* dict,
-                            const double* angles, double scale, const dvec& obj,
-                            double* out);
-
 /// True iff sz is a power of two (and non-zero).
 bool is_power_of_two(index_t sz);
 

@@ -10,7 +10,7 @@
 /// adjoint-mode gradient (apply_ham) need.
 ///
 /// All state arguments are StateRef / ConstStateRef views (spans), so the
-/// same mixer serves a cvec, a lane of a batch matrix or a raw buffer.
+/// same mixer serves a cvec or a raw buffer.
 
 #include <string>
 
@@ -25,18 +25,6 @@ struct DiagDict;  // linalg/diag_dict.hpp
 
 using linalg::ConstStateRef;
 using linalg::StateRef;
-
-/// A strided matrix of `lanes` statevectors threaded through the batched
-/// mixer entry points: lane l lives at states + l*stride (stride in complex
-/// elements, stride >= dim). `init`, when non-null, is a shared input vector
-/// all lanes start from (the copy is fused into the first pass over the
-/// data); when null, every lane transforms its own current contents.
-struct StateBatch {
-  cplx* states = nullptr;
-  index_t stride = 0;
-  int lanes = 0;
-  const cplx* init = nullptr;
-};
 
 /// A mixer Hamiltonian H_M restricted to a feasible subspace of dimension
 /// dim().
@@ -86,35 +74,6 @@ class Mixer {
                                         const linalg::DiagDict* phase_dict,
                                         double gamma, double beta,
                                         const dvec& obj, cvec& scratch) const;
-
-  // --- batched whole-round steps (evaluate_batch) ------------------------
-  // Per-lane results must be bit-identical to `lanes` sequential calls of
-  // the corresponding single-state virtual. The base-class defaults loop
-  // lanes through the single-state path via a bounce buffer (allocating —
-  // fallback quality); mixers whose diagonal frame batches well override
-  // them (XMixer shares one sweep over its tables across all lanes).
-  // `phase_dict`/the mixer's own diagonal dictionary may be null/invalid;
-  // they only unlock the quantized phase route, never change results.
-
-  /// Batched apply_phase_exp: lane l gets gammas[l] / betas[l].
-  virtual void apply_phase_exp_batch(const StateBatch& b, const dvec& phase,
-                                     const linalg::DiagDict* phase_dict,
-                                     const double* gammas, const double* betas,
-                                     cvec& scratch) const;
-
-  /// Batched apply_phase_exp_expect: out[l] = <lane l| diag(obj) |lane l>.
-  virtual void apply_phase_exp_expect_batch(const StateBatch& b,
-                                            const dvec& phase,
-                                            const linalg::DiagDict* phase_dict,
-                                            const double* gammas,
-                                            const double* betas,
-                                            const dvec& obj, double* out,
-                                            cvec& scratch) const;
-
-  /// Batched apply_exp: lane l gets betas[l]. b.init must be null (mid-round
-  /// steps are always in place).
-  virtual void apply_exp_batch(const StateBatch& b, const double* betas,
-                               cvec& scratch) const;
 
   /// The uniform superposition the paper defaults |psi0> to, expressed on
   /// this mixer's space. Overridable for mixers whose natural ground state

@@ -141,50 +141,6 @@ double XMixer::apply_phase_exp_expect(StateRef psi, const dvec& phase,
   return linalg::phase_wht_expect(psi, dvals_, beta, inv, obj, &ddict_);
 }
 
-void XMixer::apply_phase_exp_batch(const StateBatch& b, const dvec& phase,
-                                   const linalg::DiagDict* phase_dict,
-                                   const double* gammas, const double* betas,
-                                   cvec& scratch) const {
-  (void)scratch;
-  FASTQAOA_CHECK(phase.size() == dvals_.size(),
-                 "XMixer: phase table size mismatch");
-  const double inv = 1.0 / static_cast<double>(dvals_.size());
-  linalg::phase_wht_batch(b.states, b.stride, b.lanes, b.init, phase,
-                          phase_dict, gammas, 1.0);
-  linalg::phase_wht_batch(b.states, b.stride, b.lanes, nullptr, dvals_,
-                          &ddict_, betas, inv);
-}
-
-void XMixer::apply_phase_exp_expect_batch(const StateBatch& b,
-                                          const dvec& phase,
-                                          const linalg::DiagDict* phase_dict,
-                                          const double* gammas,
-                                          const double* betas, const dvec& obj,
-                                          double* out, cvec& scratch) const {
-  (void)scratch;
-  FASTQAOA_CHECK(phase.size() == dvals_.size(),
-                 "XMixer: phase table size mismatch");
-  FASTQAOA_CHECK(obj.size() == dvals_.size(), "XMixer: objective mismatch");
-  const double inv = 1.0 / static_cast<double>(dvals_.size());
-  linalg::phase_wht_batch(b.states, b.stride, b.lanes, b.init, phase,
-                          phase_dict, gammas, 1.0);
-  linalg::phase_wht_expect_batch(b.states, b.stride, b.lanes, dvals_, &ddict_,
-                                 betas, inv, obj, out);
-}
-
-void XMixer::apply_exp_batch(const StateBatch& b, const double* betas,
-                             cvec& scratch) const {
-  (void)scratch;
-  FASTQAOA_CHECK(b.init == nullptr,
-                 "apply_exp_batch: mid-round steps are in place");
-  const double inv = 1.0 / static_cast<double>(dvals_.size());
-  // Mirror apply_exp's two-transform shape: plain first WHT, then the mixer
-  // phase + 1/2^n folded into the second's pre-pass.
-  linalg::wht_batch(b.states, b.stride, b.lanes, dvals_.size());
-  linalg::phase_wht_batch(b.states, b.stride, b.lanes, nullptr, dvals_,
-                          &ddict_, betas, inv);
-}
-
 void XMixer::apply_ham(ConstStateRef in, StateRef out, cvec& scratch) const {
   (void)scratch;
   FASTQAOA_CHECK(in.size() == dvals_.size(), "XMixer: state size mismatch");

@@ -66,22 +66,6 @@ class XMixer final : public Mixer {
                                 const linalg::DiagDict* phase_dict,
                                 double gamma, double beta, const dvec& obj,
                                 cvec& scratch) const override;
-  /// Batched overrides: one sweep over phase/dvals_ serves every lane, the
-  /// quantized dictionaries collapse the sincos work to one call per
-  /// distinct value per lane, and b.init fuses the |psi0> copy into the
-  /// first cache-resident pass. Bit-identical per lane to the sequential
-  /// overrides above.
-  void apply_phase_exp_batch(const StateBatch& b, const dvec& phase,
-                             const linalg::DiagDict* phase_dict,
-                             const double* gammas, const double* betas,
-                             cvec& scratch) const override;
-  void apply_phase_exp_expect_batch(const StateBatch& b, const dvec& phase,
-                                    const linalg::DiagDict* phase_dict,
-                                    const double* gammas, const double* betas,
-                                    const dvec& obj, double* out,
-                                    cvec& scratch) const override;
-  void apply_exp_batch(const StateBatch& b, const double* betas,
-                       cvec& scratch) const override;
 
  private:
   XMixer(int n, std::vector<PauliXTerm> terms, dvec dvals, std::string name);

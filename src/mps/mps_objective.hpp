@@ -21,10 +21,10 @@ std::string fingerprint_tag(const MpsPlan& plan);
 
 /// The MPS engine for every driver in anglefind/strategies.hpp, e.g.
 /// find_angles(MpsAngleEngine(plan), ...). options.gradient is ignored
-/// (always central differences), and so is options.eval_batch: hops score
-/// one proposal and the grid sweeps point by point. One MpsPlan serves
-/// every depth; checkpoints are tagged with dim = n and
-/// fingerprint_tag(plan). Holds a reference; the plan must outlive it.
+/// (always central differences), and hops score one proposal (no batch
+/// hook). One MpsPlan serves every depth; checkpoints are tagged with
+/// dim = n and fingerprint_tag(plan). Holds a reference; the plan must
+/// outlive it.
 class MpsAngleEngine final : public AngleEngine {
  public:
   explicit MpsAngleEngine(const MpsPlan& plan) : plan_(plan) {}

@@ -39,7 +39,7 @@ const char* to_string(JobState state) noexcept {
 void validate_job_spec(const JobSpec& spec) {
   validate_problem_spec(spec.problem);
   if (spec.problem.uses_mps()) {
-    // Fail fast at admission: the MPS engine has no batched kernels, no
+    // Fail fast at admission: the MPS engine has no batch_evaluate path, no
     // adjoint gradients, and no statevector to sample from.
     FASTQAOA_CHECK(
         spec.kind == JobKind::Evaluate || spec.kind == JobKind::FindAngles,

@@ -57,8 +57,8 @@ struct JobSpec {
   /// evaluate / gradient / sample: fixed angles, one per round.
   /// batch_evaluate: lane-major angle sets — lane l's betas live at
   /// betas[l*p .. (l+1)*p), likewise gammas; `lanes` angle sets total. The
-  /// whole sweep is ONE job: a single admission decision, a single worker,
-  /// one evaluate_batch pass through the fused kernels.
+  /// whole sweep is ONE job: a single admission decision, a single worker
+  /// evaluating the lanes in order.
   std::vector<double> betas;
   std::vector<double> gammas;
 

@@ -257,11 +257,11 @@ Json job_spec_to_json(const JobSpec& spec) {
       j.set("starts", Json(static_cast<long long>(spec.starts)));
       j.set("opt_seed", Json(spec.opt_seed));
       if (!spec.checkpoint.empty()) j.set("checkpoint", Json(spec.checkpoint));
-      if (spec.deadline_seconds > 0.0) j.set("deadline", Json(spec.deadline_seconds));
-      if (spec.max_evaluations > 0) {
-        j.set("max_evals", Json(static_cast<std::uint64_t>(spec.max_evaluations)));
-      }
       break;
+  }
+  if (spec.deadline_seconds > 0.0) j.set("deadline", Json(spec.deadline_seconds));
+  if (spec.max_evaluations > 0) {
+    j.set("max_evals", Json(static_cast<std::uint64_t>(spec.max_evaluations)));
   }
   return j;
 }
@@ -282,8 +282,10 @@ Json job_to_json(const Job& job) {
     error = job.error;
   }
   j.set("state", Json(to_string(state)));
+  // A cancelled search or sweep still reports what it finished.
   if (state == JobState::Done ||
-      (state == JobState::Cancelled && !result.schedules.empty())) {
+      (state == JobState::Cancelled &&
+       (!result.schedules.empty() || !result.expectations.empty()))) {
     j.set("result", result_to_json(job.spec.kind, result));
   } else if (state == JobState::Cancelled) {
     j.set("stop_reason", Json(runtime::to_string(runtime::StopReason::Cancelled)));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "anglefind/strategies.hpp"
@@ -574,12 +575,31 @@ void Service::execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
       break;
     }
     case JobKind::BatchEvaluate: {
-      // The whole sweep runs on this one worker through evaluate_batch's
-      // fused kernels (one admission decision bought the whole thing).
-      // Per-lane values are bit-identical to lane-by-lane evaluate().
-      out.expectations.resize(static_cast<std::size_t>(spec.lanes));
-      evaluate_batch(plan, ws, spec.betas, spec.gammas, out.expectations);
-      // Headline expectation = the sweep's best lane under the requested
+      // The whole sweep runs on this one worker (one admission decision
+      // bought it), lane by lane through evaluate(), each lane charged as
+      // one evaluation to the job's budget. A tripped deadline, max_evals
+      // or cancel returns the lanes finished so far — always at least one —
+      // flagged with the reason.
+      runtime::RunBudget budget;
+      budget.wall_seconds = spec.deadline_seconds;
+      budget.max_evaluations = spec.max_evaluations;
+      budget.cancel = &job.cancel;
+      const runtime::BudgetTracker tracker(budget);
+      const auto lanes = static_cast<std::size_t>(spec.lanes);
+      const auto p = static_cast<std::size_t>(spec.p);  // angles per lane
+      const std::span<const double> betas(spec.betas);
+      const std::span<const double> gammas(spec.gammas);
+      out.expectations.reserve(lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        if (l > 0) {
+          out.stop = tracker.check();
+          if (out.stop != runtime::StopReason::None) break;
+        }
+        out.expectations.push_back(evaluate(
+            plan, ws, betas.subspan(l * p, p), gammas.subspan(l * p, p)));
+        tracker.add_evaluations(1);
+      }
+      // Headline expectation = the best finished lane under the requested
       // direction (first such lane on ties).
       out.expectation = out.expectations[0];
       for (const double e : out.expectations) {
@@ -590,12 +610,12 @@ void Service::execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++batch_jobs_;
-        batched_evals_ += static_cast<std::uint64_t>(spec.lanes);
+        batched_evals_ += out.expectations.size();
       }
       FASTQAOA_OBS_COUNT_GLOBAL("service.jobs.batched_evals",
-                                static_cast<std::uint64_t>(spec.lanes));
+                                out.expectations.size());
       FASTQAOA_OBS_HIST_GLOBAL("service.batch.width",
-                               static_cast<double>(spec.lanes));
+                               static_cast<double>(out.expectations.size()));
       break;
     }
     case JobKind::Gradient: {

@@ -137,9 +137,10 @@ struct ServiceStats {
   /// over_quota rejections (also included in `rejected`).
   std::uint64_t over_quota = 0;
   /// batch_evaluate accounting: jobs completed and total lanes they swept.
-  /// Both are pure functions of the submitted specs (one count per finished
-  /// batch job, lanes from its spec), so they are worker-count invariant —
-  /// the same job set reports the same totals on any pool size.
+  /// Without a deadline or cancellation both are pure functions of the
+  /// submitted specs (one count per finished batch job, its lanes capped by
+  /// max_evals), so they are worker-count invariant — the same job set
+  /// reports the same totals on any pool size.
   std::uint64_t batch_jobs = 0;
   std::uint64_t batched_evals = 0;
   /// Progress events dropped across all subscribers because a slow

@@ -1,11 +1,10 @@
 // Batched multi-angle evaluation suite (core/plan.hpp evaluate_batch).
 //
 // The contract under test is bit-identity: evaluate_batch must produce, lane
-// for lane, the exact doubles (and the exact final statevectors) of B
-// sequential evaluate() calls — on every kernel backend this CPU supports,
-// at any thread count, at any batch width. Comparisons below use memcmp,
-// not tolerances: batching is allowed to reorder execution, never to
-// re-associate arithmetic.
+// for lane, the exact doubles of B sequential evaluate() calls, and leave
+// the last lane's exact final statevector in ws.psi — on every kernel
+// backend this CPU supports, at any thread count, at any batch width.
+// Comparisons below use memcmp, not tolerances.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "autodiff/adjoint.hpp"
-#include "autodiff/finite_diff.hpp"
 #include "common/rng.hpp"
 #include "common/threading.hpp"
 #include "core/plan.hpp"
@@ -41,7 +38,7 @@ class BackendGuard {
 };
 
 /// MaxCut objective on a random graph — integer-valued, so the plan's
-/// phase dictionary is valid and the quantized batch route engages.
+/// phase dictionary is valid and the quantized phase route engages.
 dvec maxcut_objective(int n, std::uint64_t seed) {
   Rng rng(seed);
   Graph g = erdos_renyi(n, 0.5, rng);
@@ -66,7 +63,8 @@ AngleSet random_angles(int lanes, int nb, int ng, std::uint64_t seed) {
 }
 
 /// Core bit-identity check: evaluate_batch vs lane-by-lane evaluate() on
-/// the given plan — expectations AND final statevectors compared bytewise.
+/// the given plan — every lane's expectation, and the last lane's final
+/// statevector (the one the batch leaves in ws.psi), compared bytewise.
 void expect_batch_bitwise(const QaoaPlan& plan, int lanes,
                           std::uint64_t angle_seed) {
   const int nb = plan.num_betas();
@@ -89,10 +87,13 @@ void expect_batch_bitwise(const QaoaPlan& plan, int lanes,
                              sizeof(double)))
         << "lane " << l << ": batch " << got[static_cast<std::size_t>(l)]
         << " vs sequential " << want;
-    EXPECT_EQ(0, std::memcmp(ws_seq.psi.data(), ws_batch.lane_state(l),
-                             plan.dim() * sizeof(cplx)))
-        << "lane " << l << " final state differs from sequential evaluate()";
   }
+  ASSERT_EQ(ws_batch.psi.size(), ws_seq.psi.size());
+  EXPECT_EQ(0, std::memcmp(ws_seq.psi.data(), ws_batch.psi.data(),
+                           plan.dim() * sizeof(cplx)))
+      << "last lane's final state differs from sequential evaluate()";
+  EXPECT_EQ(0, std::memcmp(&ws_seq.expectation, &ws_batch.expectation,
+                           sizeof(double)));
 }
 
 class BatchBackendTest : public ::testing::TestWithParam<std::string> {};
@@ -107,7 +108,6 @@ TEST_P(BatchBackendTest, BitIdenticalToSequentialAcrossWidthsAndThreads) {
 
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
-    // 9 = one full tile of 8 plus a one-lane remainder tile.
     for (const int lanes : {1, 3, 9, 16}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " lanes=" + std::to_string(lanes));
@@ -120,9 +120,8 @@ TEST_P(BatchBackendTest, BitIdenticalToSequentialAcrossWidthsAndThreads) {
 TEST_P(BatchBackendTest, BlockedDriverBitIdentity) {
   BackendGuard guard(GetParam());
   if (!guard.ok()) GTEST_SKIP() << "backend unavailable: " << GetParam();
-  // dim 8192 exceeds the serial-transform threshold (2^12), so the batched
-  // blocked driver runs — including the quantized phase route on every
-  // backend. The small-dim tests above cover the per-lane serial path; this
+  // dim 8192 exceeds the serial-transform threshold (2^12), so the blocked
+  // WHT driver runs. The small-dim tests above cover the serial path; this
   // pins the other regime.
   const dvec obj = maxcut_objective(13, 19);
   const XMixer mixer = XMixer::transverse_field(13);
@@ -147,8 +146,8 @@ TEST_P(BatchBackendTest, DeepCircuitBitIdentity) {
 TEST_P(BatchBackendTest, MultiMixerLayersUseExtraBetaPath) {
   BackendGuard guard(GetParam());
   if (!guard.ok()) GTEST_SKIP() << "backend unavailable: " << GetParam();
-  // Two mixers per round: num_betas = 2p, so batched rounds take the
-  // apply_exp_batch (plain-WHT) continuation instead of the fused tail.
+  // Two mixers per round: num_betas = 2p, so rounds take the apply_exp
+  // (plain-WHT) continuation instead of the fused tail.
   const dvec obj = maxcut_objective(6, 11);
   const XMixer mixer = XMixer::transverse_field(6);
   std::vector<MixerLayer> layers(2);
@@ -162,8 +161,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BatchBackendTest,
                          ::testing::ValuesIn(kn::available()));
 
 TEST(BatchEvaluate, GroverMixerFallbackIsBitIdentical) {
-  // GroverMixer has no batch override — the Mixer base class bounces each
-  // lane through the single-state virtuals. Same bit-identity contract.
+  // GroverMixer takes the Mixer base-class round (unfused phase sweep, then
+  // apply_exp). Same bit-identity contract.
   const dvec obj = maxcut_objective(6, 3);
   const GroverMixer mixer(obj.size());
   const QaoaPlan plan(mixer, obj, 2);
@@ -204,69 +203,18 @@ TEST(BatchEvaluate, SingleLaneSharesSinglePointBuffers) {
   const dvec obj = maxcut_objective(6, 5);
   const XMixer mixer = XMixer::transverse_field(6);
   const QaoaPlan plan(mixer, obj, 1);
-  EvalWorkspace ws;
   const AngleSet a = random_angles(1, 1, 1, 31);
+  EvalWorkspace ws;
   std::vector<double> out(1);
   evaluate_batch(plan, ws, a.betas, a.gammas, out);
-  // B == 1 delegates to evaluate(): lane 0 IS the single-point state.
-  EXPECT_EQ(ws.lane_state(0), ws.psi.data());
+  // A one-lane batch is one evaluate(): its state and <C> sit in the
+  // single-point buffers.
+  EvalWorkspace ws_single;
+  const double want = evaluate(plan, ws_single, a.betas, a.gammas);
+  EXPECT_EQ(0, std::memcmp(&want, out.data(), sizeof(double)));
   EXPECT_EQ(0, std::memcmp(&ws.expectation, out.data(), sizeof(double)));
-}
-
-TEST(BatchEvaluate, BatchedFiniteDiffMatchesSequentialBitwise) {
-  const dvec obj = maxcut_objective(8, 13);
-  const XMixer mixer = XMixer::transverse_field(8);
-  const QaoaPlan plan(mixer, obj, 3);
-  const int p = plan.rounds();
-  const AngleSet a = random_angles(1, p, p, 4321);
-
-  auto run = [&](int eval_batch, std::vector<double>& grad) -> double {
-    EvalWorkspace ws;
-    FiniteDiffDifferentiator fd(plan, ws);
-    fd.set_eval_batch(eval_batch);
-    grad.assign(static_cast<std::size_t>(2 * p), 0.0);
-    return fd.value_and_gradient(
-        a.betas, a.gammas,
-        std::span<double>(grad.data(), static_cast<std::size_t>(p)),
-        std::span<double>(grad.data() + p, static_cast<std::size_t>(p)));
-  };
-
-  std::vector<double> grad_seq;
-  std::vector<double> grad_batched;
-  const double v_seq = run(1, grad_seq);
-  const double v_batched = run(8, grad_batched);
-  EXPECT_EQ(0, std::memcmp(&v_seq, &v_batched, sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(grad_seq.data(), grad_batched.data(),
-                           grad_seq.size() * sizeof(double)));
-}
-
-TEST(BatchEvaluate, AdjointAgreesWithBatchedFiniteDiff) {
-  const dvec obj = maxcut_objective(8, 29);
-  const XMixer mixer = XMixer::transverse_field(8);
-  const QaoaPlan plan(mixer, obj, 2);
-  const int p = plan.rounds();
-  const AngleSet a = random_angles(1, p, p, 86);
-
-  EvalWorkspace ws_fd;
-  FiniteDiffDifferentiator fd(plan, ws_fd);
-  fd.set_eval_batch(4);
-  std::vector<double> fd_gb(static_cast<std::size_t>(p));
-  std::vector<double> fd_gg(static_cast<std::size_t>(p));
-  const double v_fd = fd.value_and_gradient(a.betas, a.gammas, fd_gb, fd_gg);
-
-  EvalWorkspace ws_ad;
-  std::vector<double> ad_gb(static_cast<std::size_t>(p));
-  std::vector<double> ad_gg(static_cast<std::size_t>(p));
-  const double v_ad = adjoint_value_and_gradient(plan, ws_ad, a.betas,
-                                                 a.gammas, ad_gb, ad_gg);
-
-  EXPECT_NEAR(v_fd, v_ad, 1e-9);
-  for (int i = 0; i < p; ++i) {
-    EXPECT_NEAR(fd_gb[static_cast<std::size_t>(i)],
-                ad_gb[static_cast<std::size_t>(i)], 1e-5);
-    EXPECT_NEAR(fd_gg[static_cast<std::size_t>(i)],
-                ad_gg[static_cast<std::size_t>(i)], 1e-5);
-  }
+  EXPECT_EQ(0, std::memcmp(ws.psi.data(), ws_single.psi.data(),
+                           plan.dim() * sizeof(cplx)));
 }
 
 TEST(BatchEvaluate, CustomPhaseTableBitIdentity) {

@@ -15,8 +15,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <fstream>
@@ -566,6 +568,54 @@ TEST(ServiceBatchEvaluate, LanesMatchIndividualJobsAndStatsCount) {
     EXPECT_EQ(stats.batch_jobs, 1u) << "workers " << workers;
     EXPECT_EQ(stats.batched_evals, 4u) << "workers " << workers;
   }
+}
+
+TEST(ServiceBatchEvaluate, MaxEvalsStopsAfterFinishedLanes) {
+  // batch_evaluate honours its budget like evaluate and find_angles: each
+  // lane is one evaluation, and a tripped max_evals returns the lanes
+  // finished so far, flagged with the reason.
+  ServiceConfig config;
+  config.workers = 1;
+  Service service(config);
+
+  JobSpec sweep = evaluate_spec();
+  sweep.kind = JobKind::BatchEvaluate;
+  sweep.lanes = 16;
+  sweep.betas.clear();
+  sweep.gammas.clear();
+  for (int lane = 0; lane < sweep.lanes; ++lane) {
+    for (int r = 0; r < sweep.p; ++r) {
+      sweep.betas.push_back(0.05 + 0.07 * lane + 0.01 * r);
+      sweep.gammas.push_back(0.25 + 0.05 * lane - 0.02 * r);
+    }
+  }
+  const Json full = Json::parse(
+      handle_request_line(service, job_spec_to_json(sweep).dump()));
+  ASSERT_TRUE(full.at("ok").as_bool()) << full.dump();
+  EXPECT_EQ(full.at("result").at("lanes").as_int64(), 16);
+  EXPECT_EQ(full.at("result").at("stop_reason").as_string(), "none");
+
+  JobSpec bounded = sweep;
+  bounded.max_evaluations = 3;
+  const Json request = job_spec_to_json(bounded);
+  ASSERT_NE(request.find("max_evals"), nullptr) << request.dump();
+  const Json cut = Json::parse(handle_request_line(service, request.dump()));
+  ASSERT_TRUE(cut.at("ok").as_bool()) << cut.dump();
+  EXPECT_EQ(cut.at("state").as_string(), "done");
+  const Json& result = cut.at("result");
+  EXPECT_EQ(result.at("lanes").as_int64(), 3);
+  EXPECT_EQ(result.at("stop_reason").as_string(), "max-evaluations");
+  const Json& got = result.at("expectations");
+  const Json& want = full.at("result").at("expectations");
+  ASSERT_EQ(got.size(), 3u);
+  double best = got.as_array()[0].as_double();
+  for (std::size_t lane = 0; lane < 3; ++lane) {
+    const double e = got.as_array()[lane].as_double();
+    const double w = want.as_array()[lane].as_double();
+    EXPECT_EQ(std::memcmp(&e, &w, sizeof(double)), 0) << "lane " << lane;
+    best = std::max(best, e);
+  }
+  EXPECT_EQ(result.at("expectation").as_double(), best);
 }
 
 TEST(ServiceConcurrency, ResultsAreWorkerCountInvariant) {

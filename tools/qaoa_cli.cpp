@@ -28,13 +28,11 @@
 // truncations fidelity proxies). Flags that have no meaning for the
 // selected engine are rejected, not ignored.
 //
-// Batching: --batch=B routes grid-search points and finite-difference
-// gradient stencils through evaluate_batch, B statevector lanes per fused
-// kernel pass — bit-identical results, higher throughput (the CSV gains an
-// evals_per_sec column so the speedup is visible directly). For the
-// basinhopping strategies it additionally scores B perturbation proposals
-// per hop (BasinHoppingOptions::proposals), which changes the search — more
-// exploration per hop — but stays deterministic for a fixed B.
+// Batching: --batch=B (iterative strategy only) scores B perturbation
+// proposals per basinhopping hop (BasinHoppingOptions::proposals) and runs
+// the local minimization from the most promising one. That changes the
+// search — more exploration per hop — but stays deterministic for a fixed B.
+// Any other strategy rejects --batch > 1.
 //
 // Robustness: --deadline / --max-evals bound the whole angle search (it
 // stops within one optimizer iteration of the limit and reports best-so-far
@@ -227,8 +225,8 @@ int main(int argc, char** argv) {
                   "--mixer=" + mixer_name + " requires --engine=exact");
     }
     if (int_option(argc, argv, "--batch", 1) > 1) {
-      usage_error("--engine=mps has no batched kernels; --batch requires "
-                  "--engine=exact");
+      usage_error("--engine=mps has no batch hook to score hop proposals; "
+                  "--batch requires --engine=exact");
     }
     if (shots > 0) {
       usage_error("--shots samples the dense statevector; it requires "
@@ -275,10 +273,11 @@ int main(int argc, char** argv) {
   if (opt.parallel_starts < 1) usage_error("--starts must be >= 1");
   const int batch = static_cast<int>(int_option(argc, argv, "--batch", 1));
   if (batch < 1) usage_error("--batch must be >= 1");
-  opt.eval_batch = batch;
-  // Basinhopping consumes the batch width as proposals-per-hop (see header
-  // comment); grid search and FD gradients batch transparently.
-  if (batch > 1 && strategy == "iterative") opt.hopping.proposals = batch;
+  if (batch > 1 && strategy != "iterative") {
+    usage_error("--batch scores basinhopping hop proposals; it requires "
+                "--strategy=iterative");
+  }
+  opt.hopping.proposals = batch;
   opt.budget.wall_seconds = double_option(argc, argv, "--deadline", 0.0);
   opt.budget.max_evaluations =
       static_cast<std::size_t>(int_option(argc, argv, "--max-evals", 0));
@@ -447,9 +446,8 @@ int main(int argc, char** argv) {
 
   // --- report -----------------------------------------------------------
   // evals_per_sec is the whole run's expectation-evaluation throughput
-  // (total evaluations / total search seconds) — the number --batch=B is
-  // meant to move. It repeats on every row so single-row strategies and
-  // per-round readers both see it.
+  // (total evaluations / total search seconds). It repeats on every row so
+  // single-row strategies and per-round readers both see it.
   std::size_t total_evals = 0;
   for (const AngleSchedule& s : schedules) total_evals += s.evaluations;
   const double evals_per_sec =

@@ -13,7 +13,9 @@
 //                                  angles (--betas=0.1;0.2;0.3 sweeps three
 //                                  p=1 angle sets in ONE job / one
 //                                  admission decision); result carries one
-//                                  expectation per lane
+//                                  expectation per lane. [--deadline]
+//                                  [--max-evals] (one eval per lane) stop
+//                                  the sweep early with the lanes done
 //   find_angles                    --problem --mixer --n [--k] [--p]
 //                                  [--hops] [--starts] [--opt-seed]
 //                                  [--checkpoint] [--deadline] [--max-evals]
