@@ -131,8 +131,8 @@ int main(int argc, char** argv) {
 
   // --- phase 3: instrumentation overhead ---------------------------------
   // Median single-thread evaluate() with metrics recording enabled vs
-  // disabled at runtime, in this same binary. With FASTQAOA_PROFILING=OFF
-  // both runs are uninstrumented and the ratio sits at ~1.0 by construction.
+  // disabled at runtime (obs::set_metrics_enabled, the instrumentation's
+  // only off switch), in this same binary.
   set_num_threads(1);
   const int overhead_reps = full ? 200 : 60;
   EvalWorkspace overhead_ws;

@@ -8,50 +8,22 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cli_flags.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 
 namespace fastqaoa::benchutil {
 
-/// True when the given flag (e.g. "--full") appears in argv.
-inline bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-/// Value of "--key=value" style string options, or fallback.
-inline std::string string_option(int argc, char** argv, const char* key,
-                                 const std::string& fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return std::string(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-/// Value of "--key=value" style integer options, or fallback.
-inline long long int_option(int argc, char** argv, const char* key,
-                            long long fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoll(v.c_str(), nullptr, 10);
-}
-
-/// Value of "--key=value" style floating-point options, or fallback.
-inline double double_option(int argc, char** argv, const char* key,
-                            double fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
-}
+// Every harness parses its flags through the shared tool parser.
+using cli::double_option;
+using cli::has_flag;
+using cli::int_option;
+using cli::string_option;
 
 /// Median wall-clock seconds of `reps` calls to fn (after one warmup call).
 template <typename Fn>

@@ -14,7 +14,7 @@ OptResult basinhopping(const GradObjective& fn, std::vector<double> x0,
   FASTQAOA_CHECK(!x0.empty(), "basinhopping: empty starting point");
   FASTQAOA_CHECK(opt.hops >= 1, "basinhopping: need at least one hop");
   FASTQAOA_CHECK(opt.proposals >= 1, "basinhopping: need proposals >= 1");
-  FASTQAOA_OBS_TIMED("anglefind.basinhopping");
+  FASTQAOA_OBS_HIST_TIMED("anglefind.basinhopping.seconds");
   FASTQAOA_TRACE_SPAN("basinhopping");
   // Batched proposals need a batch evaluator; without one the hop falls
   // back to the classic single-proposal shape.

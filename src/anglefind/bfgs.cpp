@@ -142,8 +142,7 @@ OptResult bfgs_minimize(const GradObjective& fn, std::vector<double> x0,
                         const BfgsOptions& options) {
   const std::size_t n = x0.size();
   FASTQAOA_CHECK(n > 0, "bfgs_minimize: empty starting point");
-  FASTQAOA_OBS_COUNT("anglefind.bfgs.calls", 1);
-  FASTQAOA_OBS_TIMED("anglefind.bfgs");
+  FASTQAOA_OBS_HIST_TIMED("anglefind.bfgs.seconds");
   FASTQAOA_TRACE_SPAN("bfgs_minimize");
 
   OptResult result;

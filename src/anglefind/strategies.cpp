@@ -132,7 +132,7 @@ ChainResult run_basinhopping(const ObjectiveFactory& make_objective, int p,
                              const FindAnglesOptions& options,
                              int chain_index) {
   const std::unique_ptr<AngleObjective> objective = make_objective();
-  FASTQAOA_OBS_SCOPE(objective->metrics());
+  obs::SinkScope metrics_scope(objective->metrics());
   FASTQAOA_OBS_COUNT("anglefind.chains", 1);
   FASTQAOA_TRACE_SPAN("chain");
   GradObjective fn = objective->as_grad_objective();
@@ -164,7 +164,7 @@ ChainResult run_basinhopping(const ObjectiveFactory& make_objective, int p,
   out.schedule.optimizer_calls = res.evaluations;
   out.schedule.evaluations = objective->evaluations();
   out.schedule.stop_reason = res.stop_reason;
-  FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
+  obs::merge_global(objective->metrics());
   return out;
 }
 
@@ -409,8 +409,6 @@ std::vector<AngleSchedule> find_angles(const AngleEngine& engine,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       round_start)
             .count();
-    FASTQAOA_OBS_COUNT_GLOBAL("anglefind.rounds", 1);
-    FASTQAOA_OBS_TIME_GLOBAL("anglefind.round", seconds);
     FASTQAOA_OBS_HIST_GLOBAL("anglefind.round_latency_seconds", seconds);
     if (options.on_round) options.on_round(schedules.back(), seconds);
     if (schedules.back().stopped_early()) break;
@@ -458,7 +456,7 @@ AngleSchedule find_angles_random(const AngleEngine& engine, int p,
 #pragma omp parallel if (restarts > 1)
   {
     const std::unique_ptr<AngleObjective> objective = make_objective();
-    FASTQAOA_OBS_SCOPE(objective->metrics());
+    obs::SinkScope metrics_scope(objective->metrics());
     GradObjective fn = objective->as_grad_objective();
 #pragma omp for schedule(dynamic)
     for (int r = 0; r < restarts; ++r) {
@@ -482,7 +480,7 @@ AngleSchedule find_angles_random(const AngleEngine& engine, int p,
     const std::size_t mine = objective->evaluations();
 #pragma omp atomic
     total_evals += mine;
-    FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
+    obs::merge_global(objective->metrics());
   }
   if (error) std::rethrow_exception(error);
 
@@ -543,7 +541,7 @@ AngleSchedule find_angles_grid(const AngleEngine& engine, int p,
 #pragma omp parallel if (total > 1)
   {
     const std::unique_ptr<AngleObjective> objective = make_objective();
-    FASTQAOA_OBS_SCOPE(objective->metrics());
+    obs::SinkScope metrics_scope(objective->metrics());
     std::vector<double> point(static_cast<std::size_t>(dims), 0.0);
     double local_f = std::numeric_limits<double>::infinity();
     long long local_index = -1;
@@ -580,7 +578,7 @@ AngleSchedule find_angles_grid(const AngleEngine& engine, int p,
     const std::size_t mine = objective->evaluations();
 #pragma omp atomic
     grid_evals += mine;
-    FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
+    obs::merge_global(objective->metrics());
   }
   if (error) std::rethrow_exception(error);
   tracker->add_evaluations(grid_evals);
@@ -594,12 +592,12 @@ AngleSchedule find_angles_grid(const AngleEngine& engine, int p,
 
   if (polish && best_index >= 0) {
     const std::unique_ptr<AngleObjective> objective = make_objective();
-    FASTQAOA_OBS_SCOPE(objective->metrics());
+    obs::SinkScope metrics_scope(objective->metrics());
     OptResult res = bfgs_minimize(objective->as_grad_objective(), best_point,
                                   opts.hopping.local);
     optimizer_calls += res.evaluations;
     evaluations += objective->evaluations();
-    FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
+    obs::merge_global(objective->metrics());
     if (res.f < best_f) {
       best_f = res.f;
       best_point = res.x;
@@ -644,7 +642,7 @@ double evaluate_angles(const AngleEngine& engine,
   const std::unique_ptr<AngleObjective> objective =
       engine.at_depth(static_cast<int>(packed.size() / 2), options)();
   const double f = (*objective)(packed, {});
-  FASTQAOA_OBS_MERGE_GLOBAL(objective->metrics());
+  obs::merge_global(objective->metrics());
   return options.direction == Direction::Maximize ? -f : f;
 }
 
@@ -817,29 +815,6 @@ std::vector<AngleSchedule> load_checkpoint(
   FASTQAOA_CHECK(in.good(), "load_checkpoint: cannot open " + path);
   std::string header;
   std::getline(in, header);
-
-  if (header == "fastqaoa-angles v1") {
-    // Legacy format: no fingerprint, no search-cost columns. Only loadable
-    // when the caller did not ask for fingerprint validation.
-    if (expected) check_fingerprint(std::nullopt, *expected, path);
-    std::size_t count = 0;
-    in >> count;
-    FASTQAOA_CHECK(!in.fail(),
-                   "load_checkpoint: corrupt schedule count in " + path);
-    std::vector<AngleSchedule> schedules(count);
-    for (AngleSchedule& s : schedules) {
-      in >> s.p >> s.expectation;
-      FASTQAOA_CHECK(!in.fail() && s.p >= 1,
-                     "load_checkpoint: corrupt entry in " + path);
-      s.betas.resize(static_cast<std::size_t>(s.p));
-      s.gammas.resize(static_cast<std::size_t>(s.p));
-      for (double& b : s.betas) in >> b;
-      for (double& g : s.gammas) in >> g;
-      FASTQAOA_CHECK(!in.fail(),
-                     "load_checkpoint: corrupt angles in " + path);
-    }
-    return schedules;
-  }
 
   FASTQAOA_CHECK(header == "fastqaoa-angles v2",
                  "load_checkpoint: unrecognized header in " + path);

@@ -207,9 +207,10 @@ struct CheckpointFingerprint {
 /// torn file and loaded angles are bit-identical to the saved ones. When a
 /// fingerprint is supplied to save_checkpoint it is embedded in the header;
 /// when one is supplied to load_checkpoint the file must carry a matching
-/// fingerprint (legacy v1 files, which predate fingerprints, are then
-/// refused). Loading without an expected fingerprint skips validation —
-/// the inspection-tool escape hatch.
+/// fingerprint. Loading without an expected fingerprint skips validation —
+/// the inspection-tool escape hatch. Only the "fastqaoa-angles v2" format
+/// is read; anything else (including the retired v1) is an unrecognized
+/// header.
 void save_checkpoint(
     const std::string& path, const std::vector<AngleSchedule>& schedules,
     const std::optional<CheckpointFingerprint>& fingerprint = std::nullopt);

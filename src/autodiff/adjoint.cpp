@@ -15,9 +15,8 @@ double adjoint_value_and_gradient(const QaoaPlan& plan, EvalWorkspace& ws,
                  "value_and_gradient: grad_betas size mismatch");
   FASTQAOA_CHECK(grad_gammas.size() == gammas.size(),
                  "value_and_gradient: grad_gammas size mismatch");
-  FASTQAOA_OBS_SCOPE(ws.metrics);
-  FASTQAOA_OBS_COUNT("autodiff.adjoint.gradients", 1);
-  FASTQAOA_OBS_TIMED("autodiff.adjoint");
+  obs::SinkScope metrics_scope(ws.metrics);
+  FASTQAOA_OBS_HIST_TIMED("autodiff.adjoint.seconds");
   FASTQAOA_TRACE_SPAN("adjoint_gradient");
 
   // Forward pass (ws.psi keeps the final state; the reverse sweep unwinds a
@@ -40,7 +39,7 @@ double adjoint_value_and_gradient(const QaoaPlan& plan, EvalWorkspace& ws,
 
   // Reverse sweep: unapply each layer from both psi and lambda, harvesting
   // angle gradients along the way.
-  FASTQAOA_OBS_TIMED("autodiff.adjoint.reverse");
+  FASTQAOA_OBS_HIST_TIMED("autodiff.adjoint.reverse.seconds");
   std::size_t beta_index = betas.size();
   for (std::size_t k = layers.size(); k-- > 0;) {
     const MixerLayer& layer = layers[k];

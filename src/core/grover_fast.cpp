@@ -61,8 +61,7 @@ double GroverQaoa::run(std::span<const double> betas,
                        std::span<const double> gammas) {
   FASTQAOA_CHECK(betas.size() == gammas.size(),
                  "GroverQaoa::run: betas/gammas size mismatch");
-  FASTQAOA_OBS_COUNT("core.grover.evals", 1);
-  FASTQAOA_OBS_TIMED("core.grover.run");
+  FASTQAOA_OBS_HIST_TIMED("core.grover.run.seconds");
   FASTQAOA_TRACE_SPAN("grover_run");
   const std::size_t m = values_.size();
   // |psi0> = uniform: every state has amplitude 1/sqrt(N), so class j's
@@ -89,8 +88,7 @@ double GroverQaoa::value_and_gradient(std::span<const double> betas,
   FASTQAOA_CHECK(grad_betas.size() == betas.size() &&
                      grad_gammas.size() == gammas.size(),
                  "GroverQaoa::value_and_gradient: gradient size mismatch");
-  FASTQAOA_OBS_COUNT("core.grover.gradients", 1);
-  FASTQAOA_OBS_TIMED("core.grover.gradient");
+  FASTQAOA_OBS_HIST_TIMED("core.grover.gradient.seconds");
   FASTQAOA_TRACE_SPAN("grover_gradient");
   const double value = run(betas, gammas);
   const std::size_t m = values_.size();

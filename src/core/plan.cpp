@@ -114,9 +114,7 @@ double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
                  "evaluate: wrong number of beta angles");
   FASTQAOA_CHECK(static_cast<int>(gammas.size()) == plan.num_gammas(),
                  "evaluate: wrong number of gamma angles");
-  FASTQAOA_OBS_SCOPE(ws.metrics);
-  FASTQAOA_OBS_COUNT("core.evaluate.calls", 1);
-  FASTQAOA_OBS_TIMED("core.evaluate");
+  obs::SinkScope metrics_scope(ws.metrics);
   FASTQAOA_OBS_HIST_TIMED("core.evaluate.latency_seconds");
   FASTQAOA_TRACE_SPAN("evaluate");
   ws.psi.resize(plan.dim());
@@ -126,7 +124,6 @@ double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
   const auto& layers = plan.layers();
   std::size_t beta_index = 0;
   for (std::size_t k = 0; k < layers.size(); ++k) {
-    FASTQAOA_OBS_TIMED("core.evaluate.round");
     FASTQAOA_OBS_HIST_TIMED("core.evaluate.round_latency_seconds");
     const auto& ms = layers[k].mixers;
     const bool last = k + 1 == layers.size();
@@ -172,9 +169,7 @@ void evaluate_batch(const QaoaPlan& plan, EvalWorkspace& ws,
                  "evaluate_batch: wrong number of beta angles");
   FASTQAOA_CHECK(gammas.size() == ng * b_count,
                  "evaluate_batch: wrong number of gamma angles");
-  FASTQAOA_OBS_SCOPE(ws.metrics);
-  FASTQAOA_OBS_COUNT("core.evaluate_batch.calls", 1);
-  FASTQAOA_OBS_TIMED("core.evaluate_batch");
+  obs::SinkScope metrics_scope(ws.metrics);
   FASTQAOA_OBS_HIST_TIMED("core.evaluate_batch.latency_seconds");
   FASTQAOA_OBS_HIST("core.evaluate_batch.width", b_count);
   FASTQAOA_TRACE_SPAN("evaluate_batch");

@@ -133,7 +133,7 @@ struct EvalWorkspace {
   /// active sink, so every instrumented kernel it reaches (WHT, GEMV,
   /// adjoint sweeps) tallies here without touching shared state. Outer
   /// loops merge it into the global aggregate at their join point
-  /// (obs::merge_global). Untouched when FASTQAOA_PROFILING=OFF.
+  /// (obs::merge_global). Untouched while obs::metrics_enabled() is false.
   obs::MetricsSink metrics;
 
   /// Pre-size the forward buffers for a plan (optional warm-up; evaluation

@@ -20,16 +20,14 @@ int log2_exact(index_t sz) {
 void wht_unnormalized(StateRef v) {
   const index_t n = v.size();
   FASTQAOA_CHECK(is_power_of_two(n), "wht: length must be a power of 2");
-  FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
-  FASTQAOA_OBS_TIMED("linalg.wht");
+  FASTQAOA_OBS_HIST_TIMED("linalg.wht.seconds");
   kernels::active().wht(v.data(), n);
 }
 
 void wht_orthonormal(StateRef v) {
   const index_t n = v.size();
   FASTQAOA_CHECK(is_power_of_two(n), "wht: length must be a power of 2");
-  FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
-  FASTQAOA_OBS_TIMED("linalg.wht");
+  FASTQAOA_OBS_HIST_TIMED("linalg.wht.seconds");
   const double scale = 1.0 / std::sqrt(static_cast<double>(n));
   // Fold the normalization into the fused pre-pass (null diagonal = pure
   // scale); self-inverse either way since the scale commutes with H.
@@ -54,8 +52,7 @@ void phase_wht(StateRef v, const dvec& d, double angle, double scale,
   const index_t n = v.size();
   FASTQAOA_CHECK(is_power_of_two(n), "wht: length must be a power of 2");
   FASTQAOA_CHECK(d.size() == n, "phase_wht: diagonal size mismatch");
-  FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
-  FASTQAOA_OBS_TIMED("linalg.wht");
+  FASTQAOA_OBS_HIST_TIMED("linalg.wht.seconds");
   const kernels::QuantizedDiag dq = dict_view(dict);
   kernels::active().phase_wht_batch(v.data(), n, 1, nullptr, d.data(), &dq,
                                     &angle, scale, n);
@@ -65,8 +62,7 @@ double wht_expect(StateRef v, const dvec& obj) {
   const index_t n = v.size();
   FASTQAOA_CHECK(is_power_of_two(n), "wht: length must be a power of 2");
   FASTQAOA_CHECK(obj.size() == n, "wht_expect: objective size mismatch");
-  FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
-  FASTQAOA_OBS_TIMED("linalg.wht");
+  FASTQAOA_OBS_HIST_TIMED("linalg.wht.seconds");
   return kernels::active().wht_expect(v.data(), obj.data(), n);
 }
 
@@ -77,8 +73,7 @@ double phase_wht_expect(StateRef v, const dvec& d, double angle, double scale,
   FASTQAOA_CHECK(d.size() == n, "phase_wht_expect: diagonal size mismatch");
   FASTQAOA_CHECK(obj.size() == n,
                  "phase_wht_expect: objective size mismatch");
-  FASTQAOA_OBS_COUNT("linalg.wht.applies", 1);
-  FASTQAOA_OBS_TIMED("linalg.wht");
+  FASTQAOA_OBS_HIST_TIMED("linalg.wht.seconds");
   const kernels::QuantizedDiag dq = dict_view(dict);
   double out = 0.0;
   kernels::active().phase_wht_expect_batch(v.data(), n, 1, d.data(), &dq,

@@ -77,8 +77,7 @@ const linalg::HermEig& EigenMixer::herm_eig() const {
 
 void EigenMixer::apply_exp(StateRef psi, double beta, cvec& scratch) const {
   FASTQAOA_CHECK(psi.size() == dim(), "EigenMixer: state size mismatch");
-  FASTQAOA_OBS_COUNT("mixers.eigen.exp_applies", 1);
-  FASTQAOA_OBS_TIMED("mixers.eigen.exp");
+  FASTQAOA_OBS_HIST_TIMED("mixers.eigen.exp.seconds");
   scratch.resize(dim());
   if (real_) {
     linalg::gemv_transpose(real_->vectors, psi, scratch);  // V^T psi
@@ -96,8 +95,7 @@ void EigenMixer::apply_ham(ConstStateRef in, StateRef out,
   FASTQAOA_CHECK(in.size() == dim(), "EigenMixer: state size mismatch");
   FASTQAOA_CHECK(out.size() == dim(),
                  "EigenMixer: apply_ham output must be presized");
-  FASTQAOA_OBS_COUNT("mixers.eigen.ham_applies", 1);
-  FASTQAOA_OBS_TIMED("mixers.eigen.ham");
+  FASTQAOA_OBS_HIST_TIMED("mixers.eigen.ham.seconds");
   scratch.resize(dim());
   if (real_) {
     linalg::gemv_transpose(real_->vectors, in, scratch);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "obs/metrics.hpp"
 
 namespace fastqaoa::mps {
@@ -55,8 +54,8 @@ double evaluate(const MpsPlan& plan, MpsWorkspace& ws,
   ws.interrupted = false;
   ws.state = MpsState::plus_state(n);
 
-  FASTQAOA_OBS_SCOPE(ws.metrics);
-  WallTimer timer;
+  obs::SinkScope metrics_scope(ws.metrics);
+  FASTQAOA_OBS_HIST_TIMED("mps.evaluate.seconds");
   for (std::size_t round = 0; round < betas.size(); ++round) {
     // Per-round budget poll: an MPS round at large n is expensive enough
     // that waiting for the optimizer-granularity check would overshoot
@@ -97,13 +96,11 @@ double evaluate(const MpsPlan& plan, MpsWorkspace& ws,
   }
   const double value = expectation(ws.state, plan.hamiltonian());
 
-  FASTQAOA_OBS_COUNT("mps.evals", 1);
   FASTQAOA_OBS_COUNT("mps.truncations", ws.stats.truncations);
   FASTQAOA_OBS_COUNT("mps.budget_exhausted", ws.stats.budget_exhausted);
   FASTQAOA_OBS_HIST("mps.discarded_weight", ws.stats.discarded_weight);
   FASTQAOA_OBS_HIST("mps.max_bond_reached",
                     static_cast<double>(ws.stats.max_bond_reached));
-  FASTQAOA_OBS_TIME("mps.evaluate", timer.seconds());
   return value;
 }
 

@@ -43,7 +43,7 @@ struct TruncationPolicy {
   double fidelity_budget = 1e-3;  ///< cumulative discarded-weight allowance
 };
 
-/// Always-on truncation accounting (independent of FASTQAOA_PROFILING).
+/// Always-on truncation accounting (independent of obs::metrics_enabled()).
 struct TruncationStats {
   std::uint64_t truncations = 0;   ///< splits that discarded nonzero weight
   double discarded_weight = 0.0;   ///< cumulative relative weight dropped

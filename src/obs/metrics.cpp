@@ -11,15 +11,13 @@ namespace fastqaoa::obs {
 
 namespace {
 
-/// Append-only name registry. Counter and timer names live in separate id
-/// spaces (a sink indexes two separate vectors).
+/// Append-only name registry. Counter and histogram names live in separate
+/// id spaces (a sink indexes two separate vectors).
 struct Registry {
   std::mutex mutex;
   std::vector<std::string> counter_names;
-  std::vector<std::string> timer_names;
   std::vector<std::string> histogram_names;
   std::unordered_map<std::string, MetricId> counter_ids;
-  std::unordered_map<std::string, MetricId> timer_ids;
   std::unordered_map<std::string, MetricId> histogram_ids;
 };
 
@@ -45,12 +43,6 @@ std::string counter_name(MetricId id) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);
   return r.counter_names[id];
-}
-
-std::string timer_name(MetricId id) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  return r.timer_names[id];
 }
 
 std::string histogram_name(MetricId id) {
@@ -97,7 +89,7 @@ void append_json_escaped(std::ostringstream& os, const std::string& s) {
 }
 
 void append_double(std::ostringstream& os, double v) {
-  // min of an empty TimingStat is +inf, which JSON cannot represent.
+  // min of an empty HistogramStat is +inf, which JSON cannot represent.
   if (v == std::numeric_limits<double>::infinity()) {
     os << "0";
     return;
@@ -112,11 +104,6 @@ void append_double(std::ostringstream& os, double v) {
 MetricId counter_id(std::string_view name) {
   Registry& r = registry();
   return intern(name, r.counter_names, r.counter_ids);
-}
-
-MetricId timer_id(std::string_view name) {
-  Registry& r = registry();
-  return intern(name, r.timer_names, r.timer_ids);
 }
 
 MetricId histogram_id(std::string_view name) {
@@ -161,7 +148,6 @@ double HistogramStat::quantile(double q) const noexcept {
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const auto& [name, value] : other.labels) labels[name] = value;
   for (const auto& [name, count] : other.counters) counters[name] += count;
-  for (const auto& [name, stat] : other.timings) timings[name].merge(stat);
   for (const auto& [name, hist] : other.histograms) {
     histograms[name].merge(hist);
   }
@@ -189,20 +175,6 @@ std::string MetricsSnapshot::to_json() const {
     first = false;
     append_json_escaped(os, name);
     os << ':' << count;
-  }
-  os << "},\"timings\":{";
-  first = true;
-  for (const auto& [name, stat] : timings) {
-    if (!first) os << ',';
-    first = false;
-    append_json_escaped(os, name);
-    os << ":{\"count\":" << stat.count << ",\"total_s\":";
-    append_double(os, stat.total);
-    os << ",\"min_s\":";
-    append_double(os, stat.min);
-    os << ",\"max_s\":";
-    append_double(os, stat.max);
-    os << '}';
   }
   os << "},\"histograms\":{";
   first = true;
@@ -243,12 +215,6 @@ void MetricsSink::merge(const MetricsSink& other) {
   for (std::size_t i = 0; i < other.counters_.size(); ++i) {
     counters_[i] += other.counters_[i];
   }
-  if (other.timings_.size() > timings_.size()) {
-    timings_.resize(other.timings_.size());
-  }
-  for (std::size_t i = 0; i < other.timings_.size(); ++i) {
-    timings_[i].merge(other.timings_[i]);
-  }
   if (other.histograms_.size() > histograms_.size()) {
     histograms_.resize(other.histograms_.size());
   }
@@ -261,9 +227,6 @@ bool MetricsSink::empty() const noexcept {
   for (const std::uint64_t c : counters_) {
     if (c != 0) return false;
   }
-  for (const TimingStat& t : timings_) {
-    if (t.count != 0) return false;
-  }
   for (const HistogramStat& h : histograms_) {
     if (h.count != 0) return false;
   }
@@ -274,9 +237,6 @@ MetricsSnapshot MetricsSink::snapshot() const {
   MetricsSnapshot snap;
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     if (counters_[i] != 0) snap.counters[counter_name(i)] = counters_[i];
-  }
-  for (std::size_t i = 0; i < timings_.size(); ++i) {
-    if (timings_[i].count != 0) snap.timings[timer_name(i)] = timings_[i];
   }
   for (std::size_t i = 0; i < histograms_.size(); ++i) {
     if (histograms_[i].count != 0) {
@@ -314,12 +274,6 @@ void count_global(MetricId id, std::uint64_t delta) {
   GlobalSink& g = global_sink();
   std::lock_guard<std::mutex> lock(g.mutex);
   g.sink.add_count(id, delta);
-}
-
-void time_global(MetricId id, double seconds) {
-  GlobalSink& g = global_sink();
-  std::lock_guard<std::mutex> lock(g.mutex);
-  g.sink.add_timing(id, seconds);
 }
 
 void hist_global(MetricId id, double value) {

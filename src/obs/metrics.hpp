@@ -1,7 +1,7 @@
 #pragma once
 /// \file metrics.hpp
-/// Engine-wide metrics: named counters and timing accumulators with
-/// per-thread sinks merged at join points.
+/// Engine-wide metrics: named counters and histograms with per-thread sinks
+/// merged at join points.
 ///
 /// The design mirrors the plan/workspace split: hot paths increment a
 /// MetricsSink they own exclusively (the one embedded in their
@@ -16,9 +16,12 @@
 /// each instrumentation site), so a hot-path increment is a vector index,
 /// not a hash lookup.
 ///
-/// All classes here compile unconditionally; only the FASTQAOA_OBS_* macros
-/// at the bottom — the things that sit on hot paths — compile to nothing
-/// when the build sets FASTQAOA_PROFILING=OFF.
+/// Two metric kinds: counters (event counts) and histograms (value
+/// distributions). A duration is a histogram: each instrumented scope
+/// records exactly one, and its `count` is the number of times the scope
+/// ran, so no separate call counter sits beside it. Instrumentation is
+/// always compiled in; the only off switch is the runtime
+/// set_metrics_enabled(), which the overhead bench toggles.
 
 #include <array>
 #include <cstdint>
@@ -35,33 +38,11 @@ namespace fastqaoa::obs {
 /// Dense handle for an interned metric name.
 using MetricId = std::size_t;
 
-/// Intern a counter / timer / histogram name (process-global, append-only;
-/// safe to call from any thread, but intended to run once per site via a
-/// local static). The three kinds live in separate id spaces.
+/// Intern a counter / histogram name (process-global, append-only; safe to
+/// call from any thread, but intended to run once per site via a local
+/// static). The two kinds live in separate id spaces.
 MetricId counter_id(std::string_view name);
-MetricId timer_id(std::string_view name);
 MetricId histogram_id(std::string_view name);
-
-/// Accumulated timing distribution for one named timer.
-struct TimingStat {
-  std::uint64_t count = 0;
-  double total = 0.0;  ///< seconds
-  double min = std::numeric_limits<double>::infinity();
-  double max = 0.0;
-
-  void add(double seconds) noexcept {
-    ++count;
-    total += seconds;
-    if (seconds < min) min = seconds;
-    if (seconds > max) max = seconds;
-  }
-  void merge(const TimingStat& other) noexcept {
-    count += other.count;
-    total += other.total;
-    if (other.min < min) min = other.min;
-    if (other.max > max) max = other.max;
-  }
-};
 
 /// Fixed log2-bucketed distribution for one named histogram.
 ///
@@ -116,17 +97,14 @@ struct MetricsSnapshot {
   /// the other side's values instead of combining them.
   std::map<std::string, std::string> labels;
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, TimingStat> timings;
   std::map<std::string, HistogramStat> histograms;
 
   void merge(const MetricsSnapshot& other);
   [[nodiscard]] bool empty() const noexcept {
-    return labels.empty() && counters.empty() && timings.empty() &&
-           histograms.empty();
+    return labels.empty() && counters.empty() && histograms.empty();
   }
   /// {"labels": {name: value, ...},
   ///  "counters": {name: count, ...},
-  ///  "timings": {name: {"count": n, "total_s": t, "min_s": a, "max_s": b}},
   ///  "histograms": {name: {"count": n, "sum": s, "min": a, "max": b,
   ///                        "p50": q1, "p95": q2, "p99": q3,
   ///                        "buckets": {"<index>": count, ...}}}}
@@ -144,10 +122,6 @@ class MetricsSink {
     if (id >= counters_.size()) counters_.resize(id + 1, 0);
     counters_[id] += delta;
   }
-  void add_timing(MetricId id, double seconds) {
-    if (id >= timings_.size()) timings_.resize(id + 1);
-    timings_[id].add(seconds);
-  }
   void add_histogram(MetricId id, double value) {
     if (id >= histograms_.size()) histograms_.resize(id + 1);
     histograms_[id].add(value);
@@ -155,7 +129,6 @@ class MetricsSink {
   void merge(const MetricsSink& other);
   void clear() noexcept {
     counters_.clear();
-    timings_.clear();
     histograms_.clear();
   }
   [[nodiscard]] bool empty() const noexcept;
@@ -163,13 +136,13 @@ class MetricsSink {
 
  private:
   std::vector<std::uint64_t> counters_;   ///< indexed by counter MetricId
-  std::vector<TimingStat> timings_;       ///< indexed by timer MetricId
   std::vector<HistogramStat> histograms_; ///< indexed by histogram MetricId
 };
 
-/// Runtime master switch (default on). When off, SinkScope binds no active
-/// sink, so every instrumentation site becomes a null-pointer test — the
-/// knob the overhead bench uses to measure instrumented vs uninstrumented
+/// Runtime master switch (default on) — the one way to turn metrics off.
+/// When off, SinkScope binds no active sink and the global recorders skip,
+/// so every instrumentation site becomes a null-pointer or flag test; the
+/// overhead bench toggles it to measure instrumented vs uninstrumented
 /// evaluate() inside one binary.
 void set_metrics_enabled(bool enabled) noexcept;
 [[nodiscard]] bool metrics_enabled() noexcept;
@@ -193,26 +166,8 @@ class SinkScope {
   MetricsSink* previous_;
 };
 
-/// Times a scope into the active sink (captured at construction).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(MetricId id) noexcept
-      : sink_(active_sink()), id_(id) {}
-  ~ScopedTimer() {
-    if (sink_ != nullptr) sink_->add_timing(id_, timer_.seconds());
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  MetricsSink* sink_;
-  MetricId id_;
-  WallTimer timer_;
-};
-
-/// Times a scope into a *histogram* of the active sink (captured at
-/// construction) — for durations whose distribution matters, not just the
-/// total (per-eval latency, WHT round time).
+/// Times a scope, in seconds, into a histogram of the active sink (captured
+/// at construction).
 class ScopedHistTimer {
  public:
   explicit ScopedHistTimer(MetricId id) noexcept
@@ -231,12 +186,11 @@ class ScopedHistTimer {
 
 /// Process-global aggregate. merge_global is the join-point primitive
 /// (mutex-protected, called once per chain/instance — never per
-/// evaluation); count_global/time_global/hist_global record cold-path
-/// events that have no per-thread sink (find_angles rounds, ensemble
-/// instances, service job bookkeeping).
+/// evaluation); count_global/hist_global record cold-path events that have
+/// no per-thread sink (find_angles rounds, ensemble instances, service job
+/// bookkeeping).
 void merge_global(const MetricsSink& sink);
 void count_global(MetricId id, std::uint64_t delta = 1);
-void time_global(MetricId id, double seconds);
 void hist_global(MetricId id, double value);
 [[nodiscard]] MetricsSnapshot global_snapshot();
 void reset_global();
@@ -249,19 +203,12 @@ void set_global_label(std::string_view name, std::string_view value);
 }  // namespace fastqaoa::obs
 
 // ---------------------------------------------------------------------------
-// Hot-path instrumentation macros. These — and only these — compile to
-// nothing when FASTQAOA_PROFILING=OFF, so an uninstrumented build carries
-// zero overhead and zero behavior change.
+// Instrumentation macros: each interns its metric name once per site (a
+// function-local static id), so a hot-path record is a vector index.
 // ---------------------------------------------------------------------------
 
 #define FASTQAOA_OBS_CONCAT_IMPL(a, b) a##b
 #define FASTQAOA_OBS_CONCAT(a, b) FASTQAOA_OBS_CONCAT_IMPL(a, b)
-
-#ifdef FASTQAOA_PROFILING_ENABLED
-
-/// Bind `sink` as this thread's active sink for the enclosing scope.
-#define FASTQAOA_OBS_SCOPE(sink) \
-  ::fastqaoa::obs::SinkScope FASTQAOA_OBS_CONCAT(fq_obs_scope_, __LINE__)(sink)
 
 /// Add `delta` to the named counter in the active sink (no-op if none).
 #define FASTQAOA_OBS_COUNT(name, delta)                                  \
@@ -272,26 +219,6 @@ void set_global_label(std::string_view name, std::string_view value);
           ::fastqaoa::obs::counter_id(name);                             \
       fq_obs_s->add_count(fq_obs_id, (delta));                           \
     }                                                                    \
-  } while (false)
-
-/// Time the enclosing scope into the named timer of the active sink.
-#define FASTQAOA_OBS_TIMED(name)                                         \
-  static const ::fastqaoa::obs::MetricId FASTQAOA_OBS_CONCAT(            \
-      fq_obs_tid_, __LINE__) = ::fastqaoa::obs::timer_id(name);          \
-  ::fastqaoa::obs::ScopedTimer FASTQAOA_OBS_CONCAT(fq_obs_timer_,        \
-                                                   __LINE__)(            \
-      FASTQAOA_OBS_CONCAT(fq_obs_tid_, __LINE__))
-
-/// Record an externally measured duration into the named timer of the
-/// active sink (for durations not expressible as an enclosing scope).
-#define FASTQAOA_OBS_TIME(name, seconds)                                  \
-  do {                                                                    \
-    if (::fastqaoa::obs::MetricsSink* fq_obs_s =                          \
-            ::fastqaoa::obs::active_sink()) {                             \
-      static const ::fastqaoa::obs::MetricId fq_obs_id =                  \
-          ::fastqaoa::obs::timer_id(name);                                \
-      fq_obs_s->add_timing(fq_obs_id, (seconds));                         \
-    }                                                                     \
   } while (false)
 
 /// Record a value into the named histogram of the active sink.
@@ -305,7 +232,8 @@ void set_global_label(std::string_view name, std::string_view value);
     }                                                                     \
   } while (false)
 
-/// Time the enclosing scope into the named *histogram* of the active sink.
+/// Time the enclosing scope, in seconds, into the named histogram of the
+/// active sink.
 #define FASTQAOA_OBS_HIST_TIMED(name)                                     \
   static const ::fastqaoa::obs::MetricId FASTQAOA_OBS_CONCAT(             \
       fq_obs_hid_, __LINE__) = ::fastqaoa::obs::histogram_id(name);       \
@@ -313,22 +241,13 @@ void set_global_label(std::string_view name, std::string_view value);
                                                        __LINE__)(         \
       FASTQAOA_OBS_CONCAT(fq_obs_hid_, __LINE__))
 
-/// Cold-path global counter/timer (serial outer-loop bookkeeping).
+/// Cold-path global counter/histogram (serial outer-loop bookkeeping).
 #define FASTQAOA_OBS_COUNT_GLOBAL(name, delta)                           \
   do {                                                                   \
     if (::fastqaoa::obs::metrics_enabled()) {                            \
       static const ::fastqaoa::obs::MetricId fq_obs_id =                 \
           ::fastqaoa::obs::counter_id(name);                             \
       ::fastqaoa::obs::count_global(fq_obs_id, (delta));                 \
-    }                                                                    \
-  } while (false)
-
-#define FASTQAOA_OBS_TIME_GLOBAL(name, seconds)                          \
-  do {                                                                   \
-    if (::fastqaoa::obs::metrics_enabled()) {                            \
-      static const ::fastqaoa::obs::MetricId fq_obs_id =                 \
-          ::fastqaoa::obs::timer_id(name);                               \
-      ::fastqaoa::obs::time_global(fq_obs_id, (seconds));                \
     }                                                                    \
   } while (false)
 
@@ -340,41 +259,3 @@ void set_global_label(std::string_view name, std::string_view value);
       ::fastqaoa::obs::hist_global(fq_obs_id, (value));                   \
     }                                                                     \
   } while (false)
-
-/// Merge a worker sink into the global aggregate at a join point.
-#define FASTQAOA_OBS_MERGE_GLOBAL(sink) ::fastqaoa::obs::merge_global(sink)
-
-#else  // !FASTQAOA_PROFILING_ENABLED
-
-#define FASTQAOA_OBS_SCOPE(sink) \
-  do {                           \
-  } while (false)
-#define FASTQAOA_OBS_COUNT(name, delta) \
-  do {                                  \
-  } while (false)
-#define FASTQAOA_OBS_TIMED(name) \
-  do {                           \
-  } while (false)
-#define FASTQAOA_OBS_TIME(name, seconds) \
-  do {                                   \
-  } while (false)
-#define FASTQAOA_OBS_HIST(name, value) \
-  do {                                 \
-  } while (false)
-#define FASTQAOA_OBS_HIST_TIMED(name) \
-  do {                                \
-  } while (false)
-#define FASTQAOA_OBS_COUNT_GLOBAL(name, delta) \
-  do {                                         \
-  } while (false)
-#define FASTQAOA_OBS_TIME_GLOBAL(name, seconds) \
-  do {                                          \
-  } while (false)
-#define FASTQAOA_OBS_HIST_GLOBAL(name, value) \
-  do {                                        \
-  } while (false)
-#define FASTQAOA_OBS_MERGE_GLOBAL(sink) \
-  do {                                  \
-  } while (false)
-
-#endif  // FASTQAOA_PROFILING_ENABLED

@@ -182,18 +182,6 @@ std::string to_prometheus(const MetricsSnapshot& snap,
     }
   }
 
-  for (const auto& [base, series] : group_families(snap.timings, common)) {
-    const std::string family =
-        pfx + sanitize_prometheus_name(base) + "_seconds";
-    append_header(out, family, "fastqaoa timer " + base, "summary");
-    for (const auto& [labels, stat] : series) {
-      append_sample(out, family + "_sum", labels,
-                    format_sample_value(stat->total));
-      append_sample(out, family + "_count", labels,
-                    std::to_string(stat->count));
-    }
-  }
-
   for (const auto& [base, series] :
        group_families(snap.histograms, common)) {
     const std::string family = pfx + sanitize_prometheus_name(base);

@@ -6,7 +6,6 @@
 ///
 /// Mapping:
 ///   counters   -> `<prefix>_<name>_total` (TYPE counter)
-///   timers     -> `<prefix>_<name>_seconds` (TYPE summary: _sum/_count)
 ///   histograms -> `<prefix>_<name>` (TYPE histogram: cumulative
 ///                 `_bucket{le="..."}` series ending at le="+Inf",
 ///                 plus `_sum`/`_count`)

@@ -13,10 +13,6 @@
 /// work is in flight (before/after a run), exactly like reading the global
 /// metrics aggregate. Span names must be string literals (or otherwise
 /// outlive the session) — spans store the pointer, not a copy.
-///
-/// As with metrics, the classes compile unconditionally; the
-/// FASTQAOA_TRACE_SPAN macro placed on hot paths compiles to nothing when
-/// FASTQAOA_PROFILING=OFF.
 
 #include <string>
 
@@ -69,7 +65,7 @@ class TraceSpan {
 
 }  // namespace fastqaoa::obs
 
-#ifdef FASTQAOA_PROFILING_ENABLED
+/// Span over the enclosing scope (a uniquely named local TraceSpan).
 #define FASTQAOA_TRACE_SPAN(name)                                  \
   ::fastqaoa::obs::TraceSpan FASTQAOA_OBS_CONCAT(fq_trace_span_,   \
                                                  __LINE__)(name)
@@ -77,11 +73,3 @@ class TraceSpan {
 #define FASTQAOA_TRACE_SPAN_ID(name, id)                           \
   ::fastqaoa::obs::TraceSpan FASTQAOA_OBS_CONCAT(fq_trace_span_,   \
                                                  __LINE__)(name, (id))
-#else
-#define FASTQAOA_TRACE_SPAN(name) \
-  do {                            \
-  } while (false)
-#define FASTQAOA_TRACE_SPAN_ID(name, id) \
-  do {                                   \
-  } while (false)
-#endif

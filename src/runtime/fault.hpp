@@ -20,7 +20,7 @@
 /// Everything is gated by the FASTQAOA_FAULT_INJECTION CMake option.
 /// When OFF (the default, and all release/TSan builds) the macro is the
 /// literal `false` and the arm/reset API is an inline no-op stub — zero
-/// code, zero branches, exactly like FASTQAOA_PROFILING=OFF.
+/// code, zero branches.
 ///
 /// Known fault points:
 ///   anglefind.chain_nan       (index = chain)    objective returns NaN

@@ -1,6 +1,5 @@
 #include "service/progress.hpp"
 
-#include <chrono>
 #include <utility>
 
 namespace fastqaoa::service {
@@ -195,14 +194,6 @@ void ProgressChannel::Subscription::detach() {
       break;
     }
   }
-}
-
-void ProgressChannel::Subscription::wait_closed_for(int ms) {
-  if (inner_ == nullptr || ms <= 0) return;
-  ProgressInner& in = *inner_;
-  std::unique_lock<std::mutex> lock(in.mu);
-  in.cv.wait_for(lock, std::chrono::milliseconds(ms),
-                 [&] { return in.closed; });
 }
 
 std::uint64_t ProgressChannel::Subscription::dropped() const {

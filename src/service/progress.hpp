@@ -17,7 +17,7 @@
 ///
 /// The channel is always compiled (it is product behavior, not
 /// profiling); the optional drop counter hook lets the service surface
-/// total drops in stats() regardless of FASTQAOA_PROFILING.
+/// total drops in stats() whether or not metrics are enabled.
 
 #include <atomic>
 #include <condition_variable>
@@ -70,11 +70,6 @@ class ProgressChannel {
     /// Block until an event is available or the stream ends. Returns true
     /// with the next line (terminal line last), false once exhausted.
     bool next(std::string& line);
-
-    /// Wait up to `ms` or until the channel closes, whichever is first —
-    /// the interruptible sleep behind the subscribe `throttle_ms` option
-    /// (a deliberately slow subscriber must not delay daemon drain).
-    void wait_closed_for(int ms);
 
     /// Non-blocking variant of next(): returns true with a line when one is
     /// ready (terminal line last), false when nothing is pending right now.

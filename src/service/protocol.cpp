@@ -14,6 +14,9 @@ namespace fastqaoa::service {
 
 namespace {
 
+/// Upper clamp for a subscriber's "throttle_ms" (ten seconds per event).
+constexpr long long kMaxThrottleMs = 10'000;
+
 std::vector<double> doubles_from_json(const Json& value,
                                       const std::string& field) {
   FASTQAOA_CHECK(value.is_array(), "'" + field + "' must be an array");
@@ -373,17 +376,16 @@ Json stats_to_json(const ServiceStats& stats) {
 }
 
 std::string metrics_prometheus(Service& service) {
-  // Engine side: every counter/timer/histogram the workers merged into the
-  // global aggregate (empty in FASTQAOA_PROFILING=OFF builds).
+  // Engine side: every counter/histogram the workers merged into the global
+  // aggregate (empty while metrics recording is disabled at runtime).
   std::string text = obs::to_prometheus(obs::global_snapshot());
 
   // Service side: always-available gauges/counters, carrying the same
   // kernel_backend label the engine snapshot attaches. A few of these
   // families (the service.jobs.* counters) are ALSO tracked by the engine
-  // aggregate in profiling builds; emitting both would be a duplicate
-  // # TYPE, so the engine series wins when present and the stats-derived
-  // sample fills the gap in FASTQAOA_PROFILING=OFF builds (or when metrics
-  // recording is disabled at runtime).
+  // aggregate; emitting both would be a duplicate # TYPE, so the engine
+  // series wins when present and the stats-derived sample fills the gap
+  // when metrics recording is disabled at runtime.
   const std::string labels =
       std::string("kernel_backend=\"") +
       obs::escape_prometheus_label_value(linalg::kernels::active_name()) +
@@ -467,7 +469,7 @@ std::string metrics_prometheus(Service& service) {
         static_cast<double>(st.frontend.active));
 
   // Queue depth at admission as a real histogram family (always on, so
-  // depth quantiles survive FASTQAOA_PROFILING=OFF builds).
+  // depth quantiles survive metrics recording being disabled at runtime).
   append_depth_histogram(text, st.queue_depth_hist, labels);
 
   // Per-tenant series: one # TYPE block per family, one tenant-labelled
@@ -527,6 +529,10 @@ Json submit_job_request(Service& service, const Json& request,
                         std::shared_ptr<Job>* out_job) {
   JobSpec spec = job_spec_from_json(request);
   spec.tenant = tenant;
+  // Every field is validated before admission: a throw after submit()
+  // would leave an accepted job running that no client knows about.
+  const Json* async_field = request.find("async");
+  const bool async = async_field != nullptr && async_field->as_bool();
   Service::SubmitOutcome outcome = service.submit(std::move(spec));
   if (!outcome.accepted()) {
     // Structured backpressure: tell the client how deep the queue is, and
@@ -553,8 +559,7 @@ Json submit_job_request(Service& service, const Json& request,
     response.set("error", std::move(err));
     return response;
   }
-  const Json* async = request.find("async");
-  if (async != nullptr && async->as_bool()) {
+  if (async) {
     Json j = Json::object();
     j.set("ok", Json(true));
     j.set("id", Json(outcome.job->id));
@@ -670,8 +675,8 @@ Json handle_request(Service& service, const Json& request,
     }
     if (op == "subscribe") {
       // Reachable only through a non-streaming dispatcher (in-process
-      // request() or a transport that didn't divert); the daemon's
-      // connection loop routes subscribe lines to handle_subscribe().
+      // request() or a transport that didn't divert); the daemon's event
+      // loop admits subscribe lines with subscribe_attach() and streams.
       return error_response("bad_request",
                             "subscribe requires a streaming connection");
     }
@@ -697,23 +702,22 @@ std::string handle_request_line(Service& service, const std::string& line) {
   return handle_request(service, request).dump();
 }
 
-bool is_subscribe_line(const std::string& line) {
-  try {
-    const Json request = Json::parse(line);
-    const Json* op = request.find("op");
-    return op != nullptr && op->is_string() && op->as_string() == "subscribe";
-  } catch (...) {
-    return false;  // the normal path will produce the parse error response
-  }
-}
-
 Json subscribe_attach(Service& service, const Json& request,
-                      std::shared_ptr<Job>* out_job) {
+                      std::shared_ptr<Job>* out_job, int* out_throttle_ms) {
   std::uint64_t id = 0;
   try {
     id = request.at("id").as_uint64();
   } catch (const std::exception& e) {
     return error_response("bad_request", e.what());
+  }
+  long long throttle_ms = 0;
+  if (const Json* t = request.find("throttle_ms")) {
+    try {
+      throttle_ms = std::clamp(t->as_int64(), 0LL, kMaxThrottleMs);
+    } catch (const std::exception& e) {
+      return error_response("bad_request",
+                            std::string("throttle_ms: ") + e.what());
+    }
   }
   std::shared_ptr<Job> job = service.find(id);
   if (job == nullptr) {
@@ -726,6 +730,7 @@ Json subscribe_attach(Service& service, const Json& request,
   ack.set("subscribed", Json(true));
   ack.set("state", Json(to_string(job->snapshot_state())));
   *out_job = std::move(job);
+  *out_throttle_ms = static_cast<int>(throttle_ms);
   return ack;
 }
 
@@ -746,41 +751,6 @@ std::string stamp_terminal_event(const std::string& line,
     // Not JSON? Forward verbatim; the publisher only emits JSON today.
   }
   return line;
-}
-
-void handle_subscribe(Service& service, const Json& request,
-                      const std::function<bool(const std::string&)>& emit) {
-  int throttle_ms = 0;
-  if (const Json* v = request.find("throttle_ms")) {
-    try {
-      throttle_ms = std::clamp(static_cast<int>(v->as_int64()), 0, 10'000);
-    } catch (const std::exception& e) {
-      emit(error_response("bad_request", e.what()).dump());
-      return;
-    }
-  }
-  std::shared_ptr<Job> job;
-  const Json ack = subscribe_attach(service, request, &job);
-  if (job == nullptr) {
-    emit(ack.dump());
-    return;
-  }
-
-  ProgressChannel::Subscription sub = job->progress.subscribe();
-  if (!emit(ack.dump())) return;
-
-  std::string line;
-  for (;;) {
-    // The throttle simulates (or tests) a slow consumer: while the job is
-    // live the subscriber sits out `throttle_ms` per event and its bounded
-    // queue absorbs/drops the overflow; once the channel closes the wait
-    // returns immediately, so the backlog and terminal event drain fast.
-    if (throttle_ms > 0) sub.wait_closed_for(throttle_ms);
-    if (!sub.next(line)) break;
-    bool terminal = false;
-    line = stamp_terminal_event(line, sub.dropped(), &terminal);
-    if (!emit(line) || terminal) return;
-  }
 }
 
 }  // namespace fastqaoa::service

@@ -11,8 +11,8 @@
 /// "subscribe" is the one verb that breaks the one-line-per-request rule:
 /// it streams NDJSON progress events (an ack, then one line per
 /// angle-finding round, then a terminal "done" event) until the job
-/// finishes. The daemon's connection loop diverts it to
-/// handle_subscribe(); in-process callers pass their own emit callback.
+/// finishes. The daemon's event loop admits it with subscribe_attach() and
+/// streams the job's progress channel; handle_request() refuses it.
 ///
 /// Responses always carry "ok". Failures look like
 ///   {"ok":false,"error":{"code":"overloaded","message":...,"queue_depth":N}}
@@ -31,7 +31,6 @@
 /// event loop and the in-process tests route through the same function, so
 /// the protocol is tested without a socket in the loop.
 
-#include <functional>
 #include <string>
 #include <string_view>
 
@@ -62,7 +61,7 @@ Json error_response(std::string_view code, std::string_view message);
 /// routes through submit_job_request() instead of handle_request().
 [[nodiscard]] bool is_job_op(const std::string& op);
 
-/// Render the merged engine observability snapshot (counters, timers,
+/// Render the merged engine observability snapshot (counters and
 /// histograms) plus the service-level gauges/counters in Prometheus text
 /// exposition format. This is what the "metrics" verb and the daemon's
 /// --metrics-file writer both serve.
@@ -110,34 +109,21 @@ Json submit_job_request(Service& service, const Json& request,
                         const std::string& tenant,
                         std::shared_ptr<Job>* out_job);
 
-/// Admission half of "subscribe": parse the id, attach *out_job. Returns
-/// the ack (or an error response, leaving *out_job null). The caller owns
-/// streaming the events.
+/// Admission half of "subscribe": parse the id and the optional
+/// "throttle_ms" (an integer, clamped to [0, 10000]; the subscriber then
+/// takes at most one event per throttle_ms while the job runs), attach
+/// *out_job and set *out_throttle_ms. Returns the ack, or a bad_request /
+/// unknown_job error response leaving both outputs untouched. The caller
+/// owns streaming the events.
 Json subscribe_attach(Service& service, const Json& request,
-                      std::shared_ptr<Job>* out_job);
+                      std::shared_ptr<Job>* out_job, int* out_throttle_ms);
 
-/// Stamp a subscriber's terminal "done" line with its drop count (the
-/// event-loop streaming path shares this with handle_subscribe).
+/// Stamp a subscriber's terminal "done" line with its drop count.
 [[nodiscard]] std::string stamp_terminal_event(const std::string& line,
                                                std::uint64_t dropped_events,
                                                bool* is_terminal);
 
 /// Convenience: parse `line`, dispatch, and serialize the response.
 std::string handle_request_line(Service& service, const std::string& line);
-
-/// True when `line` parses as a request whose op is "subscribe" — the
-/// daemon's connection loop diverts such lines to handle_subscribe().
-[[nodiscard]] bool is_subscribe_line(const std::string& line);
-
-/// Streaming dispatcher for the "subscribe" verb. Emits, via `emit`, an
-/// ack line, then every progress event of the job (per angle-finding
-/// round), then the terminal "done" event stamped with this subscriber's
-/// dropped_events count. Returns when the stream is exhausted or `emit`
-/// returns false (client gone). The optional "throttle_ms" request field
-/// delays consumption between events (deterministic slow-subscriber
-/// testing); the wait is cut short when the job finishes, so a throttled
-/// watcher never delays daemon drain.
-void handle_subscribe(Service& service, const Json& request,
-                      const std::function<bool(const std::string&)>& emit);
 
 }  // namespace fastqaoa::service

@@ -589,16 +589,13 @@ class EventLoop {
       const Json denied = check_auth(service_, request, op, c->ctx);
       if (!denied.is_null()) return send_line(c, denied.dump());
       std::shared_ptr<Job> job;
-      Json ack = subscribe_attach(service_, request, &job);
+      int throttle_ms = 0;
+      Json ack = subscribe_attach(service_, request, &job, &throttle_ms);
       if (!send_line(c, ack.dump())) return false;
-      if (job == nullptr) return true;  // unknown job: error already sent
+      if (job == nullptr) return true;  // bad request: error already sent
       c->stream_job = std::move(job);
       c->sub = c->stream_job->progress.subscribe();
-      c->throttle_ms = 0;
-      if (const Json* t = request.find("throttle_ms");
-          t != nullptr && t->is_number()) {
-        c->throttle_ms = std::max(0, static_cast<int>(t->as_int64()));
-      }
+      c->throttle_ms = throttle_ms;
       c->next_stream_at =
           SteadyClock::now() + std::chrono::milliseconds(c->throttle_ms);
       c->mode = Conn::Mode::Stream;

@@ -44,7 +44,6 @@ std::string terminal_event_json(std::uint64_t id, JobState state,
 /// once per job, cold path — instead of the static-id macros.
 void record_job_distributions(JobKind kind, double queue_wait_s,
                               double latency_s) {
-#ifdef FASTQAOA_PROFILING_ENABLED
   if (obs::metrics_enabled()) {
     obs::hist_global(
         obs::histogram_id(std::string("service.job.latency_seconds|kind=") +
@@ -53,11 +52,6 @@ void record_job_distributions(JobKind kind, double queue_wait_s,
     obs::hist_global(obs::histogram_id("service.job.queue_wait_seconds"),
                      queue_wait_s);
   }
-#else
-  (void)kind;
-  (void)queue_wait_s;
-  (void)latency_s;
-#endif
 }
 
 double bucket_capacity(const TenantConfig& cfg) {
@@ -411,9 +405,9 @@ void Service::worker_loop() {
       --ts.running;
       --ts.inflight;
     }
-    FASTQAOA_OBS_MERGE_GLOBAL(ws.metrics);
+    obs::merge_global(ws.metrics);
     ws.metrics.clear();
-    FASTQAOA_OBS_MERGE_GLOBAL(mws.metrics);
+    obs::merge_global(mws.metrics);
     mws.metrics.clear();
   }
 }
@@ -444,7 +438,6 @@ void Service::run_job(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws) {
     error = e.what();
   }
   out.seconds = timer.seconds();
-  FASTQAOA_OBS_TIME_GLOBAL("service.job_seconds", out.seconds);
   record_job_distributions(job.spec.kind, queue_wait_s, out.seconds);
 
   // Count the outcome *before* publishing the terminal state: a waiter

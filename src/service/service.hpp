@@ -111,7 +111,7 @@ class Job {
 
 /// Always-on connection counters for the daemon's event-loop front end.
 /// Lives on the Service (one instance per daemon) so the `metrics` and
-/// `stats` verbs can render it regardless of FASTQAOA_PROFILING; the server
+/// `stats` verbs can render it whether or not metrics are enabled; the server
 /// is the only writer, readers snapshot relaxed loads.
 struct FrontendStats {
   std::atomic<std::uint64_t> accepted{0};
@@ -145,7 +145,7 @@ struct ServiceStats {
   std::uint64_t batched_evals = 0;
   /// Progress events dropped across all subscribers because a slow
   /// `subscribe` client fell behind its bounded queue. Always counted
-  /// (product behavior, independent of FASTQAOA_PROFILING).
+  /// (product behavior, independent of obs::metrics_enabled()).
   std::uint64_t subscribe_dropped = 0;
   bool draining = false;
   PlanCache::Stats plan_cache;

@@ -209,7 +209,7 @@ EnsembleResult run_ensemble(const Mixer& mixer, const InstanceFactory& factory,
   for (int inst = 0; inst < config.instances; ++inst) {
     try {
       FASTQAOA_TRACE_SPAN("ensemble_instance");
-      [[maybe_unused]] const auto instance_start =
+      const auto instance_start =
           std::chrono::steady_clock::now();
       Rng instance_rng = streams[static_cast<std::size_t>(inst)];
       if (FASTQAOA_FAULT_FIRE("study.factory_throw", inst)) {
@@ -271,9 +271,8 @@ EnsembleResult run_ensemble(const Mixer& mixer, const InstanceFactory& factory,
       } else if (complete) {
         done[static_cast<std::size_t>(inst)] = 1;
       }
-      FASTQAOA_OBS_COUNT_GLOBAL("study.ensemble.instances", 1);
-      FASTQAOA_OBS_TIME_GLOBAL(
-          "study.ensemble.instance",
+      FASTQAOA_OBS_HIST_GLOBAL(
+          "study.ensemble.instance.seconds",
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         instance_start)
               .count());

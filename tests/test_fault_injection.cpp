@@ -116,13 +116,11 @@ TEST(FaultInjection, PoisonedChainIsQuarantinedAndBestStaysFinite) {
   EXPECT_TRUE(std::isfinite(injected.expectation));
   EXPECT_FALSE(injected.betas.empty());
 
-#ifdef FASTQAOA_PROFILING_ENABLED
   const obs::MetricsSnapshot snap = obs::global_snapshot();
   const auto it = snap.counters.find("runtime.quarantine.chains");
   ASSERT_NE(it, snap.counters.end())
       << "quarantine events missing from the metrics snapshot";
   EXPECT_GE(it->second, 1u);
-#endif
 }
 
 TEST(FaultInjection, PoisonedMpsChainIsQuarantinedAndBestStaysFinite) {
@@ -136,22 +134,18 @@ TEST(FaultInjection, PoisonedMpsChainIsQuarantinedAndBestStaysFinite) {
   opt.parallel_starts = 4;
   const std::vector<double> x0 = {0.3, 0.3, 0.7, 0.7};
 
-#ifdef FASTQAOA_PROFILING_ENABLED
   const auto quarantined = [] {
     const obs::MetricsSnapshot snap = obs::global_snapshot();
     const auto it = snap.counters.find("runtime.quarantine.chains");
     return it == snap.counters.end() ? std::uint64_t{0} : it->second;
   };
   const std::uint64_t before = quarantined();
-#endif
   fault::arm("anglefind.chain_nan", /*index=*/3);
   AngleSchedule injected = find_angles_at(mps::MpsAngleEngine(plan), 2, x0, opt);
   EXPECT_EQ(fault::fired_count("anglefind.chain_nan"), 1);
   EXPECT_TRUE(std::isfinite(injected.expectation));
   EXPECT_FALSE(injected.betas.empty());
-#ifdef FASTQAOA_PROFILING_ENABLED
   EXPECT_EQ(quarantined() - before, 1u);
-#endif
 }
 
 TEST(FaultInjection, QuarantineIsDeterministicAcrossThreadCounts) {

@@ -2,10 +2,6 @@
 // and their merge semantics, scoped trace spans and the Chrome trace-event
 // JSON they serialize to, and the thread-count invariance of merged
 // evaluation counts coming out of the instrumented angle-finding loops.
-//
-// The obs classes compile in both FASTQAOA_PROFILING configurations; only
-// the macro-driven assertions (global counters populated by instrumented
-// hot paths) are gated on FASTQAOA_PROFILING_ENABLED.
 
 #include <gtest/gtest.h>
 
@@ -143,7 +139,7 @@ class JsonValidator {
   std::size_t i_ = 0;
 };
 
-// --- counter / timer sinks --------------------------------------------------
+// --- counter / histogram sinks ----------------------------------------------
 
 TEST(Metrics, InterningIsStableAndDistinct) {
   const obs::MetricId a1 = obs::counter_id("obs_test.alpha");
@@ -151,15 +147,15 @@ TEST(Metrics, InterningIsStableAndDistinct) {
   const obs::MetricId b = obs::counter_id("obs_test.beta");
   EXPECT_EQ(a1, a2);
   EXPECT_NE(a1, b);
-  // Counter and timer namespaces are independent.
-  const obs::MetricId t = obs::timer_id("obs_test.alpha");
-  const obs::MetricId t2 = obs::timer_id("obs_test.alpha");
-  EXPECT_EQ(t, t2);
+  // Counter and histogram namespaces are independent.
+  const obs::MetricId h = obs::histogram_id("obs_test.alpha");
+  const obs::MetricId h2 = obs::histogram_id("obs_test.alpha");
+  EXPECT_EQ(h, h2);
 }
 
 TEST(Metrics, CountersMergeAcrossSixThreads) {
   const obs::MetricId count_id = obs::counter_id("obs_test.merge.count");
-  const obs::MetricId time_id = obs::timer_id("obs_test.merge.time");
+  const obs::MetricId time_id = obs::histogram_id("obs_test.merge.seconds");
 
   constexpr int kThreads = 6;
   std::vector<obs::MetricsSink> sinks(kThreads);
@@ -167,13 +163,13 @@ TEST(Metrics, CountersMergeAcrossSixThreads) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      // Thread t adds (t+1)*100 counts and (t+1) timing samples of t+1 ms.
+      // Thread t adds (t+1)*100 counts and (t+1) duration samples of t+1 ms.
       for (int i = 0; i < (t + 1) * 100; ++i) {
         sinks[static_cast<std::size_t>(t)].add_count(count_id);
       }
       for (int i = 0; i <= t; ++i) {
-        sinks[static_cast<std::size_t>(t)].add_timing(time_id,
-                                                      1e-3 * (t + 1));
+        sinks[static_cast<std::size_t>(t)].add_histogram(time_id,
+                                                         1e-3 * (t + 1));
       }
     });
   }
@@ -186,40 +182,42 @@ TEST(Metrics, CountersMergeAcrossSixThreads) {
   // 100 + 200 + ... + 600 = 2100 counts; 1 + 2 + ... + 6 = 21 samples.
   ASSERT_EQ(snap.counters.count("obs_test.merge.count"), 1u);
   EXPECT_EQ(snap.counters.at("obs_test.merge.count"), 2100u);
-  ASSERT_EQ(snap.timings.count("obs_test.merge.time"), 1u);
-  const obs::TimingStat& stat = snap.timings.at("obs_test.merge.time");
+  ASSERT_EQ(snap.histograms.count("obs_test.merge.seconds"), 1u);
+  const obs::HistogramStat& stat = snap.histograms.at("obs_test.merge.seconds");
   EXPECT_EQ(stat.count, 21u);
   EXPECT_NEAR(stat.min, 1e-3, 1e-12);
   EXPECT_NEAR(stat.max, 6e-3, 1e-12);
-  // total = sum over t of (t+1) samples of (t+1) ms = 1+4+9+...+36 ms.
-  EXPECT_NEAR(stat.total, 91e-3, 1e-9);
+  // sum = sum over t of (t+1) samples of (t+1) ms = 1+4+9+...+36 ms.
+  EXPECT_NEAR(stat.sum, 91e-3, 1e-9);
 }
 
 TEST(Metrics, SnapshotMergeAddsAndJsonIsValid) {
   const obs::MetricId id = obs::counter_id("obs_test.snapshot.count");
-  const obs::MetricId tid = obs::timer_id("obs_test.snapshot.time");
+  const obs::MetricId hid = obs::histogram_id("obs_test.snapshot.seconds");
 
   obs::MetricsSink a;
   a.add_count(id, 3);
-  a.add_timing(tid, 0.5);
+  a.add_histogram(hid, 0.5);
   obs::MetricsSink b;
   b.add_count(id, 4);
-  b.add_timing(tid, 1.5);
+  b.add_histogram(hid, 1.5);
 
   obs::MetricsSnapshot sa = a.snapshot();
   const obs::MetricsSnapshot sb = b.snapshot();
   sa.merge(sb);
   EXPECT_EQ(sa.counters.at("obs_test.snapshot.count"), 7u);
-  EXPECT_EQ(sa.timings.at("obs_test.snapshot.time").count, 2u);
-  EXPECT_NEAR(sa.timings.at("obs_test.snapshot.time").total, 2.0, 1e-12);
-  EXPECT_NEAR(sa.timings.at("obs_test.snapshot.time").min, 0.5, 1e-12);
-  EXPECT_NEAR(sa.timings.at("obs_test.snapshot.time").max, 1.5, 1e-12);
+  const obs::HistogramStat& h = sa.histograms.at("obs_test.snapshot.seconds");
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_NEAR(h.sum, 2.0, 1e-12);
+  EXPECT_NEAR(h.min, 0.5, 1e-12);
+  EXPECT_NEAR(h.max, 1.5, 1e-12);
 
   const std::string json = sa.to_json();
   EXPECT_TRUE(JsonValidator(json).valid()) << json;
   EXPECT_NE(json.find("\"obs_test.snapshot.count\""), std::string::npos);
-  EXPECT_NE(json.find("\"obs_test.snapshot.time\""), std::string::npos);
-  EXPECT_NE(json.find("\"total_s\""), std::string::npos);
+  EXPECT_NE(json.find("\"obs_test.snapshot.seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"sum\""), std::string::npos);
+  EXPECT_EQ(json.find("\"timings\""), std::string::npos);
 
   // An empty snapshot still serializes to a valid document.
   const obs::MetricsSnapshot empty;
@@ -356,21 +354,23 @@ TEST(ObsIntegration, FindAnglesEvalCountsThreadCountInvariant) {
     EXPECT_EQ(serial[i].expectation, parallel[i].expectation);
   }
 
-#ifdef FASTQAOA_PROFILING_ENABLED
-  // With profiling compiled in, the merged global counters must also be
-  // identical: per-chain sinks merged at join points count the same
-  // deterministic work regardless of scheduling. (Timings differ, of
-  // course — only the counters are invariant.)
+  // The merged global counters must also be identical, and so must every
+  // histogram's sample count: per-chain sinks merged at join points record
+  // the same deterministic work regardless of scheduling. (Durations
+  // differ, of course — only counts are invariant.)
   EXPECT_FALSE(snap_serial.counters.empty());
   EXPECT_EQ(snap_serial.counters, snap_parallel.counters);
-  EXPECT_GT(snap_serial.counters.at("core.evaluate.calls"), 0u);
+  ASSERT_FALSE(snap_serial.histograms.empty());
+  ASSERT_EQ(snap_serial.histograms.size(), snap_parallel.histograms.size());
+  for (const auto& [name, hist] : snap_serial.histograms) {
+    ASSERT_EQ(snap_parallel.histograms.count(name), 1u) << name;
+    EXPECT_EQ(hist.count, snap_parallel.histograms.at(name).count) << name;
+  }
+  EXPECT_GT(snap_serial.histograms.at("core.evaluate.latency_seconds").count,
+            0u);
   EXPECT_GT(snap_serial.counters.at("anglefind.chains"), 0u);
-  EXPECT_EQ(snap_serial.counters.at("anglefind.rounds"), 2u);
-#else
-  // Compiled out: the macros must leave no residue in the global aggregate.
-  EXPECT_TRUE(snap_serial.counters.empty());
-  EXPECT_TRUE(snap_parallel.counters.empty());
-#endif
+  EXPECT_EQ(snap_serial.histograms.at("anglefind.round_latency_seconds").count,
+            2u);
 }
 
 TEST(ObsIntegration, RandomAndGridSchedulesCarryEvalCounts) {
@@ -545,12 +545,15 @@ TEST(Histogram, ScopedHistTimerAndGlobalRecord) {
 // --- prometheus exposition ---------------------------------------------------
 
 /// A snapshot exercising every series shape the renderer emits: counters,
-/// timers, histograms, and the `name|key=value` embedded-label convention.
+/// histograms (a `X.seconds` duration among them), and the `name|key=value`
+/// embedded-label convention.
 obs::MetricsSnapshot prometheus_fixture() {
   obs::MetricsSink sink;
   sink.add_count(obs::counter_id("obs_test.prom.requests"), 41);
-  sink.add_timing(obs::timer_id("obs_test.prom.latency"), 0.125);
-  sink.add_timing(obs::timer_id("obs_test.prom.latency"), 0.375);
+  sink.add_histogram(obs::histogram_id("obs_test.prom.latency.seconds"),
+                     0.125);
+  sink.add_histogram(obs::histogram_id("obs_test.prom.latency.seconds"),
+                     0.375);
   const obs::MetricId hist = obs::histogram_id("obs_test.prom.job_seconds");
   for (int i = 0; i < 16; ++i) sink.add_histogram(hist, 1e-3 * (i + 1));
   sink.add_histogram(hist, 2.0);
@@ -572,9 +575,16 @@ TEST(Prometheus, RenderedSnapshotPassesTheValidator) {
       << text;
   EXPECT_NE(text.find("fastqaoa_obs_test_prom_requests_total 41"),
             std::string::npos);
-  // Timer -> summary with _sum/_count.
+  // A `X.seconds` duration -> histogram family `..._X_seconds` with
+  // _sum/_count; no summary families remain.
+  EXPECT_NE(
+      text.find("# TYPE fastqaoa_obs_test_prom_latency_seconds histogram"),
+      std::string::npos);
+  EXPECT_NE(text.find("fastqaoa_obs_test_prom_latency_seconds_sum 0.5"),
+            std::string::npos);
   EXPECT_NE(text.find("fastqaoa_obs_test_prom_latency_seconds_count 2"),
             std::string::npos);
+  EXPECT_EQ(text.find(" summary"), std::string::npos);
   // Histogram -> cumulative buckets ending in +Inf.
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
   // Embedded labels render as real Prometheus labels.

@@ -371,17 +371,15 @@ TEST(Checkpoint, UnfingerprintedFileRefusedWhenValidationRequested) {
                           "predates fingerprinting");
 }
 
-TEST(Checkpoint, LegacyV1FilesStillLoadWithoutValidation) {
+TEST(Checkpoint, LegacyV1FilesAreAnUnrecognizedHeader) {
   TempDir tmp;
   const std::string path = tmp.path("v1.txt");
   std::ofstream(path) << "fastqaoa-angles v1\n1\n1 2.5\n0.1\n0.2\n";
-  auto loaded = load_checkpoint(path);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_DOUBLE_EQ(loaded[0].expectation, 2.5);
-  EXPECT_EQ(loaded[0].optimizer_calls, 0u);  // v1 predates cost columns
-  // ... but cannot satisfy a fingerprint check.
+  // The v1 reader is gone: with or without validation the file is refused.
+  expect_error_containing([&] { load_checkpoint(path); },
+                          "unrecognized header");
   expect_error_containing([&] { load_checkpoint(path, test_fingerprint()); },
-                          "predates fingerprinting");
+                          "unrecognized header");
 }
 
 TEST(Checkpoint, CorruptionMatrixProducesDistinctErrors) {

@@ -1011,25 +1011,6 @@ TEST(ServiceProgress, ConcurrentPublisherAndConsumerDeliverInOrder) {
   EXPECT_EQ(channel.dropped(), 0u);
 }
 
-TEST(ServiceProgress, ThrottledWaitReturnsOnceTheChannelCloses) {
-  ProgressChannel channel;
-  ProgressChannel::Subscription sub = channel.subscribe();
-  std::thread closer([&channel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    channel.close("bye");
-  });
-  const auto start = std::chrono::steady_clock::now();
-  sub.wait_closed_for(10'000);  // must be cut short by close()
-  const double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  closer.join();
-  EXPECT_LT(waited, 5.0);
-  std::string line;
-  ASSERT_TRUE(sub.next(line));
-  EXPECT_EQ(line, "bye");
-}
-
 // ---------------------------------------------------------------------------
 // Streaming subscribe + metrics verbs (in-process, no socket)
 // ---------------------------------------------------------------------------
@@ -1041,6 +1022,32 @@ JobSpec find_angles_spec(int p, int hops, int n = 6) {
   spec.p = p;
   spec.hops = hops;
   return spec;
+}
+
+/// Stream a subscription in-process the way the daemon's event loop does:
+/// subscribe_attach() for the ack, then the job's progress channel with
+/// each terminal line stamped by stamp_terminal_event(). `before_read`
+/// runs between attaching and the first read (a stalled subscriber).
+std::vector<std::string> stream_subscription(
+    Service& service, std::uint64_t id,
+    const std::function<void()>& before_read = {}) {
+  Json req = Json::object();
+  req.set("op", Json("subscribe"));
+  req.set("id", Json(id));
+  std::shared_ptr<Job> job;
+  int throttle_ms = 0;
+  std::vector<std::string> lines{
+      subscribe_attach(service, req, &job, &throttle_ms).dump()};
+  if (job == nullptr) return lines;
+  ProgressChannel::Subscription sub = job->progress.subscribe();
+  if (before_read) before_read();
+  std::string line;
+  while (sub.next(line)) {
+    bool terminal = false;
+    lines.push_back(stamp_terminal_event(line, sub.dropped(), &terminal));
+    if (terminal) break;
+  }
+  return lines;
 }
 
 TEST(ServiceProtocol, SubscribeStreamsEveryRoundAndTheTerminalEvent) {
@@ -1060,14 +1067,8 @@ TEST(ServiceProtocol, SubscribeStreamsEveryRoundAndTheTerminalEvent) {
       service.submit(find_angles_spec(kRounds, 2));
   ASSERT_TRUE(outcome.accepted());
 
-  Json req = Json::object();
-  req.set("op", Json("subscribe"));
-  req.set("id", Json(outcome.job->id));
-  std::vector<std::string> lines;
-  handle_subscribe(service, req, [&lines](const std::string& line) {
-    lines.push_back(line);
-    return true;
-  });
+  const std::vector<std::string> lines =
+      stream_subscription(service, outcome.job->id);
   Service::wait(*outcome.job);
   EXPECT_EQ(outcome.job->snapshot_state(), JobState::Done);
 
@@ -1094,6 +1095,7 @@ TEST(ServiceProtocol, SubscribeStreamsEveryRoundAndTheTerminalEvent) {
   EXPECT_EQ(done.at("state").as_string(), "done");
   EXPECT_NE(done.find("stop_reason"), nullptr);
   EXPECT_EQ(done.at("dropped_events").as_uint64(), 0u);
+  Service::wait(*blocker.job);
 }
 
 TEST(ServiceProtocol, StalledSubscriberDropsEventsButTheJobCompletes) {
@@ -1102,29 +1104,26 @@ TEST(ServiceProtocol, StalledSubscriberDropsEventsButTheJobCompletes) {
   config.subscriber_queue_cap = 1;  // every backlog beyond 1 event drops
   Service service(config);
 
+  // The blocker keeps the watched job queued until the subscription is in
+  // place, so all of its rounds publish into the bounded queue.
+  Service::SubmitOutcome blocker =
+      service.submit(find_angles_spec(2, 3, 8));
+  ASSERT_TRUE(blocker.accepted());
   Service::SubmitOutcome outcome = service.submit(find_angles_spec(6, 3));
   ASSERT_TRUE(outcome.accepted());
 
-  // throttle_ms makes handle_subscribe sleep (interruptibly) before each
-  // next(): with a queue bound of 1 the worker outruns the watcher and the
-  // channel must drop intermediate rounds rather than stall the job.
-  Json req = Json::object();
-  req.set("op", Json("subscribe"));
-  req.set("id", Json(outcome.job->id));
-  req.set("throttle_ms", Json(10'000));
-  std::vector<std::string> lines;
-  handle_subscribe(service, req, [&lines](const std::string& line) {
-    lines.push_back(line);
-    return true;
-  });
-
-  Service::wait(*outcome.job);
+  // The subscriber reads nothing until the job has finished: with a queue
+  // bound of 1 the channel must drop intermediate rounds rather than stall
+  // the worker.
+  const std::vector<std::string> lines = stream_subscription(
+      service, outcome.job->id, [&] { Service::wait(*outcome.job); });
   EXPECT_EQ(outcome.job->snapshot_state(), JobState::Done);
 
   const Json done = Json::parse(lines.back());
   ASSERT_EQ(done.at("event").as_string(), "done");
   EXPECT_GT(done.at("dropped_events").as_uint64(), 0u);
   EXPECT_GT(service.stats().subscribe_dropped, 0u);
+  Service::wait(*blocker.job);
 }
 
 TEST(ServiceProtocol, SubscribeErrorsOnUnknownJobsAndNonStreamingDispatch) {
@@ -1132,23 +1131,67 @@ TEST(ServiceProtocol, SubscribeErrorsOnUnknownJobsAndNonStreamingDispatch) {
   Json req = Json::object();
   req.set("op", Json("subscribe"));
   req.set("id", Json(std::uint64_t{12345}));
-  std::vector<std::string> lines;
-  handle_subscribe(service, req, [&lines](const std::string& line) {
-    lines.push_back(line);
-    return true;
-  });
-  ASSERT_EQ(lines.size(), 1u);
-  const Json err = Json::parse(lines.front());
+  std::shared_ptr<Job> job;
+  int throttle_ms = -1;
+  const Json err = subscribe_attach(service, req, &job, &throttle_ms);
   EXPECT_FALSE(err.at("ok").as_bool());
   EXPECT_EQ(err.at("error").at("code").as_string(), "unknown_job");
+  EXPECT_EQ(job, nullptr);
+  EXPECT_EQ(throttle_ms, -1);
 
   // The one-line dispatcher refuses to fake a stream.
   const Json via_request = Json::parse(handle_request_line(
       service, R"({"op":"subscribe","id":1})"));
   EXPECT_FALSE(via_request.at("ok").as_bool());
-  EXPECT_TRUE(is_subscribe_line(R"({"op":"subscribe","id":1})"));
-  EXPECT_FALSE(is_subscribe_line(R"({"op":"stats"})"));
-  EXPECT_FALSE(is_subscribe_line("not json"));
+}
+
+TEST(ServiceProtocol, SubscribeThrottleMustBeAnIntegerAndIsClamped) {
+  Service service;
+  Service::SubmitOutcome outcome = service.submit(evaluate_spec());
+  ASSERT_TRUE(outcome.accepted());
+  const auto attach = [&](const Json& throttle, int* throttle_ms) {
+    Json req = Json::object();
+    req.set("op", Json("subscribe"));
+    req.set("id", Json(outcome.job->id));
+    req.set("throttle_ms", throttle);
+    std::shared_ptr<Job> job;
+    const Json ack = subscribe_attach(service, req, &job, throttle_ms);
+    EXPECT_EQ(job != nullptr, ack.at("ok").as_bool()) << ack.dump();
+    return ack;
+  };
+
+  for (const Json& bad : {Json(1.5), Json("10"), Json(true)}) {
+    int throttle_ms = -1;
+    const Json err = attach(bad, &throttle_ms);
+    EXPECT_FALSE(err.at("ok").as_bool()) << bad.dump();
+    EXPECT_EQ(err.at("error").at("code").as_string(), "bad_request");
+    EXPECT_NE(err.at("error").at("message").as_string().find("throttle_ms"),
+              std::string::npos);
+    EXPECT_EQ(throttle_ms, -1);
+  }
+
+  int throttle_ms = -1;
+  EXPECT_TRUE(attach(Json(250), &throttle_ms).at("ok").as_bool());
+  EXPECT_EQ(throttle_ms, 250);
+  EXPECT_TRUE(attach(Json(-5), &throttle_ms).at("ok").as_bool());
+  EXPECT_EQ(throttle_ms, 0);
+  EXPECT_TRUE(
+      attach(Json(1LL << 40), &throttle_ms).at("ok").as_bool());
+  EXPECT_EQ(throttle_ms, 10'000);
+  Service::wait(*outcome.job);
+}
+
+TEST(ServiceProtocol, NonBoolAsyncIsRejectedBeforeAdmission) {
+  Service service;
+  Json req = job_spec_to_json(evaluate_spec());
+  req.set("async", Json(1));
+  const Json response = Json::parse(handle_request_line(service, req.dump()));
+  EXPECT_FALSE(response.at("ok").as_bool()) << response.dump();
+  EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request");
+  // No job was admitted: nothing runs that the client cannot name.
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.completed, 0u);
 }
 
 TEST(ServiceProtocol, MetricsVerbRendersValidatedPrometheusText) {
@@ -1318,6 +1361,7 @@ TEST(DaemonE2E, SubscribeStreamsRoundsOverTheSocketUntilDone) {
   const Json ack = Json::parse(line);
   ASSERT_TRUE(ack.at("ok").as_bool()) << line;
   EXPECT_TRUE(ack.at("subscribed").as_bool());
+  EXPECT_EQ(ack.at("id").as_uint64(), id);
 
   int rounds = 0;
   bool done_seen = false;
@@ -1327,6 +1371,10 @@ TEST(DaemonE2E, SubscribeStreamsRoundsOverTheSocketUntilDone) {
       ++rounds;
       EXPECT_EQ(ev.at("p").as_int64(), rounds);
       EXPECT_EQ(ev.at("id").as_uint64(), id);
+      EXPECT_GE(ev.at("round_seconds").as_double(), 0.0);
+      EXPECT_GE(ev.at("elapsed_seconds").as_double(),
+                ev.at("round_seconds").as_double());
+      EXPECT_GT(ev.at("evals").as_uint64(), 0u);
     } else if (ev.at("event").as_string() == "done") {
       done_seen = true;
       EXPECT_EQ(ev.at("state").as_string(), "done");
@@ -1418,6 +1466,42 @@ TEST(DaemonE2E, StalledSubscriberDropsEventsWithoutBlockingTheJob) {
 
   watcher.close();
   prober.close();
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  EXPECT_EQ(wait_for_exit(pid), 0);
+}
+
+TEST(DaemonE2E, NonIntegerThrottleIsABadRequestNotACrash) {
+  TempDir tmp;
+  DaemonOptions options;
+  options.socket_path = tmp.path("qaoa.sock");
+  options.verbose = false;
+  options.service.workers = 1;
+  const pid_t pid = fork_daemon(options);
+
+  Client client = connect_with_retry(options.socket_path);
+  Json submit = job_spec_to_json(find_angles_spec(4, 3, 8));
+  submit.set("async", Json(true));
+  const Json accepted = client.request(submit);
+  ASSERT_TRUE(accepted.at("ok").as_bool()) << accepted.dump();
+
+  // {"op":"subscribe","id":<live job>,"throttle_ms":1.5} once killed the
+  // daemon: the non-integer throttle threw outside any handler.
+  Json sub = Json::object();
+  sub.set("op", Json("subscribe"));
+  sub.set("id", accepted.at("id"));
+  sub.set("throttle_ms", Json(1.5));
+  client.send(sub);
+  std::string line;
+  ASSERT_TRUE(client.read_line(line)) << "daemon closed the connection";
+  const Json err = Json::parse(line);
+  EXPECT_FALSE(err.at("ok").as_bool()) << line;
+  EXPECT_EQ(err.at("error").at("code").as_string(), "bad_request");
+
+  Json ping = Json::object();
+  ping.set("op", Json("ping"));
+  EXPECT_TRUE(client.request(ping).at("pong").as_bool());
+
+  client.close();
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
   EXPECT_EQ(wait_for_exit(pid), 0);
 }

@@ -26,33 +26,17 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/cli_flags.hpp"
 #include "service/json.hpp"
 
 namespace {
 
 using fastqaoa::service::Json;
-
-std::string string_option(int argc, char** argv, const char* key,
-                          const std::string& fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return std::string(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-double double_option(int argc, char** argv, const char* key,
-                     double fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
-}
+using namespace fastqaoa::cli;
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr, "bench_check: %s\n", message.c_str());

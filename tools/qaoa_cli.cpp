@@ -41,11 +41,11 @@
 // cancelled runs exit 130. FASTQAOA_FAULTS arms deterministic fault points
 // in builds configured with -DFASTQAOA_FAULT_INJECTION=ON.
 //
-// Observability: --metrics writes the merged engine counters/timers as JSON
-// after the run; --trace records scoped spans and writes Chrome trace-event
-// JSON (open in chrome://tracing or ui.perfetto.dev); --progress prints one
-// stderr line per completed angle-finding round. With the library built at
-// FASTQAOA_PROFILING=OFF the files are still written but contain no samples.
+// Observability: --metrics writes the merged engine counters and histograms
+// (one duration histogram per instrumented scope) as JSON after the run;
+// --trace records scoped spans and writes Chrome trace-event JSON (open in
+// chrome://tracing or ui.perfetto.dev); --progress prints one stderr line
+// per completed angle-finding round.
 //
 // Examples:
 //   qaoa_cli --problem=maxcut --mixer=tf --n=10 --p=5
@@ -55,12 +55,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "anglefind/strategies.hpp"
+#include "common/cli_flags.hpp"
 #include "common/error.hpp"
 #include "common/threading.hpp"
 #include "common/timer.hpp"
@@ -83,6 +83,7 @@
 namespace {
 
 using namespace fastqaoa;
+using namespace fastqaoa::cli;
 
 // SIGINT/SIGTERM request a *cooperative* stop: the handler only flips the
 // (async-signal-safe) CancelToken, the optimizer notices at its next
@@ -94,36 +95,6 @@ runtime::CancelToken g_cancel;
 extern "C" void handle_stop_signal(int sig) {
   g_cancel.request_stop();
   std::signal(sig, SIG_DFL);
-}
-
-std::string string_option(int argc, char** argv, const char* key,
-                          const std::string& fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return std::string(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-long long int_option(int argc, char** argv, const char* key,
-                     long long fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoll(v.c_str(), nullptr, 10);
-}
-
-double double_option(int argc, char** argv, const char* key,
-                     double fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
 }
 
 [[noreturn]] void usage_error(const std::string& message) {

@@ -60,7 +60,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <random>
 #include <string>
@@ -69,6 +68,7 @@
 
 #include <unistd.h>
 
+#include "common/cli_flags.hpp"
 #include "obs/prometheus.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
@@ -76,47 +76,8 @@
 namespace {
 
 using namespace fastqaoa;
+using namespace fastqaoa::cli;
 using service::Json;
-
-std::string string_option(int argc, char** argv, const char* key,
-                          const std::string& fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return std::string(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-bool has_option(int argc, char** argv, const char* key) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return true;
-    }
-  }
-  return false;
-}
-
-long long int_option(int argc, char** argv, const char* key,
-                     long long fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoll(v.c_str(), nullptr, 10);
-}
-
-double double_option(int argc, char** argv, const char* key,
-                     double fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr, "qaoa_client: %s\n", message.c_str());

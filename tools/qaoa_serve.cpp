@@ -46,45 +46,16 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/cli_flags.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "service/server.hpp"
 
 namespace {
 
 using namespace fastqaoa;
-
-std::string string_option(int argc, char** argv, const char* key,
-                          const std::string& fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return std::string(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-long long int_option(int argc, char** argv, const char* key,
-                     long long fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoll(v.c_str(), nullptr, 10);
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-double double_option(int argc, char** argv, const char* key,
-                     double fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
-}
+using namespace fastqaoa::cli;
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr, "qaoa_serve: %s\n", message.c_str());

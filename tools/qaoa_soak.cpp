@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli_flags.hpp"
 #include "common/error.hpp"
 #include "obs/prometheus.hpp"
 #include "service/client.hpp"
@@ -57,33 +58,10 @@
 namespace {
 
 using namespace fastqaoa;
+using namespace fastqaoa::cli;
 using service::Client;
 using service::Json;
 using Clock = std::chrono::steady_clock;
-
-std::string string_option(int argc, char** argv, const char* key,
-                          const std::string& fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return std::string(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-long long int_option(int argc, char** argv, const char* key,
-                     long long fallback) {
-  const std::string v = string_option(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoll(v.c_str(), nullptr, 10);
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
 
 struct Failures {
   std::atomic<int> count{0};
