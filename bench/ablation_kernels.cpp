@@ -12,14 +12,17 @@
 //      with vs without the table's DiagDict, per backend (one sincos per
 //      distinct cost value vs one per element). A speedup near 1.0 on a
 //      fast-sincos backend means the route silently stopped engaging.
+//   5. the Z2 fold: evaluate() of a p = 3 MaxCut plan that folds (half the
+//      amplitudes) vs the same plan on the full route (an explicit uniform
+//      initial state). A speedup near 1.0 means plans stopped folding.
 //
 // Sweeps run per backend via kernels::select(); the seed references are
 // compiled locally in this TU with the build's default flags so they stay
 // an honest baseline. Results land in bench/baselines/kernel_backends.json
 // through the shared --json flag.
 //
-// The phase-route sweep times each rep as an interleaved pair and reports
-// the median of the per-rep ratios — back-to-back A/B pairs under one
+// The phase-route and fold sweeps time each rep as an interleaved pair and
+// report the median of the per-rep ratios — back-to-back A/B pairs under one
 // machine state are the only timing comparison that survives the clock
 // drift of shared runners.
 //
@@ -37,10 +40,12 @@
 #include "common/threading.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
+#include "core/plan.hpp"
 #include "graphs/graph.hpp"
 #include "linalg/diag_dict.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/wht.hpp"
+#include "mixers/x_mixer.hpp"
 #include "problems/cost_functions.hpp"
 
 namespace {
@@ -323,6 +328,66 @@ int main(int argc, char** argv) {
   }
   kn::select("auto");
 
+  // -- 5. Z2 fold: folded vs full-route evaluate(), best backend -----------
+  std::printf("\n[z2_fold] %s evaluate(), maxcut p=3: folded vs full route\n",
+              best.c_str());
+  std::printf("%-8s %4s %14s %14s %9s %12s\n", "backend", "n", "full_s",
+              "folded_s", "speedup", "rel_diff");
+  double z2_fold_speedup_n20 = 0.0;
+  for (const int n : qubits) {
+    if (n > 20) continue;
+    Rng graph_rng(37);
+    const Graph graph = erdos_renyi(n, 0.5, graph_rng);
+    const dvec cost = tabulate(StateSpace::full(n), [&graph](state_t x) {
+      return maxcut(graph, x);
+    });
+    const XMixer mixer = XMixer::transverse_field(n);
+    QaoaPlanOptions full_route;
+    full_route.initial_state = cvec(
+        cost.size(), cplx{1.0 / std::sqrt(static_cast<double>(cost.size())),
+                          0.0});
+    const QaoaPlan full(mixer, cost, 3, std::move(full_route));
+    const QaoaPlan folded(mixer, cost, 3);
+    const std::vector<double> betas{0.31, -0.52, 0.77};
+    const std::vector<double> gammas{0.43, 0.91, -0.28};
+    EvalWorkspace full_ws;
+    EvalWorkspace folded_ws;
+    const double e_full = evaluate(full, full_ws, betas, gammas);
+    const double e_folded = evaluate(folded, folded_ws, betas, gammas);
+    const double rel_diff = std::abs(e_folded - e_full) / std::abs(e_full);
+
+    std::vector<double> t_full;
+    std::vector<double> t_folded;
+    std::vector<double> ratio;
+    for (int rep = 0; rep < reps; ++rep) {
+      WallTimer full_timer;
+      g_sink += evaluate(full, full_ws, betas, gammas);
+      const double full_s = full_timer.seconds();
+      WallTimer folded_timer;
+      g_sink += evaluate(folded, folded_ws, betas, gammas);
+      const double folded_s = folded_timer.seconds();
+      t_full.push_back(full_s);
+      t_folded.push_back(folded_s);
+      ratio.push_back(full_s / folded_s);
+    }
+    std::sort(t_full.begin(), t_full.end());
+    std::sort(t_folded.begin(), t_folded.end());
+    std::sort(ratio.begin(), ratio.end());
+    const double speedup = ratio[ratio.size() / 2];
+    if (n == 20) z2_fold_speedup_n20 = speedup;
+    std::printf("%-8s %4d %14.6f %14.6f %8.2fx %12.2e%s\n", best.c_str(), n,
+                t_full[t_full.size() / 2], t_folded[t_folded.size() / 2],
+                speedup, rel_diff, folded.folded() ? "" : "  NOT FOLDED");
+    report.row();
+    report.field("section", std::string("z2_fold"));
+    report.field("backend", best);
+    report.field("n", static_cast<long long>(n));
+    report.field("full_s", t_full[t_full.size() / 2]);
+    report.field("folded_s", t_folded[t_folded.size() / 2]);
+    report.field("speedup", speedup);
+    report.field("rel_diff", rel_diff);
+  }
+
   std::printf("\nacceptance: blocked vs per-stage WHT (scalar, n=20): %.2fx\n",
               scalar_blocked_speedup_n20);
   std::printf("acceptance: %s fused round vs seed round (n=20): %.2fx\n",
@@ -332,7 +397,10 @@ int main(int argc, char** argv) {
   report.meta("best_backend", best);
   report.meta("scalar_blocked_speedup_n20", scalar_blocked_speedup_n20);
   report.meta("best_vs_seed_speedup_n20", best_vs_seed_n20);
+  std::printf("acceptance: %s folded vs full-route evaluate() (n=20): "
+              "%.2fx\n", best.c_str(), z2_fold_speedup_n20);
   report.meta("quantized_phase_speedup_n20", quantized_phase_speedup_n20);
+  report.meta("z2_fold_speedup_n20", z2_fold_speedup_n20);
   report.attach_metrics();
   report.write();
 

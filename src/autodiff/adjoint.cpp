@@ -27,15 +27,15 @@ double adjoint_value_and_gradient(const QaoaPlan& plan, EvalWorkspace& ws,
   linalg::copy_state(ws.psi, psi);
 
   // lambda = C |psi>, with C the *measured* objective.
-  const dvec& obj = plan.objective();
+  const dvec& obj = plan.work_objective();
   ws.lambda.resize(psi.size());
   linalg::copy_state(psi, ws.lambda);
   linalg::diag_mul(ws.lambda, obj, 1.0);
 
-  const dvec& phase = plan.phase_values();
+  const dvec& phase = plan.work_phase_values();
   const linalg::DiagDict* pdict = &plan.phase_dict();
-  const auto& layers = plan.layers();
-  ws.hpsi.resize(plan.dim());  // apply_ham outputs must be presized
+  const auto& layers = plan.work_layers();
+  ws.hpsi.resize(plan.work_dim());  // apply_ham outputs must be presized
 
   // Reverse sweep: unapply each layer from both psi and lambda, harvesting
   // angle gradients along the way.

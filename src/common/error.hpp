@@ -7,13 +7,27 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace fastqaoa {
 
 /// Exception thrown on invalid arguments or violated preconditions.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  explicit Error(const std::string& what)
+      : std::runtime_error(what), message_(what) {}
+  Error(const std::string& what, std::string message)
+      : std::runtime_error(what), message_(std::move(message)) {}
+
+  /// The reason alone. For a failed FASTQAOA_CHECK this is its message,
+  /// without the check expression and source location what() carries;
+  /// it is what the service shows a client.
+  [[nodiscard]] const std::string& message() const noexcept {
+    return message_;
+  }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -23,7 +37,8 @@ namespace detail {
   std::ostringstream os;
   os << "fastqaoa check failed: (" << expr << ") at " << file << ":" << line;
   if (!message.empty()) os << " — " << message;
-  throw Error(os.str());
+  throw Error(os.str(), message.empty() ? std::string("check failed: ") + expr
+                                        : message);
 }
 }  // namespace detail
 

@@ -1,6 +1,8 @@
 #include "core/plan.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "linalg/vector_ops.hpp"
@@ -37,6 +39,33 @@ void check_table_finite(const dvec& table, const char* which) {
                                 "instance before building a plan");
     }
   }
+}
+
+/// True when every mixer of `layers` is an XMixer on at least two qubits,
+/// the first condition for the Z2 fold.
+bool all_foldable_x_mixers(const std::vector<MixerLayer>& layers) {
+  for (const MixerLayer& layer : layers) {
+    for (const Mixer* m : layer.mixers) {
+      const auto* x = dynamic_cast<const XMixer*>(m);
+      if (x == nullptr || x->n() < 2) return false;
+    }
+  }
+  return true;
+}
+
+/// t[x] == t[x ^ (dim - 1)] bit for bit for both tables (an empty `phase`
+/// stands for `obj`), in one pass over the first half.
+bool flip_invariant(const dvec& obj, const dvec& phase) {
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const index_t mask = obj.size() - 1;
+  const bool with_phase = !phase.empty();
+  for (index_t x = 0; x < obj.size() / 2; ++x) {
+    if (!same(obj[x], obj[x ^ mask])) return false;
+    if (with_phase && !same(phase[x], phase[x ^ mask])) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -90,21 +119,75 @@ void QaoaPlan::validate_and_finalize(QaoaPlanOptions options) {
     psi0_ = std::move(*options.initial_state);
     custom_psi0_ = true;
   } else {
+    if (all_foldable_x_mixers(layers_) &&
+        flip_invariant(obj_vals_, phase_vals_)) {
+      fold();
+    }
     // Eager uniform-superposition default: building |ψ0> here (instead of
-    // lazily on first use) is what makes evaluation truly const.
-    psi0_.resize(dim());
-    const double amp = 1.0 / std::sqrt(static_cast<double>(dim()));
+    // lazily on first use) is what makes evaluation truly const. Folded,
+    // φ = √2·ψ(x', 0) is again uniform, over half as many amplitudes.
+    const index_t len = folded() ? dim() / 2 : dim();
+    psi0_.resize(len);
+    const double amp = 1.0 / std::sqrt(static_cast<double>(len));
     linalg::fill(psi0_, cplx{amp, 0.0});
   }
 
-  // Quantize the phase table eagerly (O(dim), done once) so every
+  // Quantize the phase table eagerly (O(work_dim), done once) so every
   // evaluation gets the per-distinct-value sincos route for free.
-  phase_dict_ = linalg::build_diag_dict(phase_values());
+  phase_dict_ = linalg::build_diag_dict(work_phase_values());
+}
+
+void QaoaPlan::fold() {
+  const auto half = static_cast<std::ptrdiff_t>(dim() / 2);
+  folded_obj_.assign(obj_vals_.begin(), obj_vals_.begin() + half);
+  if (!phase_vals_.empty()) {
+    folded_phase_.assign(phase_vals_.begin(), phase_vals_.begin() + half);
+  }
+  // One folded mixer per distinct mixer, shared by every layer using it.
+  std::vector<const Mixer*> sources;
+  folded_layers_.resize(layers_.size());
+  for (std::size_t k = 0; k < layers_.size(); ++k) {
+    for (const Mixer* m : layers_[k].mixers) {
+      std::size_t i = 0;
+      while (i < sources.size() && sources[i] != m) ++i;
+      if (i == sources.size()) {
+        sources.push_back(m);
+        folded_mixers_.push_back(std::make_shared<const XMixer>(
+            static_cast<const XMixer*>(m)->folded()));
+      }
+      folded_layers_[k].mixers.push_back(folded_mixers_[i].get());
+    }
+  }
+}
+
+cvec QaoaPlan::initial_state() const {
+  cvec psi;
+  unfold_state(*this, psi0_, psi);
+  return psi;
+}
+
+void unfold_state(const QaoaPlan& plan, ConstStateRef phi, cvec& psi) {
+  FASTQAOA_CHECK(phi.size() == plan.work_dim(),
+                 "unfold_state: state is not of the plan's working length");
+  psi.resize(plan.dim());
+  if (!plan.folded()) {
+    linalg::copy_state(phi, psi);
+    return;
+  }
+  const auto half = static_cast<std::ptrdiff_t>(phi.size());
+  const index_t low = phi.size() - 1;
+  const double s = 1.0 / std::sqrt(2.0);
+#pragma omp parallel for schedule(static)
+  for (std::ptrdiff_t x = 0; x < half; ++x) {
+    const auto i = static_cast<index_t>(x);
+    psi[i] = phi[i] * s;
+    psi[i + phi.size()] = phi[i ^ low] * s;
+  }
 }
 
 void EvalWorkspace::reserve(const QaoaPlan& plan) {
-  psi.resize(plan.dim());
-  scratch.reserve(plan.dim());
+  psi.resize(plan.work_dim());
+  scratch.reserve(plan.work_dim());
 }
 
 double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
@@ -117,11 +200,11 @@ double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
   obs::SinkScope metrics_scope(ws.metrics);
   FASTQAOA_OBS_HIST_TIMED("core.evaluate.latency_seconds");
   FASTQAOA_TRACE_SPAN("evaluate");
-  ws.psi.resize(plan.dim());
-  linalg::copy_state(plan.initial_state(), ws.psi);
-  const dvec& phase = plan.phase_values();
+  ws.psi.resize(plan.work_dim());
+  linalg::copy_state(plan.work_initial_state(), ws.psi);
+  const dvec& phase = plan.work_phase_values();
   const linalg::DiagDict* pdict = &plan.phase_dict();
-  const auto& layers = plan.layers();
+  const auto& layers = plan.work_layers();
   std::size_t beta_index = 0;
   for (std::size_t k = 0; k < layers.size(); ++k) {
     FASTQAOA_OBS_HIST_TIMED("core.evaluate.round_latency_seconds");
@@ -133,7 +216,7 @@ double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
       // passes; the base-class default composes the unfused kernels).
       ws.expectation = ms[0]->apply_phase_exp_expect(
           ws.psi, phase, pdict, gammas[k], betas[beta_index++],
-          plan.objective(), ws.scratch);
+          plan.work_objective(), ws.scratch);
       return ws.expectation;
     }
     // Phase separator rides the first mixer's fused entry; extra mixers in
@@ -144,7 +227,7 @@ double evaluate(const QaoaPlan& plan, EvalWorkspace& ws,
       ms[j]->apply_exp(ws.psi, betas[beta_index++], ws.scratch);
     }
   }
-  ws.expectation = linalg::diag_expectation(plan.objective(), ws.psi);
+  ws.expectation = linalg::diag_expectation(plan.work_objective(), ws.psi);
   return ws.expectation;
 }
 

@@ -13,6 +13,7 @@
 /// each thread brings its own workspace — the property every parallel outer
 /// loop (basinhopping restarts, ensemble instances) is built on.
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "common/types.hpp"
 #include "linalg/diag_dict.hpp"
 #include "mixers/mixer.hpp"
+#include "mixers/x_mixer.hpp"
 #include "obs/metrics.hpp"
 #include "problems/objective.hpp"
 
@@ -48,6 +50,17 @@ struct QaoaPlanOptions {
 /// of threads may evaluate against it concurrently (each with its own
 /// EvalWorkspace). Mixers are held by pointer — keep them alive (and do not
 /// mutate them) while the plan is in use.
+///
+/// Z2 fold. When every mixer is an XMixer on n >= 2 qubits, |ψ0> is the
+/// default uniform state and both the objective and the phase table are
+/// invariant under the global bit flip x -> ~x (MaxCut, weighted MaxCut,
+/// number partitioning), the state stays flip-symmetric and its first half
+/// determines it. Such a plan *folds*: it evaluates and differentiates on
+/// work_dim() = dim()/2 amplitudes φ(x') = √2·ψ(x', top qubit 0), through
+/// folded mixers and the first halves of the tables. The public
+/// full-space accessors (dim(), objective(), phase_values(), layers(),
+/// initial_state()) keep their meaning; the work_* accessors are what
+/// evaluation reads. A plan given an explicit initial state never folds.
 class QaoaPlan {
  public:
   /// Same mixer every round, for `rounds` rounds (the common case).
@@ -78,19 +91,12 @@ class QaoaPlan {
   [[nodiscard]] const dvec& phase_values() const noexcept {
     return phase_vals_.empty() ? obj_vals_ : phase_vals_;
   }
-  /// Quantized dictionary over phase_values(), built eagerly at
-  /// construction. Valid whenever the phase table has few distinct values
-  /// (integer-weighted cost functions, indicators); lets evaluate() and
-  /// the adjoint gradient collapse the phase-separator sincos sweep to one
-  /// call per distinct value. Invalid dictionaries are simply not used.
-  [[nodiscard]] const linalg::DiagDict& phase_dict() const noexcept {
-    return phase_dict_;
-  }
   [[nodiscard]] const std::vector<MixerLayer>& layers() const noexcept {
     return layers_;
   }
-  /// The (eagerly built, always non-empty) initial state.
-  [[nodiscard]] const cvec& initial_state() const noexcept { return psi0_; }
+  /// The full-space initial state (unfolded from the working one when the
+  /// plan folds).
+  [[nodiscard]] cvec initial_state() const;
 
   /// Whether a custom phase table / initial state was supplied.
   [[nodiscard]] bool has_custom_phase() const noexcept {
@@ -100,17 +106,65 @@ class QaoaPlan {
     return custom_psi0_;
   }
 
+  /// Whether the plan runs on the flip-symmetric half (see the class note).
+  [[nodiscard]] bool folded() const noexcept {
+    return !folded_mixers_.empty();
+  }
+  /// Length of the state evaluation works on (ws.psi after evaluate()):
+  /// dim() / 2 when the plan folds, dim() otherwise.
+  [[nodiscard]] index_t work_dim() const noexcept { return psi0_.size(); }
+  /// The mixer schedule evaluation runs (folded mixers when folded()).
+  [[nodiscard]] const std::vector<MixerLayer>& work_layers() const noexcept {
+    return folded() ? folded_layers_ : layers_;
+  }
+  /// objective() at work_dim() (its first half when folded()).
+  [[nodiscard]] const dvec& work_objective() const noexcept {
+    return folded() ? folded_obj_ : obj_vals_;
+  }
+  /// phase_values() at work_dim() (its first half when folded()).
+  [[nodiscard]] const dvec& work_phase_values() const noexcept {
+    if (!folded()) return phase_values();
+    return folded_phase_.empty() ? folded_obj_ : folded_phase_;
+  }
+  /// The initial state at work_dim().
+  [[nodiscard]] const cvec& work_initial_state() const noexcept {
+    return psi0_;
+  }
+  /// Quantized dictionary over work_phase_values(), built eagerly at
+  /// construction. Valid whenever the phase table has few distinct values
+  /// (integer-weighted cost functions, indicators); lets evaluate() and
+  /// the adjoint gradient collapse the phase-separator sincos sweep to one
+  /// call per distinct value. Invalid dictionaries are simply not used.
+  [[nodiscard]] const linalg::DiagDict& phase_dict() const noexcept {
+    return phase_dict_;
+  }
+
  private:
   void validate_and_finalize(QaoaPlanOptions options);
+  void fold();
 
   std::vector<MixerLayer> layers_;
   dvec obj_vals_;
   dvec phase_vals_;  ///< empty = use obj_vals_ as the phase table
-  linalg::DiagDict phase_dict_;  ///< quantized view of phase_values()
-  cvec psi0_;        ///< built eagerly at construction, never empty
+  cvec psi0_;        ///< at work_dim(); built at construction, never empty
+  linalg::DiagDict phase_dict_;  ///< quantized view of work_phase_values()
   int num_betas_ = 0;
   bool custom_psi0_ = false;
+  // Z2 fold; all empty unless folded(). One folded mixer per distinct
+  // mixer, shared so that copies of the plan keep folded_layers_ valid.
+  std::vector<std::shared_ptr<const XMixer>> folded_mixers_;
+  std::vector<MixerLayer> folded_layers_;  ///< layers_ over folded_mixers_
+  dvec folded_obj_;    ///< first half of obj_vals_
+  dvec folded_phase_;  ///< first half of phase_vals_ (empty = folded_obj_)
 };
+
+/// Expand a working-length state `phi` (ws.psi after evaluate()) into the
+/// full-space state `psi` of dimension plan.dim(). For a folded plan, with
+/// b the top qubit and h = work_dim():
+///     ψ(x' + b·h) = φ(x' ^ b·(h - 1)) / √2;
+/// otherwise a plain copy. This is the one place full-space views (the Qaoa
+/// facade, the service's sampler) get their amplitudes from.
+void unfold_state(const QaoaPlan& plan, ConstStateRef phi, cvec& psi);
 
 /// Per-evaluation mutable state: cheap to construct, reusable across calls
 /// (buffers are grown on first use, then evaluation is allocation-free).
@@ -119,8 +173,12 @@ class QaoaPlan {
 /// evaluate() writes psi and expectation. evaluate_batch() runs evaluate()
 /// once per lane, so after a batch psi and expectation hold the LAST lane's
 /// final state and <C>; the other lanes' states are not kept.
+///
+/// psi has the plan's work_dim(). When the plan folds it holds the folded
+/// φ(x') = √2·ψ(x', 0) over the low n-1 qubits, not the full-space ψ; use
+/// unfold_state() for the latter.
 struct EvalWorkspace {
-  cvec psi;      ///< statevector of the last evaluate()
+  cvec psi;      ///< working-length state of the last evaluate()
   cvec scratch;  ///< mixer workspace
   /// Adjoint-gradient buffers (see autodiff/adjoint.hpp); unused — and
   /// unallocated — by plain evaluation.

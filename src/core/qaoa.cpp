@@ -43,26 +43,33 @@ double Qaoa::run_packed(std::span<const double> angles) {
   return evaluate_packed(plan_, ws_, angles);
 }
 
+const cvec& Qaoa::state() const {
+  if (!plan_.folded() || ws_.psi.empty()) return ws_.psi;
+  unfold_state(plan_, ws_.psi, unfolded_);
+  return unfolded_;
+}
+
 double Qaoa::ground_state_probability(Direction direction) const {
   const ObjectiveStats stats = objective_stats(plan_.objective());
   const double target =
       direction == Direction::Maximize ? stats.max_value : stats.min_value;
-  return linalg::probability_at_value(plan_.objective(), ws_.psi, target);
+  return linalg::probability_at_value(plan_.objective(), state(), target);
 }
 
 double Qaoa::probability_of_value(double value) const {
-  return linalg::probability_at_value(plan_.objective(), ws_.psi, value);
+  return linalg::probability_at_value(plan_.objective(), state(), value);
 }
 
 double Qaoa::expectation_of(const dvec& observable) const {
   FASTQAOA_CHECK(observable.size() == dim(),
                  "expectation_of: observable size mismatch");
-  return linalg::diag_expectation(observable, ws_.psi);
+  return linalg::diag_expectation(observable, state());
 }
 
 cplx Qaoa::amplitude(index_t i) const {
-  FASTQAOA_CHECK(i < ws_.psi.size(), "amplitude: index out of range");
-  return ws_.psi[i];
+  const cvec& psi = state();
+  FASTQAOA_CHECK(i < psi.size(), "amplitude: index out of range");
+  return psi[i];
 }
 
 SimResult simulate(std::span<const double> angles, const Mixer& mixer,

@@ -82,11 +82,8 @@ class Qaoa {
   /// plan.
   void set_phase_values(dvec phase_vals);
 
-  /// The initial state this engine starts from (built eagerly at
-  /// construction).
-  [[nodiscard]] const cvec& initial_state() const noexcept {
-    return plan_.initial_state();
-  }
+  /// The full-space initial state this engine starts from.
+  [[nodiscard]] cvec initial_state() const { return plan_.initial_state(); }
 
   /// Evolve the ansatz and return <C>. betas.size() must equal num_betas(),
   /// gammas.size() must equal num_gammas(). The statevector stays in the
@@ -97,8 +94,10 @@ class Qaoa {
   /// (Listing 1). Only valid when num_betas() == rounds().
   double run_packed(std::span<const double> angles);
 
-  /// Statevector after the last run().
-  [[nodiscard]] const cvec& state() const noexcept { return ws_.psi; }
+  /// Full-space statevector after the last run(). When the plan folds
+  /// (QaoaPlan's Z2 fold) the workspace holds the half-length folded state
+  /// and each call unfolds it into a buffer this engine owns.
+  [[nodiscard]] const cvec& state() const;
 
   /// <C> of the last run().
   [[nodiscard]] double expectation() const noexcept { return ws_.expectation; }
@@ -116,12 +115,14 @@ class Qaoa {
   /// anything tabulated over the same feasible set).
   [[nodiscard]] double expectation_of(const dvec& observable) const;
 
-  /// Amplitude of feasible state index i after the last run().
+  /// Amplitude of feasible state index i after the last run(). Reads
+  /// state(), so it costs O(dim) per call when the plan folds.
   [[nodiscard]] cplx amplitude(index_t i) const;
 
  private:
   QaoaPlan plan_;
   EvalWorkspace ws_;
+  mutable cvec unfolded_;  ///< state()'s buffer when the plan folds
 };
 
 /// Result of a one-shot simulate() call (the paper's Listing 1 object):

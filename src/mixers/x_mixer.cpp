@@ -107,6 +107,25 @@ XMixer XMixer::from_orders(int n, const std::vector<int>& orders) {
   return XMixer(n, std::move(terms), std::move(dvals), order_name(orders));
 }
 
+XMixer XMixer::folded() const {
+  FASTQAOA_CHECK(n_ >= 2, "XMixer::folded: need n >= 2");
+  const state_t full = (state_t{1} << n_) - 1;
+  const state_t top = state_t{1} << (n_ - 1);
+  std::vector<PauliXTerm> terms;
+  terms.reserve(terms_.size());
+  for (const PauliXTerm& t : terms_) {
+    terms.push_back({(t.mask & top) != 0 ? t.mask ^ full : t.mask, t.weight});
+  }
+  dvec dvals(dvals_.size() / 2);
+  const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(dvals.size());
+#pragma omp parallel for schedule(static)
+  for (std::ptrdiff_t y = 0; y < half; ++y) {
+    const auto s = static_cast<state_t>(y);
+    dvals[static_cast<index_t>(y)] = dvals_[s | (parity(s) != 0 ? top : 0)];
+  }
+  return XMixer(n_ - 1, std::move(terms), std::move(dvals), name_);
+}
+
 void XMixer::apply_exp(StateRef psi, double beta, cvec& scratch) const {
   (void)scratch;  // WHT is in-place; no workspace needed.
   FASTQAOA_CHECK(psi.size() == dvals_.size(), "XMixer: state size mismatch");

@@ -37,6 +37,13 @@ class XMixer final : public Mixer {
   /// Krawtchouk polynomials in O(n^2 + 2^n) instead of O(2^n * #terms).
   static XMixer from_orders(int n, const std::vector<int>& orders);
 
+  /// This mixer restricted to the flip-symmetric states psi(x) = psi(~x),
+  /// written on the n-1 low qubits (needs n >= 2). A term whose mask holds
+  /// the top qubit becomes mask ^ (2^n - 1); the diagonal is the full one
+  /// remapped, d'(y) = d(y | parity(y) << (n-1)), so no term is re-summed.
+  /// QaoaPlan's Z2 fold runs on it (docs/architecture.md, "Z2 fold").
+  [[nodiscard]] XMixer folded() const;
+
   [[nodiscard]] index_t dim() const override { return dvals_.size(); }
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] int n() const noexcept { return n_; }

@@ -58,9 +58,7 @@ class Parser {
   Json run() {
     Json value = parse_value(0);
     skip_ws();
-    FASTQAOA_CHECK(pos_ == text_.size(),
-                   "json: trailing characters after document at offset " +
-                       std::to_string(pos_));
+    if (pos_ != text_.size()) fail("trailing characters after document");
     return value;
   }
 
@@ -295,39 +293,39 @@ Json::Json(std::uint64_t v) : type_(Type::Number) {
 Json Json::parse(std::string_view text) { return Parser(text).run(); }
 
 bool Json::as_bool() const {
-  FASTQAOA_CHECK(type_ == Type::Bool, "json: value is not a bool");
+  FASTQAOA_CHECK(type_ == Type::Bool, "expected a bool");
   return bool_;
 }
 
 double Json::as_double() const {
-  FASTQAOA_CHECK(type_ == Type::Number, "json: value is not a number");
+  FASTQAOA_CHECK(type_ == Type::Number, "expected a number");
   return is_int_ ? static_cast<double>(int_) : num_;
 }
 
 long long Json::as_int64() const {
   FASTQAOA_CHECK(type_ == Type::Number && is_int_,
-                 "json: value is not an integer");
+                 "expected an integer");
   return int_;
 }
 
 std::uint64_t Json::as_uint64() const {
   const long long v = as_int64();
-  FASTQAOA_CHECK(v >= 0, "json: expected a non-negative integer");
+  FASTQAOA_CHECK(v >= 0, "expected a non-negative integer");
   return static_cast<std::uint64_t>(v);
 }
 
 const std::string& Json::as_string() const {
-  FASTQAOA_CHECK(type_ == Type::String, "json: value is not a string");
+  FASTQAOA_CHECK(type_ == Type::String, "expected a string");
   return str_;
 }
 
 const Json::Array& Json::as_array() const {
-  FASTQAOA_CHECK(type_ == Type::Array, "json: value is not an array");
+  FASTQAOA_CHECK(type_ == Type::Array, "expected an array");
   return arr_;
 }
 
 const Json::Object& Json::as_object() const {
-  FASTQAOA_CHECK(type_ == Type::Object, "json: value is not an object");
+  FASTQAOA_CHECK(type_ == Type::Object, "expected an object");
   return obj_;
 }
 

@@ -15,7 +15,6 @@ struct ProgressSubState {
 
 struct ProgressInner {
   std::mutex mu;
-  std::condition_variable cv;
   std::vector<std::shared_ptr<ProgressSubState>> subs;
   std::vector<std::function<void()>> close_hooks;
   std::size_t cap = 256;
@@ -51,7 +50,6 @@ void ProgressChannel::configure(
 
 void ProgressChannel::publish(const std::string& line) {
   ProgressInner& in = *inner_;
-  bool notify = false;
   std::vector<std::function<void()>> wakeups;
   {
     std::lock_guard<std::mutex> lock(in.mu);
@@ -67,10 +65,8 @@ void ProgressChannel::publish(const std::string& line) {
       }
       sub->queue.push_back(line);
     }
-    notify = !in.subs.empty();
-    if (notify) wakeups = collect_notifies(in);
+    wakeups = collect_notifies(in);
   }
-  if (notify) in.cv.notify_all();
   for (const auto& fn : wakeups) fn();
 }
 
@@ -87,7 +83,6 @@ void ProgressChannel::close(const std::string& final_line) {
     wakeups = collect_notifies(in);
     hooks.swap(in.close_hooks);
   }
-  in.cv.notify_all();
   for (const auto& fn : wakeups) fn();
   for (const auto& fn : hooks) fn();
 }
@@ -120,28 +115,9 @@ ProgressChannel::Subscription ProgressChannel::subscribe() {
   sub.state_ = std::make_shared<ProgressSubState>();
   std::lock_guard<std::mutex> lock(inner_->mu);
   // A post-close subscriber gets no backlog, just the latched terminal
-  // line (delivered by next()); a live one starts with an empty queue.
+  // line (delivered by try_next()); a live one starts with an empty queue.
   if (!inner_->closed) inner_->subs.push_back(sub.state_);
   return sub;
-}
-
-bool ProgressChannel::Subscription::next(std::string& line) {
-  if (inner_ == nullptr) return false;
-  ProgressInner& in = *inner_;
-  std::unique_lock<std::mutex> lock(in.mu);
-  in.cv.wait(lock,
-             [&] { return !state_->queue.empty() || in.closed; });
-  if (!state_->queue.empty()) {
-    line = std::move(state_->queue.front());
-    state_->queue.pop_front();
-    return true;
-  }
-  if (in.has_final && !state_->final_delivered) {
-    state_->final_delivered = true;
-    line = in.final_line;
-    return true;
-  }
-  return false;
 }
 
 bool ProgressChannel::Subscription::try_next(std::string& line) {

@@ -20,7 +20,6 @@
 /// total drops in stats() whether or not metrics are enabled.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -67,12 +66,8 @@ class ProgressChannel {
    public:
     Subscription() = default;
 
-    /// Block until an event is available or the stream ends. Returns true
-    /// with the next line (terminal line last), false once exhausted.
-    bool next(std::string& line);
-
-    /// Non-blocking variant of next(): returns true with a line when one is
-    /// ready (terminal line last), false when nothing is pending right now.
+    /// Non-blocking read: returns true with a line when one is ready
+    /// (terminal line last), false when nothing is pending right now.
     /// Pair with set_notify() to learn when to poll again.
     bool try_next(std::string& line);
 
@@ -83,7 +78,7 @@ class ProgressChannel {
     /// Install a wakeup callback invoked (outside the channel lock, on the
     /// publisher's thread) whenever a new event lands in this subscriber's
     /// queue or the channel closes. The event-loop front end posts a
-    /// readiness token from here instead of blocking in next().
+    /// readiness token from here and then drains with try_next().
     void set_notify(std::function<void()> fn);
 
     /// Remove this subscriber from the channel (publishes stop landing in

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -17,12 +19,59 @@ namespace {
 /// Upper clamp for a subscriber's "throttle_ms" (ten seconds per event).
 constexpr long long kMaxThrottleMs = 10'000;
 
+/// Run `read` (a Json accessor call); an Error it throws is re-thrown
+/// naming the request field it was reading, with the expected type and
+/// without a source location ("'throttle_ms': expected an integer").
+template <class Read>
+auto in_field(std::string_view key, Read read) -> decltype(read()) {
+  try {
+    return read();
+  } catch (const Error& e) {
+    throw Error("'" + std::string(key) + "': " + e.message());
+  }
+}
+
+/// Read request field `key`, when present, into `out` with the accessor
+/// out's type calls for.
+template <class T>
+void set_from(const Json& request, std::string_view key, T& out) {
+  const Json* v = request.find(key);
+  if (v == nullptr) return;
+  out = in_field(key, [v]() -> T {
+    if constexpr (std::is_same_v<T, bool>) {
+      return v->as_bool();
+    } else if constexpr (std::is_same_v<T, double>) {
+      return v->as_double();
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      return v->as_uint64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      return v->as_string();
+    } else {
+      static_assert(std::is_integral_v<T> && std::is_signed_v<T>);
+      return static_cast<T>(v->as_int64());
+    }
+  });
+}
+
+/// Required request field `key` read as a T (see set_from).
+template <class T>
+T required(const Json& request, std::string_view key) {
+  if (request.find(key) == nullptr) {
+    throw Error("missing required field '" + std::string(key) + "'");
+  }
+  T out{};
+  set_from(request, key, out);
+  return out;
+}
+
 std::vector<double> doubles_from_json(const Json& value,
                                       const std::string& field) {
   FASTQAOA_CHECK(value.is_array(), "'" + field + "' must be an array");
   std::vector<double> out;
   out.reserve(value.size());
-  for (const Json& v : value.as_array()) out.push_back(v.as_double());
+  for (const Json& v : value.as_array()) {
+    out.push_back(in_field(field, [&v] { return v.as_double(); }));
+  }
   return out;
 }
 
@@ -51,7 +100,9 @@ std::vector<double> lanes_from_json(const Json& value,
     }
     FASTQAOA_CHECK(lane.size() == width,
                    "'" + field + "' lanes must all have the same length");
-    for (const Json& v : lane.as_array()) flat.push_back(v.as_double());
+    for (const Json& v : lane.as_array()) {
+      flat.push_back(in_field(field, [&v] { return v.as_double(); }));
+    }
   }
   lanes = static_cast<int>(value.size());
   return flat;
@@ -176,20 +227,21 @@ void append_depth_histogram(std::string& text, const obs::HistogramStat& h,
 
 JobSpec job_spec_from_json(const Json& request) {
   JobSpec spec;
-  spec.kind = kind_from_op(request.at("op").as_string());
-  if (const Json* v = request.find("problem")) spec.problem.problem = v->as_string();
-  if (const Json* v = request.find("mixer")) spec.problem.mixer = v->as_string();
-  if (const Json* v = request.find("n")) spec.problem.n = static_cast<int>(v->as_int64());
-  if (const Json* v = request.find("k")) spec.problem.k = static_cast<int>(v->as_int64());
-  if (const Json* v = request.find("density")) spec.problem.density = v->as_double();
-  if (const Json* v = request.find("seed")) spec.problem.instance_seed = v->as_uint64();
-  if (const Json* v = request.find("degree")) spec.problem.degree = static_cast<int>(v->as_int64());
-  if (const Json* v = request.find("engine")) spec.problem.engine = v->as_string();
-  if (const Json* v = request.find("max_bond")) spec.problem.max_bond = static_cast<int>(v->as_int64());
-  if (const Json* v = request.find("fidelity_budget")) spec.problem.fidelity_budget = v->as_double();
-  if (const Json* v = request.find("trunc_tol")) spec.problem.trunc_tol = v->as_double();
-  if (const Json* v = request.find("p")) spec.p = static_cast<int>(v->as_int64());
-  if (const Json* v = request.find("minimize")) spec.minimize = v->as_bool();
+  spec.kind = kind_from_op(required<std::string>(request, "op"));
+  ProblemSpec& problem = spec.problem;
+  set_from(request, "problem", problem.problem);
+  set_from(request, "mixer", problem.mixer);
+  set_from(request, "n", problem.n);
+  set_from(request, "k", problem.k);
+  set_from(request, "density", problem.density);
+  set_from(request, "seed", problem.instance_seed);
+  set_from(request, "degree", problem.degree);
+  set_from(request, "engine", problem.engine);
+  set_from(request, "max_bond", problem.max_bond);
+  set_from(request, "fidelity_budget", problem.fidelity_budget);
+  set_from(request, "trunc_tol", problem.trunc_tol);
+  set_from(request, "p", spec.p);
+  set_from(request, "minimize", spec.minimize);
   if (spec.kind == JobKind::BatchEvaluate) {
     int beta_lanes = 0;
     int gamma_lanes = 0;
@@ -206,15 +258,13 @@ JobSpec job_spec_from_json(const Json& request) {
     if (const Json* v = request.find("betas")) spec.betas = doubles_from_json(*v, "betas");
     if (const Json* v = request.find("gammas")) spec.gammas = doubles_from_json(*v, "gammas");
   }
-  if (const Json* v = request.find("shots")) spec.shots = v->as_uint64();
-  if (const Json* v = request.find("hops")) spec.hops = static_cast<int>(v->as_int64());
-  if (const Json* v = request.find("starts")) spec.starts = static_cast<int>(v->as_int64());
-  if (const Json* v = request.find("opt_seed")) spec.opt_seed = v->as_uint64();
-  if (const Json* v = request.find("checkpoint")) spec.checkpoint = v->as_string();
-  if (const Json* v = request.find("deadline")) spec.deadline_seconds = v->as_double();
-  if (const Json* v = request.find("max_evals")) {
-    spec.max_evaluations = static_cast<std::size_t>(v->as_uint64());
-  }
+  set_from(request, "shots", spec.shots);
+  set_from(request, "hops", spec.hops);
+  set_from(request, "starts", spec.starts);
+  set_from(request, "opt_seed", spec.opt_seed);
+  set_from(request, "checkpoint", spec.checkpoint);
+  set_from(request, "deadline", spec.deadline_seconds);
+  set_from(request, "max_evals", spec.max_evaluations);
   validate_job_spec(spec);
   return spec;
 }
@@ -514,6 +564,11 @@ bool is_job_op(const std::string& op) {
          op == "find_angles" || op == "sample";
 }
 
+std::string client_message(const std::exception& e) {
+  if (const auto* err = dynamic_cast<const Error*>(&e)) return err->message();
+  return e.what();
+}
+
 Json error_response(std::string_view code, std::string_view message) {
   Json err = Json::object();
   err.set("code", Json(code));
@@ -531,8 +586,8 @@ Json submit_job_request(Service& service, const Json& request,
   spec.tenant = tenant;
   // Every field is validated before admission: a throw after submit()
   // would leave an accepted job running that no client knows about.
-  const Json* async_field = request.find("async");
-  const bool async = async_field != nullptr && async_field->as_bool();
+  bool async = false;
+  set_from(request, "async", async);
   Service::SubmitOutcome outcome = service.submit(std::move(spec));
   if (!outcome.accepted()) {
     // Structured backpressure: tell the client how deep the queue is, and
@@ -602,7 +657,7 @@ Json handle_request(Service& service, const Json& request) {
 Json handle_request(Service& service, const Json& request,
                     RequestContext& ctx) {
   try {
-    const std::string& op = request.at("op").as_string();
+    const auto op = required<std::string>(request, "op");
     if (Json denied = check_auth(service, request, op, ctx);
         !denied.is_null()) {
       return denied;
@@ -636,7 +691,7 @@ Json handle_request(Service& service, const Json& request,
       return j;
     }
     if (op == "status") {
-      const std::uint64_t id = request.at("id").as_uint64();
+      const auto id = required<std::uint64_t>(request, "id");
       std::shared_ptr<Job> job = service.find(id);
       if (job == nullptr) {
         return error_response("unknown_job",
@@ -647,7 +702,7 @@ Json handle_request(Service& service, const Json& request,
       return j;
     }
     if (op == "cancel") {
-      const std::uint64_t id = request.at("id").as_uint64();
+      const auto id = required<std::uint64_t>(request, "id");
       std::shared_ptr<Job> job = service.find(id);
       if (job == nullptr) {
         return error_response("unknown_job",
@@ -688,7 +743,7 @@ Json handle_request(Service& service, const Json& request,
     }
     return error_response("bad_request", "unknown op '" + op + "'");
   } catch (const std::exception& e) {
-    return error_response("bad_request", e.what());
+    return error_response("bad_request", client_message(e));
   }
 }
 
@@ -697,7 +752,7 @@ std::string handle_request_line(Service& service, const std::string& line) {
   try {
     request = Json::parse(line);
   } catch (const std::exception& e) {
-    return error_response("bad_request", e.what()).dump();
+    return error_response("bad_request", client_message(e)).dump();
   }
   return handle_request(service, request).dump();
 }
@@ -705,19 +760,13 @@ std::string handle_request_line(Service& service, const std::string& line) {
 Json subscribe_attach(Service& service, const Json& request,
                       std::shared_ptr<Job>* out_job, int* out_throttle_ms) {
   std::uint64_t id = 0;
-  try {
-    id = request.at("id").as_uint64();
-  } catch (const std::exception& e) {
-    return error_response("bad_request", e.what());
-  }
   long long throttle_ms = 0;
-  if (const Json* t = request.find("throttle_ms")) {
-    try {
-      throttle_ms = std::clamp(t->as_int64(), 0LL, kMaxThrottleMs);
-    } catch (const std::exception& e) {
-      return error_response("bad_request",
-                            std::string("throttle_ms: ") + e.what());
-    }
+  try {
+    id = required<std::uint64_t>(request, "id");
+    set_from(request, "throttle_ms", throttle_ms);
+    throttle_ms = std::clamp(throttle_ms, 0LL, kMaxThrottleMs);
+  } catch (const std::exception& e) {
+    return error_response("bad_request", client_message(e));
   }
   std::shared_ptr<Job> job = service.find(id);
   if (job == nullptr) {

@@ -31,6 +31,7 @@
 /// event loop and the in-process tests route through the same function, so
 /// the protocol is tested without a socket in the loop.
 
+#include <exception>
 #include <string>
 #include <string_view>
 
@@ -55,6 +56,10 @@ Json job_to_json(const Job& job);
 Json stats_to_json(const ServiceStats& stats);
 
 Json error_response(std::string_view code, std::string_view message);
+
+/// What a client is told about a failed request: a fastqaoa::Error's
+/// message() (no check expression, no source path), else what().
+[[nodiscard]] std::string client_message(const std::exception& e);
 
 /// True when `op` names one of the job verbs (evaluate, batch_evaluate,
 /// gradient, find_angles, sample) — the verbs the daemon's event loop

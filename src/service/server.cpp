@@ -578,7 +578,7 @@ class EventLoop {
     } catch (const std::exception& e) {
       return send_line(
           c, error_response("bad_request",
-                            std::string("parse error: ") + e.what())
+                            "parse error: " + client_message(e))
                  .dump());
     }
     std::string op;
@@ -610,7 +610,9 @@ class EventLoop {
       try {
         response = submit_job_request(service_, request, c->ctx.tenant, &job);
       } catch (const std::exception& e) {
-        return send_line(c, error_response("bad_request", e.what()).dump());
+        return send_line(c,
+                         error_response("bad_request", client_message(e))
+                             .dump());
       }
       if (job == nullptr) return send_line(c, response.dump());
       // Sync-accepted: answer when the job's progress channel closes (every

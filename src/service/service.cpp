@@ -620,7 +620,11 @@ void Service::execute(Job& job, EvalWorkspace& ws, mps::MpsWorkspace& mws,
     }
     case JobKind::Sample: {
       out.expectation = evaluate(plan, ws, spec.betas, spec.gammas);
-      MeasurementSampler sampler(ws.psi);
+      // Sample the full-space distribution: a folded plan's state is
+      // unfolded first, so the shot stream is the same as the full route's.
+      cvec psi;
+      unfold_state(plan, ws.psi, psi);
+      MeasurementSampler sampler(psi);
       // Deterministic per-job shot stream: seeded from the spec, never from
       // worker identity, so results are worker-count invariant.
       Rng shot_rng(spec.opt_seed ^ 0xABCDEFULL);

@@ -90,7 +90,7 @@ void expect_batch_bitwise(const QaoaPlan& plan, int lanes,
   }
   ASSERT_EQ(ws_batch.psi.size(), ws_seq.psi.size());
   EXPECT_EQ(0, std::memcmp(ws_seq.psi.data(), ws_batch.psi.data(),
-                           plan.dim() * sizeof(cplx)))
+                           plan.work_dim() * sizeof(cplx)))
       << "last lane's final state differs from sequential evaluate()";
   EXPECT_EQ(0, std::memcmp(&ws_seq.expectation, &ws_batch.expectation,
                            sizeof(double)));
@@ -214,7 +214,7 @@ TEST(BatchEvaluate, SingleLaneSharesSinglePointBuffers) {
   EXPECT_EQ(0, std::memcmp(&want, out.data(), sizeof(double)));
   EXPECT_EQ(0, std::memcmp(&ws.expectation, out.data(), sizeof(double)));
   EXPECT_EQ(0, std::memcmp(ws.psi.data(), ws_single.psi.data(),
-                           plan.dim() * sizeof(cplx)));
+                           plan.work_dim() * sizeof(cplx)));
 }
 
 TEST(BatchEvaluate, CustomPhaseTableBitIdentity) {

@@ -29,6 +29,7 @@
 #include "linalg/wht.hpp"
 #include "mixers/x_mixer.hpp"
 #include "problems/cost_functions.hpp"
+#include "test_util.hpp"
 
 namespace fastqaoa {
 namespace {
@@ -907,7 +908,9 @@ TEST(EngineQuantizedRoute, EvaluateBitIdenticalToPerElementSweep) {
   // evaluate() hands the plan's phase dictionary and the X mixer's
   // eigenvalue dictionary to every phase sweep; on the fast-sincos backends
   // that takes the quantized route. The reference replays XMixer's p = 2
-  // round sequence with no dictionary, i.e. the per-element sweep.
+  // round sequence with no dictionary, i.e. the per-element sweep. The
+  // explicit uniform initial state keeps the plan on the full route (a
+  // MaxCut plan would otherwise fold; see the folded twin below).
   EngineFixture fx = EngineFixture::make();
   const dvec& dvals = fx.mixer.diagonal();
   const double inv = 1.0 / static_cast<double>(dvals.size());
@@ -916,7 +919,10 @@ TEST(EngineQuantizedRoute, EvaluateBitIdenticalToPerElementSweep) {
   for (const std::string& name : kn::available()) {
     BackendGuard g(name);
     ASSERT_TRUE(g.ok());
-    QaoaPlan plan(fx.mixer, fx.table, 2);
+    QaoaPlanOptions full_route;
+    full_route.initial_state = testutil::uniform_state(fx.table.size());
+    QaoaPlan plan(fx.mixer, fx.table, 2, std::move(full_route));
+    ASSERT_FALSE(plan.folded());
     EvalWorkspace ws;
     const double got = evaluate_packed(plan, ws, fx.angles);
 
@@ -926,6 +932,40 @@ TEST(EngineQuantizedRoute, EvaluateBitIdenticalToPerElementSweep) {
     linalg::phase_wht(psi, plan.phase_values(), gammas[1], 1.0, nullptr);
     const double want = linalg::phase_wht_expect(psi, dvals, betas[1], inv,
                                                  plan.objective(), nullptr);
+    EXPECT_TRUE(same_bits(got, want)) << name << " " << got << " vs " << want;
+    EXPECT_TRUE(same_bits(ws.psi, psi)) << name;
+  }
+}
+
+TEST(EngineQuantizedRoute, FoldedEvaluateBitIdenticalToPerElementSweep) {
+  // The folded twin: the same MaxCut plan without an initial state folds,
+  // and evaluate() runs the round sequence above at half length, through
+  // the folded X mixer and the first halves of the tables. The reference
+  // replays that sequence by hand with no dictionary.
+  EngineFixture fx = EngineFixture::make();
+  const XMixer folded = fx.mixer.folded();
+  const dvec& dvals = folded.diagonal();
+  const double inv = 1.0 / static_cast<double>(dvals.size());
+  const double betas[] = {fx.angles[0], fx.angles[1]};
+  const double gammas[] = {fx.angles[2], fx.angles[3]};
+  for (const std::string& name : kn::available()) {
+    BackendGuard g(name);
+    ASSERT_TRUE(g.ok());
+    QaoaPlan plan(fx.mixer, fx.table, 2);
+    ASSERT_TRUE(plan.folded());
+    ASSERT_EQ(plan.work_dim(), fx.table.size() / 2);
+    EvalWorkspace ws;
+    const double got = evaluate_packed(plan, ws, fx.angles);
+
+    const dvec half(fx.table.begin(),
+                    fx.table.begin() + static_cast<std::ptrdiff_t>(
+                                           plan.work_dim()));
+    cvec psi = testutil::uniform_state(plan.work_dim());
+    linalg::phase_wht(psi, half, gammas[0], 1.0, nullptr);
+    linalg::phase_wht(psi, dvals, betas[0], inv, nullptr);
+    linalg::phase_wht(psi, half, gammas[1], 1.0, nullptr);
+    const double want =
+        linalg::phase_wht_expect(psi, dvals, betas[1], inv, half, nullptr);
     EXPECT_TRUE(same_bits(got, want)) << name << " " << got << " vs " << want;
     EXPECT_TRUE(same_bits(ws.psi, psi)) << name;
   }

@@ -77,7 +77,7 @@ void expect_concurrent_bit_identical(const QaoaPlan& plan,
     }
     const cvec& state = final_states[static_cast<std::size_t>(t)];
     ASSERT_EQ(state.size(), ref_state.size());
-    for (index_t i = 0; i < plan.dim(); ++i) {
+    for (index_t i = 0; i < plan.work_dim(); ++i) {
       EXPECT_EQ(state[i].real(), ref_state[i].real()) << "thread " << t;
       EXPECT_EQ(state[i].imag(), ref_state[i].imag()) << "thread " << t;
     }

@@ -18,11 +18,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -946,6 +948,41 @@ TEST(ServiceProtocol, BatchEvaluateWireRoundTrip) {
 // Progress channel: bounded fan-out with drop-oldest backpressure
 // ---------------------------------------------------------------------------
 
+/// Read `sub` the way the daemon's event loop does: set_notify() wakes the
+/// reader and try_next() takes every ready line. Hands each line to
+/// `on_line` until it returns false or the stream is exhausted. The wakeup
+/// state is shared with the callback, which a publisher may still be
+/// running after this returns.
+void drain_subscription(
+    ProgressChannel::Subscription& sub,
+    const std::function<bool(const std::string&)>& on_line) {
+  struct Wakeup {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool woken = false;
+  };
+  const auto wakeup = std::make_shared<Wakeup>();
+  sub.set_notify([wakeup] {
+    std::lock_guard<std::mutex> lock(wakeup->mu);
+    wakeup->woken = true;
+    wakeup->cv.notify_one();
+  });
+  std::string line;
+  for (;;) {
+    while (sub.try_next(line)) {
+      if (!on_line(line)) {
+        sub.detach();
+        return;
+      }
+    }
+    if (sub.finished()) break;
+    std::unique_lock<std::mutex> lock(wakeup->mu);
+    wakeup->cv.wait(lock, [&wakeup] { return wakeup->woken; });
+    wakeup->woken = false;
+  }
+  sub.detach();
+}
+
 TEST(ServiceProgress, DropsOldestWhenTheQueueOverflowsAndCounts) {
   std::atomic<std::uint64_t> service_drops{0};
   ProgressChannel channel;
@@ -958,13 +995,14 @@ TEST(ServiceProgress, DropsOldestWhenTheQueueOverflowsAndCounts) {
   // Cap 2: ev0..ev2 were dropped oldest-first; ev3, ev4 survive, then the
   // terminal line, then exhaustion.
   std::string line;
-  ASSERT_TRUE(sub.next(line));
+  ASSERT_TRUE(sub.try_next(line));
   EXPECT_EQ(line, "ev3");
-  ASSERT_TRUE(sub.next(line));
+  ASSERT_TRUE(sub.try_next(line));
   EXPECT_EQ(line, "ev4");
-  ASSERT_TRUE(sub.next(line));
+  ASSERT_TRUE(sub.try_next(line));
   EXPECT_EQ(line, "final");
-  EXPECT_FALSE(sub.next(line));
+  EXPECT_FALSE(sub.try_next(line));
+  EXPECT_TRUE(sub.finished());
   EXPECT_EQ(sub.dropped(), 3u);
   EXPECT_EQ(channel.dropped(), 3u);
   EXPECT_EQ(service_drops.load(), 3u);
@@ -979,9 +1017,10 @@ TEST(ServiceProgress, LateSubscriberGetsExactlyTheTerminalEvent) {
 
   ProgressChannel::Subscription late = channel.subscribe();
   std::string line;
-  ASSERT_TRUE(late.next(line));
+  ASSERT_TRUE(late.try_next(line));
   EXPECT_EQ(line, "terminal");
-  EXPECT_FALSE(late.next(line));
+  EXPECT_FALSE(late.try_next(line));
+  EXPECT_TRUE(late.finished());
   EXPECT_EQ(late.dropped(), 0u);
 }
 
@@ -999,8 +1038,10 @@ TEST(ServiceProgress, ConcurrentPublisherAndConsumerDeliverInOrder) {
   });
 
   std::vector<std::string> received;
-  std::string line;
-  while (sub.next(line)) received.push_back(line);
+  drain_subscription(sub, [&received](const std::string& line) {
+    received.push_back(line);
+    return true;
+  });
   publisher.join();
 
   ASSERT_EQ(received.size(), static_cast<std::size_t>(kEvents) + 1);
@@ -1041,12 +1082,11 @@ std::vector<std::string> stream_subscription(
   if (job == nullptr) return lines;
   ProgressChannel::Subscription sub = job->progress.subscribe();
   if (before_read) before_read();
-  std::string line;
-  while (sub.next(line)) {
+  drain_subscription(sub, [&lines, &sub](const std::string& line) {
     bool terminal = false;
     lines.push_back(stamp_terminal_event(line, sub.dropped(), &terminal));
-    if (terminal) break;
-  }
+    return !terminal;
+  });
   return lines;
 }
 
@@ -1143,6 +1183,51 @@ TEST(ServiceProtocol, SubscribeErrorsOnUnknownJobsAndNonStreamingDispatch) {
   const Json via_request = Json::parse(handle_request_line(
       service, R"({"op":"subscribe","id":1})"));
   EXPECT_FALSE(via_request.at("ok").as_bool());
+}
+
+TEST(ServiceProtocol, FieldErrorsNameTheFieldAndCarryNoSourcePath) {
+  Service service;
+  Service::SubmitOutcome outcome = service.submit(evaluate_spec());
+  ASSERT_TRUE(outcome.accepted());
+  Service::wait(*outcome.job);
+
+  // A value of the wrong type comes back naming the field and the type it
+  // needs, without the failed check's expression or a build path.
+  const auto expect_clean = [](const Json& response, const std::string& field,
+                               const std::string& type) {
+    ASSERT_FALSE(response.at("ok").as_bool()) << response.dump();
+    EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request");
+    const std::string& message = response.at("error").at("message").as_string();
+    EXPECT_NE(message.find(field), std::string::npos) << message;
+    EXPECT_NE(message.find(type), std::string::npos) << message;
+    EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
+    EXPECT_EQ(message.find('/'), std::string::npos) << message;
+  };
+
+  Json req = Json::object();
+  req.set("op", Json("subscribe"));
+  req.set("id", Json(outcome.job->id));
+  req.set("throttle_ms", Json(1.5));
+  std::shared_ptr<Job> job;
+  int throttle_ms = -1;
+  expect_clean(subscribe_attach(service, req, &job, &throttle_ms),
+               "throttle_ms", "integer");
+  EXPECT_EQ(job, nullptr);
+
+  expect_clean(Json::parse(handle_request_line(
+                   service,
+                   R"({"op":"evaluate","n":6,"p":1.5,"betas":[0.1],)"
+                   R"("gammas":[0.2]})")),
+               "'p'", "integer");
+  expect_clean(Json::parse(handle_request_line(
+                   service, R"({"op":"evaluate","n":6,"p":1,)"
+                            R"("betas":["x"],"gammas":[0.2]})")),
+               "'betas'", "number");
+  expect_clean(
+      Json::parse(handle_request_line(service, R"({"op":"status","id":-1})")),
+      "'id'", "non-negative integer");
+  expect_clean(Json::parse(handle_request_line(service, R"({"id":1})")),
+               "'op'", "missing");
 }
 
 TEST(ServiceProtocol, SubscribeThrottleMustBeAnIntegerAndIsClamped) {
