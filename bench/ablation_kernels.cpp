@@ -14,7 +14,8 @@
 //      fast-sincos backend means the route silently stopped engaging.
 //   5. the Z2 fold: evaluate() of a p = 3 MaxCut plan that folds (half the
 //      amplitudes) vs the same plan on the full route (an explicit uniform
-//      initial state). A speedup near 1.0 means plans stopped folding.
+//      initial state), single-threaded. A speedup near 1.0 means plans
+//      stopped folding.
 //
 // Sweeps run per backend via kernels::select(); the seed references are
 // compiled locally in this TU with the build's default flags so they stay
@@ -329,8 +330,13 @@ int main(int argc, char** argv) {
   kn::select("auto");
 
   // -- 5. Z2 fold: folded vs full-route evaluate(), best backend -----------
-  std::printf("\n[z2_fold] %s evaluate(), maxcut p=3: folded vs full route\n",
-              best.c_str());
+  // Single-threaded whatever the run's thread count, so the gated
+  // z2_fold_speedup_n20 is measured at its baseline's setting (threads: 1);
+  // the multi-threaded ratio is much noisier.
+  const int restore_threads = num_threads();
+  set_num_threads(1);
+  std::printf("\n[z2_fold] %s evaluate(), maxcut p=3, 1 thread: folded vs "
+              "full route\n", best.c_str());
   std::printf("%-8s %4s %14s %14s %9s %12s\n", "backend", "n", "full_s",
               "folded_s", "speedup", "rel_diff");
   double z2_fold_speedup_n20 = 0.0;
@@ -387,6 +393,7 @@ int main(int argc, char** argv) {
     report.field("speedup", speedup);
     report.field("rel_diff", rel_diff);
   }
+  set_num_threads(restore_threads);
 
   std::printf("\nacceptance: blocked vs per-stage WHT (scalar, n=20): %.2fx\n",
               scalar_blocked_speedup_n20);

@@ -1,5 +1,6 @@
 #include "core/qaoa.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -43,33 +44,49 @@ double Qaoa::run_packed(std::span<const double> angles) {
   return evaluate_packed(plan_, ws_, angles);
 }
 
-const cvec& Qaoa::state() const {
-  if (!plan_.folded() || ws_.psi.empty()) return ws_.psi;
-  unfold_state(plan_, ws_.psi, unfolded_);
-  return unfolded_;
+cvec Qaoa::state() const {
+  cvec psi;
+  if (!ws_.psi.empty()) unfold_state(plan_, ws_.psi, psi);
+  return psi;
 }
 
+// The views below read the workspace directly. When the plan folds, the
+// full-space state is psi(x) = phi(x mod 2^(n-1))/sqrt(2) for x in the first
+// half, and x's complement carries the same amplitude; the objective is
+// flip-invariant, so its first half against phi gives the full-space mass.
+
 double Qaoa::ground_state_probability(Direction direction) const {
-  const ObjectiveStats stats = objective_stats(plan_.objective());
+  const ObjectiveStats stats = objective_stats(plan_.work_objective());
   const double target =
       direction == Direction::Maximize ? stats.max_value : stats.min_value;
-  return linalg::probability_at_value(plan_.objective(), state(), target);
+  return linalg::probability_at_value(plan_.work_objective(), ws_.psi, target);
 }
 
 double Qaoa::probability_of_value(double value) const {
-  return linalg::probability_at_value(plan_.objective(), state(), value);
+  return linalg::probability_at_value(plan_.work_objective(), ws_.psi, value);
 }
 
 double Qaoa::expectation_of(const dvec& observable) const {
   FASTQAOA_CHECK(observable.size() == dim(),
                  "expectation_of: observable size mismatch");
-  return linalg::diag_expectation(observable, state());
+  if (!plan_.folded()) return linalg::diag_expectation(observable, ws_.psi);
+  FASTQAOA_CHECK(ws_.psi.size() == plan_.work_dim(),
+                 "expectation_of: no state; call run() first");
+  const index_t top = dim() - 1;
+  double sum = 0.0;
+  for (index_t y = 0; y < ws_.psi.size(); ++y) {
+    sum += 0.5 * (observable[y] + observable[y ^ top]) * std::norm(ws_.psi[y]);
+  }
+  return sum;
 }
 
 cplx Qaoa::amplitude(index_t i) const {
-  const cvec& psi = state();
-  FASTQAOA_CHECK(i < psi.size(), "amplitude: index out of range");
-  return psi[i];
+  FASTQAOA_CHECK(i < dim() && ws_.psi.size() == plan_.work_dim(),
+                 "amplitude: index out of range");
+  if (!plan_.folded()) return ws_.psi[i];
+  const index_t half = plan_.work_dim();
+  const index_t y = i < half ? i : (i - half) ^ (half - 1);
+  return ws_.psi[y] * (1.0 / std::sqrt(2.0));
 }
 
 SimResult simulate(std::span<const double> angles, const Mixer& mixer,

@@ -94,10 +94,10 @@ class Qaoa {
   /// (Listing 1). Only valid when num_betas() == rounds().
   double run_packed(std::span<const double> angles);
 
-  /// Full-space statevector after the last run(). When the plan folds
-  /// (QaoaPlan's Z2 fold) the workspace holds the half-length folded state
-  /// and each call unfolds it into a buffer this engine owns.
-  [[nodiscard]] const cvec& state() const;
+  /// Full-space statevector after the last run(), returned as a copy. When
+  /// the plan folds (QaoaPlan's Z2 fold) the workspace holds the
+  /// half-length folded state and the copy is its unfolding.
+  [[nodiscard]] cvec state() const;
 
   /// <C> of the last run().
   [[nodiscard]] double expectation() const noexcept { return ws_.expectation; }
@@ -115,14 +115,12 @@ class Qaoa {
   /// anything tabulated over the same feasible set).
   [[nodiscard]] double expectation_of(const dvec& observable) const;
 
-  /// Amplitude of feasible state index i after the last run(). Reads
-  /// state(), so it costs O(dim) per call when the plan folds.
+  /// Amplitude of feasible state index i after the last run().
   [[nodiscard]] cplx amplitude(index_t i) const;
 
  private:
   QaoaPlan plan_;
   EvalWorkspace ws_;
-  mutable cvec unfolded_;  ///< state()'s buffer when the plan folds
 };
 
 /// Result of a one-shot simulate() call (the paper's Listing 1 object):

@@ -120,12 +120,14 @@ TEST_P(BatchBackendTest, BitIdenticalToSequentialAcrossWidthsAndThreads) {
 TEST_P(BatchBackendTest, BlockedDriverBitIdentity) {
   BackendGuard guard(GetParam());
   if (!guard.ok()) GTEST_SKIP() << "backend unavailable: " << GetParam();
-  // dim 8192 exceeds the serial-transform threshold (2^12), so the blocked
-  // WHT driver runs. The small-dim tests above cover the serial path; this
-  // pins the other regime.
-  const dvec obj = maxcut_objective(13, 19);
-  const XMixer mixer = XMixer::transverse_field(13);
+  // The MaxCut plan folds to working length 8192, which exceeds the
+  // serial-transform threshold (2^12), so the blocked WHT driver runs. The
+  // small-dim tests above cover the serial path; this pins the other regime.
+  const dvec obj = maxcut_objective(14, 19);
+  const XMixer mixer = XMixer::transverse_field(14);
   const QaoaPlan plan(mixer, obj, 2);
+  ASSERT_TRUE(plan.folded());
+  ASSERT_EQ(plan.work_dim(), index_t{1} << 13);
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
     SCOPED_TRACE("threads=" + std::to_string(threads));

@@ -800,7 +800,10 @@ struct EngineFixture {
 
   static EngineFixture make() {
     Rng rng(53);
-    const int n = 15;  // dim 32768: the blocked (parallel) WHT driver runs
+    // The MaxCut plan folds to working length 32768: the blocked (parallel)
+    // WHT driver runs, with an odd number of top stages (a final radix-2
+    // pass after the radix-4 ones).
+    const int n = 16;
     Graph g = erdos_renyi(n, 0.3, rng);
     dvec t = tabulate(StateSpace::full(n),
                       [&g](state_t x) { return maxcut(g, x); });
@@ -817,6 +820,7 @@ TEST(EngineThreadInvariance, EvaluateBitIdenticalAcrossThreadCounts) {
     BackendGuard g(name);
     ASSERT_TRUE(g.ok());
     QaoaPlan plan(fx.mixer, fx.table, 2);
+    ASSERT_EQ(plan.work_dim(), index_t{1} << 15);
 
     set_num_threads(1);
     EvalWorkspace ref_ws;
@@ -841,6 +845,7 @@ TEST(EngineThreadInvariance, AdjointBitIdenticalAcrossThreadCounts) {
     BackendGuard g(name);
     ASSERT_TRUE(g.ok());
     QaoaPlan plan(fx.mixer, fx.table, 2);
+    ASSERT_EQ(plan.work_dim(), index_t{1} << 15);
 
     set_num_threads(1);
     EvalWorkspace ref_ws;
@@ -879,6 +884,7 @@ TEST(EngineThreadInvariance, EvaluateBatchBitIdenticalAcrossThreadCounts) {
       BackendGuard g(name);
       ASSERT_TRUE(g.ok());
       QaoaPlan plan(fx.mixer, fx.table, 2);
+      ASSERT_EQ(plan.work_dim(), index_t{1} << 15);
 
       set_num_threads(1);
       EvalWorkspace ref_ws;

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "autodiff/adjoint.hpp"
@@ -252,6 +253,39 @@ TEST(Z2Fold, FacadeViewsMatchTheFullRoute) {
   EXPECT_LT(testutil::max_diff(sf.statevector, su.statevector), 1e-12);
   EXPECT_NEAR(sf.exp_value, su.exp_value, 1e-12 * std::abs(su.exp_value));
   EXPECT_NEAR(sf.ground_state_prob, su.ground_state_prob, 1e-12);
+}
+
+TEST(Z2Fold, FacadeConstViewsAreSafeToShareAcrossThreads) {
+  // The const views read the folded state in place and write nothing, so
+  // several threads may call them on one engine (run it under TSan to see
+  // a data race if one ever writes).
+  Rng rng(29);
+  const int n = 10;
+  const dvec table = maxcut_table(erdos_renyi(n, 0.5, rng));
+  Qaoa engine(XMixer::transverse_field(n), table, 2);
+  ASSERT_TRUE(engine.plan().folded());
+  engine.run_packed(std::vector<double>{0.31, -0.72, 0.58, 1.13});
+  dvec obs(table.size());
+  for (double& v : obs) v = rng.uniform(-1.0, 1.0);
+  const cvec want_state = engine.state();
+  const double want_p = engine.ground_state_probability();
+  const double want_e = engine.expectation_of(obs);
+
+  std::vector<int> ok(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < ok.size(); ++t) {
+    threads.emplace_back([&, t] {
+      bool same = same_bits(engine.state(), want_state) &&
+                  same_bits(engine.ground_state_probability(), want_p) &&
+                  same_bits(engine.expectation_of(obs), want_e);
+      for (index_t i = 0; i < table.size(); ++i) {
+        same = same && engine.amplitude(i) == want_state[i];
+      }
+      ok[t] = same ? 1 : 0;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < ok.size(); ++t) EXPECT_EQ(ok[t], 1) << t;
 }
 
 TEST(Z2Fold, BitIdenticalAcrossThreadCountsAndBatchWidths) {
