@@ -26,9 +26,9 @@
 // --quick is the CI bench-check mode: one n=40 scaling row, no
 // find_angles, headline crossover only — seconds instead of minutes,
 // while still emitting every field bench_check gates. The reduced default
-// (no flag) is the baseline-producing sweep and takes ~15-20 single-core
-// minutes, most of it the bounded n=60 find_angles; --full adds n=128
-// and a deeper evaluation budget.
+// (no flag) is the baseline-producing sweep and takes ~6 single-threaded
+// minutes on a 4-core AVX-512 host, most of it the bounded n=60
+// find_angles; --full adds n=128 and a deeper evaluation budget.
 
 #include <cstdio>
 #include <string>

@@ -70,12 +70,23 @@ void rotate_pair(cplx* x, cplx* y, index_t m, double c, double s, cplx phase) {
 /// bounds checks Matrix::operator() carries (they are always on in this
 /// codebase) and let them vectorize. Fixed cyclic pair order (p, q), p < q —
 /// the determinism contract.
+///
+/// A pair counts as converged when the columns are orthogonal relative to
+/// their own norms, or when either column's squared norm is at most
+/// `negligible` (the caller's orth_tol(m)^2 * ||A||_F^2). The relative test
+/// alone never passes for a column of pure rounding noise — its inner
+/// product with an O(1) column is noise of the same relative size — so
+/// without the second test a rank-deficient input rotates noise until the
+/// sweep cap. Returns the number of sweeps run, counting the final one that
+/// found every pair converged.
 template <typename T>
-void jacobi_orthogonalize(Matrix<T>& wt, Matrix<T>& vt) {
+int jacobi_orthogonalize(Matrix<T>& wt, Matrix<T>& vt, double negligible) {
   const index_t n = wt.rows();
   const index_t m = wt.cols();
   const double tol = orth_tol(m);
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
+  int sweeps = 0;
+  while (sweeps < kMaxSweeps) {
+    ++sweeps;
     bool rotated = false;
     for (index_t p = 0; p + 1 < n; ++p) {
       for (index_t q = p + 1; q < n; ++q) {
@@ -110,10 +121,9 @@ void jacobi_orthogonalize(Matrix<T>& wt, Matrix<T>& vt) {
             apq += conj_mul_real(wp[i], wq[i]);
           }
         }
+        if (app <= negligible || aqq <= negligible) continue;
         const double r = std::abs(apq);
-        if (r <= tol * std::sqrt(app * aqq) || app == 0.0 || aqq == 0.0) {
-          continue;
-        }
+        if (r <= tol * std::sqrt(app * aqq)) continue;
         rotated = true;
         // Align the pair's inner product onto the real axis, then apply the
         // classic real Jacobi rotation that zeroes the 2x2 Gram
@@ -135,6 +145,7 @@ void jacobi_orthogonalize(Matrix<T>& wt, Matrix<T>& vt) {
     }
     if (!rotated) break;
   }
+  return sweeps;
 }
 
 template <typename T>
@@ -174,29 +185,38 @@ Result svd_tall(const Matrix<T>& a) {
   const index_t n = a.cols();
   Matrix<T> wt = plain_transpose(a);      // row j = column j of A
   Matrix<T> vt = Matrix<T>::identity(n);  // row j = column j of V
-  jacobi_orthogonalize(wt, vt);
+  // ||A||_F^2 summed in a fixed order: the negligible-column threshold is a
+  // pure function of the input bits.
+  double frob2 = 0.0;
+  for (index_t j = 0; j < n; ++j) {
+    const T* col = wt.row(j);
+    for (index_t i = 0; i < m; ++i) frob2 += abs2(col[i]);
+  }
+  const double negligible = abs2(orth_tol(m)) * frob2;
+  Result out;
+  out.sweeps = jacobi_orthogonalize(wt, vt, negligible);
 
-  std::vector<double> norms(n);
+  std::vector<double> norm2(n);
   for (index_t j = 0; j < n; ++j) {
     const T* col = wt.row(j);
     double sum = 0.0;
     for (index_t i = 0; i < m; ++i) sum += abs2(col[i]);
-    norms[j] = std::sqrt(sum);
+    norm2[j] = sum;
   }
   std::vector<index_t> order(n);
   std::iota(order.begin(), order.end(), index_t{0});
-  std::stable_sort(order.begin(), order.end(), [&norms](index_t x, index_t y) {
-    return norms[x] > norms[y];
+  std::stable_sort(order.begin(), order.end(), [&norm2](index_t x, index_t y) {
+    return norm2[x] > norm2[y];
   });
 
-  Result out;
   out.singular_values.resize(n);
   out.u = Matrix<T>(m, n);
   out.v = Matrix<T>(n, n);
   for (index_t j = 0; j < n; ++j) {
     const index_t src = order[j];
-    const double sv = norms[src];
+    const double sv = std::sqrt(norm2[src]);
     out.singular_values[j] = sv;
+    if (norm2[src] > negligible) out.rank = j + 1;
     const double inv = sv > 0.0 ? 1.0 / sv : 0.0;
     const T* ucol = wt.row(src);
     const T* vcol = vt.row(src);
@@ -217,6 +237,8 @@ SvdResult svd(const dmat& a) {
   out.singular_values = std::move(t.singular_values);
   out.u = std::move(t.v);
   out.v = std::move(t.u);
+  out.sweeps = t.sweeps;
+  out.rank = t.rank;
   return out;
 }
 
@@ -229,6 +251,8 @@ CSvdResult svd(const cmat& a) {
   out.singular_values = std::move(t.singular_values);
   out.u = std::move(t.v);
   out.v = std::move(t.u);
+  out.sweeps = t.sweeps;
+  out.rank = t.rank;
   return out;
 }
 

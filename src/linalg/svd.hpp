@@ -20,10 +20,22 @@
 /// Shapes: for an m x n input with k = min(m, n), `u` is m x k, `v` is
 /// n x k, and `singular_values` holds k non-negative values sorted
 /// descending. Inputs with m < n are handled by decomposing the (conjugate)
-/// transpose and swapping the factors. Rank-deficient inputs yield zero
-/// singular values whose U columns are zero vectors (they multiply against
-/// S = 0, so A = U S V^H still reconstructs exactly; callers that need an
-/// orthonormal basis for the null directions must complete it themselves).
+/// transpose and swapping the factors.
+///
+/// Negligible columns: with k' = max(m, n), a working column whose squared
+/// norm is at most (8 sqrt(k') eps)^2 ||A||_F^2 is treated as converged
+/// against every other column and is not rotated further. Singular values at
+/// that level are below what any backward-stable SVD resolves; rotating them
+/// only rotates rounding noise, which on rank-deficient input never
+/// converges. The test reads nothing but the input bits, so it keeps the
+/// determinism contract. `rank` counts the leading singular values above the
+/// threshold. Past `rank`, the singular values are rounding-level (or exact
+/// zeros) and their U columns are NOT an orthonormal completion: a
+/// rounding-level value's U column is its normalized noise column, which
+/// need not be orthogonal to the kept ones, and an exact zero's U column is
+/// the zero vector. They multiply against S at that level, so A = U S V^H
+/// still reconstructs to rounding; callers that need an orthonormal basis
+/// keep the leading `rank` columns (or complete the rest themselves).
 
 #include "linalg/dense.hpp"
 
@@ -34,6 +46,8 @@ struct SvdResult {
   dvec singular_values;  ///< k = min(m, n) values, descending
   dmat u;                ///< m x k
   dmat v;                ///< n x k
+  int sweeps = 0;        ///< Jacobi sweeps run, the converged one included
+  index_t rank = 0;      ///< leading singular values above the negligible level
 };
 
 /// Complex thin SVD: A = U S V^H. Singular values are real non-negative.
@@ -41,6 +55,8 @@ struct CSvdResult {
   dvec singular_values;
   cmat u;
   cmat v;
+  int sweeps = 0;
+  index_t rank = 0;
 };
 
 /// Deterministic one-sided Jacobi SVD. Throws fastqaoa::Error on an empty

@@ -195,9 +195,9 @@ void MpsState::apply_two_site(index_t bond, const std::array<cplx, 4>& phase,
   double total = 0.0;
   for (index_t j = 0; j < k_all; ++j) total += sq(f.singular_values[j]);
 
-  // Exact-zero tail is structural rank, not truncation — drop it for free.
-  index_t k = k_all;
-  while (k > 1 && f.singular_values[k - 1] == 0.0) --k;
+  // The tail past the solver's numerical rank is rounding noise (or exact
+  // zeros): structural rank, not truncation — drop it for free.
+  index_t k = std::clamp(f.rank, index_t{1}, k_all);
 
   // Hard cap: always enforced, even past the fidelity budget.
   double dropped = 0.0;

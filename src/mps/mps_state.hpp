@@ -18,14 +18,17 @@
 /// makes MPS results thread- and worker-count invariant like the exact
 /// engine's.
 ///
-/// Truncation contract (apply_two_site): the max_bond cap is always
-/// enforced; additionally, trailing singular values whose relative squared
-/// weight fits under trunc_tol are dropped while the cumulative discarded
-/// weight stays within fidelity_budget. Once the budget is exhausted only
-/// the hard cap forces discards (counted separately). Kept singular values
-/// are rescaled so the state norm is preserved, and the cumulative
-/// discarded weight is monotone non-decreasing — the fidelity proxy
-/// reported per evaluation.
+/// Truncation contract (apply_two_site): singular values past the SVD's
+/// numerical rank (linalg::svd's `rank`: rounding noise at the
+/// negligible-column level, or exact zeros) are structural rank, dropped
+/// for free — neither counted as a truncation nor added to the discarded
+/// weight. Of the rest, the max_bond cap is always enforced; additionally,
+/// trailing singular values whose relative squared weight fits under
+/// trunc_tol are dropped while the cumulative discarded weight stays within
+/// fidelity_budget. Once the budget is exhausted only the hard cap forces
+/// discards (counted separately). Kept singular values are rescaled so the
+/// state norm is preserved, and the cumulative discarded weight is monotone
+/// non-decreasing — the fidelity proxy reported per evaluation.
 
 #include <array>
 #include <cstdint>
@@ -45,7 +48,7 @@ struct TruncationPolicy {
 
 /// Always-on truncation accounting (independent of obs::metrics_enabled()).
 struct TruncationStats {
-  std::uint64_t truncations = 0;   ///< splits that discarded nonzero weight
+  std::uint64_t truncations = 0;   ///< splits that discarded weight past rank
   double discarded_weight = 0.0;   ///< cumulative relative weight dropped
   index_t max_bond_reached = 1;    ///< largest bond dimension seen
   std::uint64_t budget_exhausted = 0;  ///< forced discards past the budget

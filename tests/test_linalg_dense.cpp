@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "linalg/dense.hpp"
+#include "linalg/eigen_herm.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/svd.hpp"
 #include "test_util.hpp"
@@ -277,6 +278,95 @@ TEST(Svd, IllConditionedRecoversSpectrum) {
   EXPECT_LT(linalg::svd_residual(a, r), 1e-12);
 }
 
+// Rank-deficient complex input, the shape of an MPS bond split: the columns
+// past the numerical rank are rounding noise. The solver must stop rotating
+// them, and what it keeps must still be an exact SVD of the rank-r part.
+// Exactly repeated rows and columns (what a qubit still in |+> leaves in a
+// split) are the hard case: a pair-relative orthogonality test alone never
+// passes for their noise columns, so those calls ran to the sweep cap.
+void expect_rank_deficient_split(const cmat& a, index_t rank) {
+  const linalg::CSvdResult r = linalg::svd(a);
+  EXPECT_LE(r.sweeps, 20);
+  EXPECT_EQ(r.rank, rank);
+  double frob2 = 0.0;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t j = 0; j < a.cols(); ++j) frob2 += std::norm(a(i, j));
+  }
+  EXPECT_LE(linalg::svd_residual(a, r), 1e-12 * std::sqrt(frob2));
+
+  // Oracle sharing no code with the solver: eigenvalues of A^H A from the
+  // Hermitian eigensolver (ascending).
+  const dvec evals = linalg::eigh(matmul(adjoint(a), a)).eigenvalues;
+  const index_t n = evals.size();
+  for (index_t j = 0; j < rank; ++j) {
+    const double sigma2 = r.singular_values[j] * r.singular_values[j];
+    EXPECT_NEAR(sigma2 / evals[n - 1 - j], 1.0, 1e-12) << "sigma index " << j;
+  }
+
+  cmat kept(a.rows(), rank);
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t j = 0; j < rank; ++j) kept(i, j) = r.u(i, j);
+  }
+  EXPECT_LT(orthonormality_error(kept), 1e-12);
+}
+
+TEST(Svd, RankDeficientComplexProductsConvergeFast) {
+  Rng rng(18);
+  for (index_t rank : {index_t{2}, index_t{4}, index_t{8}}) {
+    SCOPED_TRACE(rank);
+    // Generic 16 x r times r x 16.
+    expect_rank_deficient_split(
+        matmul(random_cmatrix(16, rank, rng), random_cmatrix(rank, 16, rng)),
+        rank);
+    // The same with every row and column repeated 16 / r times.
+    const cmat x = random_cmatrix(rank, rank, rng);
+    const cmat y = random_cmatrix(rank, rank, rng);
+    cmat left(16, rank);
+    cmat right(rank, 16);
+    for (index_t i = 0; i < 16; ++i) {
+      for (index_t k = 0; k < rank; ++k) {
+        left(i, k) = x(i % rank, k);
+        right(k, i) = y(k, i % rank);
+      }
+    }
+    expect_rank_deficient_split(matmul(left, right), rank);
+  }
+}
+
+TEST(Svd, SwapGateThetaConvergesFast) {
+  // theta(l, s0, s1, r) = sum_b A(l, s1, b) B(b, s0, r) — two site tensors
+  // with their physical legs exchanged, matricized rows (l, s0) x cols
+  // (s1, r) as in an MPS swap. Site B is still in |+> (its two physical
+  // slices are equal), so theta's rows repeat in pairs and a middle bond of
+  // 2 leaves rank 2 * 2.
+  Rng rng(19);
+  const index_t dl = 8;
+  const index_t dm = 2;
+  const index_t dr = 8;
+  const cmat site_a = random_cmatrix(dl * 2, dm, rng);  // rows (l, s)
+  cmat site_b = random_cmatrix(dm * 2, dr, rng);        // rows (b, s)
+  for (index_t b = 0; b < dm; ++b) {
+    for (index_t rr = 0; rr < dr; ++rr) {
+      site_b(b * 2 + 1, rr) = site_b(b * 2, rr);
+    }
+  }
+  cmat theta(dl * 2, 2 * dr);
+  for (index_t l = 0; l < dl; ++l) {
+    for (index_t s0 = 0; s0 < 2; ++s0) {
+      for (index_t s1 = 0; s1 < 2; ++s1) {
+        for (index_t rr = 0; rr < dr; ++rr) {
+          cplx acc{};
+          for (index_t b = 0; b < dm; ++b) {
+            acc += site_a(l * 2 + s1, b) * site_b(b * 2 + s0, rr);
+          }
+          theta(l * 2 + s0, s1 * dr + rr) = acc;
+        }
+      }
+    }
+  }
+  expect_rank_deficient_split(theta, 2 * dm);
+}
+
 TEST(Svd, DeterministicAcrossCalls) {
   Rng rng(17);
   const dmat a = random_matrix(10, 7, rng);
@@ -285,6 +375,8 @@ TEST(Svd, DeterministicAcrossCalls) {
   EXPECT_TRUE(r1.u == r2.u);
   EXPECT_TRUE(r1.v == r2.v);
   EXPECT_EQ(r1.singular_values, r2.singular_values);
+  EXPECT_EQ(r1.sweeps, r2.sweeps);
+  EXPECT_EQ(r1.rank, r2.rank);
 }
 
 TEST(Svd, RejectsEmptyAndNonFinite) {

@@ -29,6 +29,7 @@
 #include "problems/cost_functions.hpp"
 #include "problems/state_space.hpp"
 #include "runtime/budget.hpp"
+#include "service/workload.hpp"
 #include "test_util.hpp"
 
 namespace fastqaoa::mps {
@@ -310,6 +311,70 @@ TEST(MpsTruncation, TighterCapDiscardsAtLeastAsMuch) {
     evaluate_packed(plan, ws, packed);
     EXPECT_GE(ws.stats.discarded_weight, prev) << "chi=" << chi;
     prev = ws.stats.discarded_weight;
+  }
+}
+
+// A single ZZ term between distant qubits: the route-in swaps act on a
+// product state (exact rank 1), the gate makes one rank-2 pair, and the
+// route-out swaps carry it back. The rounding-level tail of those splits is
+// structural rank, not truncation, under any policy — even one that drops
+// nothing.
+TEST(MpsTruncation, RoundingTailIsNotCountedAsTruncation) {
+  constexpr int kN = 8;
+  Graph g(kN);
+  g.add_edge(1, 6);
+  const std::vector<double> packed{0.37, 0.81};
+  for (const MpsOptions& options :
+       {MpsOptions{.max_bond = 64, .fidelity_budget = 0.0, .trunc_tol = 0.0},
+        MpsOptions{}}) {
+    MpsPlan plan(maxcut_hamiltonian(g), options);
+    MpsWorkspace ws;
+    evaluate_packed(plan, ws, packed);
+    EXPECT_EQ(ws.stats.truncations, 0u) << "trunc_tol=" << options.trunc_tol;
+    EXPECT_EQ(ws.stats.discarded_weight, 0.0);
+    EXPECT_EQ(ws.stats.max_bond_reached, index_t{2});
+    // Only the cuts between the entangled pair carry a rank-2 bond.
+    for (index_t i = 0; i <= kN; ++i) {
+      EXPECT_EQ(ws.state.bond(i), (i >= 2 && i <= 6) ? index_t{2} : index_t{1})
+          << "bond " << i << ", trunc_tol=" << options.trunc_tol;
+    }
+  }
+}
+
+// Drift pin on the service's mps_eval request shape (weighted 3-regular
+// MaxCut, n = 30, chi = 8, p = 2): expectation and discarded weight at fixed
+// angles, recorded from the engine before its SVD skipped negligible
+// columns. A change to the bond splits that moves either past rounding level
+// shows here.
+TEST(MpsDeterminism, ServiceShapeValuesPinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::vector<double> packed;
+    double expectation;
+    double discarded_weight;
+  };
+  const std::vector<Pin> pins = {
+      {1, {0.42, 1.31, 2.17, 0.64}, 13.831879677163277, 9.9369836032422505},
+      {2, {2.05, 0.77, 0.93, 2.61}, 12.969990836914647, 9.77484207914706},
+      {3, {1.18, 2.49, 0.35, 1.72}, 10.447750161123469, 5.7350558996258334},
+  };
+  for (const Pin& pin : pins) {
+    service::ProblemSpec spec;
+    spec.problem = "wmaxcut";
+    spec.degree = 3;
+    spec.n = 30;
+    spec.engine = "mps";
+    spec.max_bond = 8;
+    spec.instance_seed = pin.seed;
+    MpsPlan plan(service::build_mps_hamiltonian(spec),
+                 service::mps_options(spec));
+    MpsWorkspace ws;
+    const double e = evaluate_packed(plan, ws, pin.packed);
+    EXPECT_NEAR(e, pin.expectation, 1e-9 * std::abs(pin.expectation))
+        << "seed " << pin.seed;
+    EXPECT_NEAR(ws.stats.discarded_weight, pin.discarded_weight,
+                1e-9 * pin.discarded_weight)
+        << "seed " << pin.seed;
   }
 }
 

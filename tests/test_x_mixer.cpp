@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "bits/bitops.hpp"
 #include "bits/combinatorics.hpp"
@@ -48,6 +49,25 @@ TEST(XMixer, TransverseFieldDiagonalIsNMinus2Weight) {
   for (state_t z = 0; z < 64; ++z) {
     EXPECT_DOUBLE_EQ(mixer.diagonal()[z],
                      static_cast<double>(n - 2 * popcount(z)));
+  }
+}
+
+TEST(XMixer, TransverseFieldBitIdenticalToTermSum) {
+  // The closed-form diagonal must not move a single bit against the generic
+  // term-summing constructor, or every cached tf plan would change.
+  for (int n = 1; n <= 16; ++n) {
+    const XMixer fast = XMixer::transverse_field(n);
+    const XMixer summed(n, fast.terms());
+    ASSERT_EQ(fast.diagonal().size(), summed.diagonal().size()) << "n=" << n;
+    EXPECT_EQ(std::memcmp(fast.diagonal().data(), summed.diagonal().data(),
+                          fast.diagonal().size() * sizeof(double)),
+              0)
+        << "n=" << n;
+    EXPECT_EQ(fast.name(), "transverse-field");
+    ASSERT_EQ(fast.terms().size(), static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(fast.terms()[i], (PauliXTerm{state_t{1} << i, 1.0}));
+    }
   }
 }
 
