@@ -5,13 +5,14 @@
 //   1. single-evaluation scaling: n = 40..100 weighted 3-regular MaxCut at
 //      chi in {8, 16}, p = 4 — wall time per evaluate() plus the fidelity
 //      proxies (cumulative discarded weight, largest bond reached,
-//      truncation count). The proxies are the honesty columns: a fast row
-//      with large discarded weight is an approximation, not a speedup.
+//      truncation count) and the plan's routing swaps per round. The
+//      proxies are the honesty columns: a fast row with large discarded
+//      weight is an approximation, not a speedup.
 //   2. the acceptance run: a full find_angles(MpsAngleEngine) at n = 60,
 //      p = 4 on one node, bounded by --max-evals so CI finishes in seconds.
 //   3. crossover sweep: n = 16..24 with both engines on the same instance
 //      and angles, at every bond cap — per-eval medians each way plus the
-//      MPS discarded weight. "mps_vs_exact_speedup_n20" (the n=20 point at
+//      MPS discarded weight and its absolute error against the exact value. "mps_vs_exact_speedup_n20" (the n=20 point at
 //      the first chi) is what bench_check gates; in this exact-still-fits
 //      range the dense kernel usually wins (2^n amplitudes are cheap), so
 //      the baseline captures the crossover ratio rather than a guaranteed
@@ -23,13 +24,14 @@
 // Usage: bench_mps_scaling [--full] [--quick] [--chi=8,16] [--p=4]
 //                          [--max-evals=150] [--json=path]
 //
-// --quick is the CI bench-check mode: one n=40 scaling row, no
+// --quick is the CI bench-check mode: the n=40 scaling rows, no
 // find_angles, headline crossover only — seconds instead of minutes,
 // while still emitting every field bench_check gates. The reduced default
-// (no flag) is the baseline-producing sweep and takes ~6 single-threaded
+// (no flag) is the baseline-producing sweep and takes ~2 single-threaded
 // minutes on a 4-core AVX-512 host, most of it the bounded n=60
 // find_angles; --full adds n=128 and a deeper evaluation budget.
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -101,13 +103,13 @@ int main(int argc, char** argv) {
   const std::vector<double> angles = fixed_angles(p);
 
   std::printf("evaluate() scaling at p=%d (1 thread)\n", p);
-  std::printf("%6s %6s %10s %12s %16s %10s %8s\n", "n", "chi", "seconds",
-              "<C>", "discarded_wt", "trunc", "max_chi");
+  std::printf("%6s %6s %10s %12s %16s %10s %8s %8s\n", "n", "chi", "seconds",
+              "<C>", "discarded_wt", "trunc", "max_chi", "swaps");
   struct Row {
     int n;
     index_t chi;
     double seconds, expectation, discarded;
-    std::uint64_t truncations, max_bond;
+    std::uint64_t truncations, max_bond, swaps;
   };
   std::vector<Row> rows;
   for (const int n : sizes) {
@@ -122,12 +124,14 @@ int main(int argc, char** argv) {
       const double secs = timer.seconds();
       rows.push_back({n, chi, secs, value, ws.stats.discarded_weight,
                       ws.stats.truncations,
-                      static_cast<std::uint64_t>(ws.stats.max_bond_reached)});
-      std::printf("%6d %6d %10.3f %12.5f %16.3e %10llu %8llu\n", n,
+                      static_cast<std::uint64_t>(ws.stats.max_bond_reached),
+                      plan.swaps_per_round()});
+      std::printf("%6d %6d %10.3f %12.5f %16.3e %10llu %8llu %8zu\n", n,
                   static_cast<int>(chi), secs, value,
                   ws.stats.discarded_weight,
                   static_cast<unsigned long long>(ws.stats.truncations),
-                  static_cast<unsigned long long>(ws.stats.max_bond_reached));
+                  static_cast<unsigned long long>(ws.stats.max_bond_reached),
+                  plan.swaps_per_round());
     }
   }
 
@@ -168,13 +172,14 @@ int main(int argc, char** argv) {
   struct XRow {
     int n;
     index_t chi;
-    double exact_secs, mps_secs, speedup, discarded;
+    double exact_secs, mps_secs, speedup, discarded, abs_err;
   };
   std::vector<XRow> xrows;
   double speedup = 0.0;
   std::printf("\nexact-vs-MPS crossover sweep (%d reps)\n", reps);
-  std::printf("%6s %6s %14s %14s %10s %16s\n", "n", "chi", "exact s/eval",
-              "mps s/eval", "ratio", "discarded_wt");
+  std::printf("%6s %6s %14s %14s %10s %16s %10s\n", "n", "chi",
+              "exact s/eval", "mps s/eval", "ratio", "discarded_wt",
+              "|mps-ex|");
   for (const int xn : xsizes) {
     const Graph xg = instance(xn);
     dvec table = tabulate(StateSpace::full(xn),
@@ -183,22 +188,27 @@ int main(int argc, char** argv) {
     QaoaPlan exact_plan(mixer, table, p);
     EvalWorkspace exact_ws;
     exact_ws.reserve(exact_plan);
+    double exact_value = 0.0;
     const double exact_secs = benchutil::time_median(
-        [&] { evaluate_packed(exact_plan, exact_ws, angles); }, reps);
+        [&] { exact_value = evaluate_packed(exact_plan, exact_ws, angles); },
+        reps);
     for (const index_t chi : chis) {
       mps::MpsPlan mps_plan(mps::maxcut_hamiltonian(xg),
                             {.max_bond = chi, .fidelity_budget = 1.0,
                              .trunc_tol = 1e-12});
       mps::MpsWorkspace mps_ws;
+      double mps_value = 0.0;
       const double mps_secs = benchutil::time_median(
-          [&] { mps::evaluate_packed(mps_plan, mps_ws, angles); }, reps);
+          [&] { mps_value = mps::evaluate_packed(mps_plan, mps_ws, angles); },
+          reps);
       const double ratio = exact_secs / mps_secs;
+      const double abs_err = std::abs(mps_value - exact_value);
       xrows.push_back({xn, chi, exact_secs, mps_secs, ratio,
-                       mps_ws.stats.discarded_weight});
+                       mps_ws.stats.discarded_weight, abs_err});
       if (xn == 20 && chi == chis.front()) speedup = ratio;
-      std::printf("%6d %6d %13.3es %13.3es %9.3fx %16.3e\n", xn,
+      std::printf("%6d %6d %13.3es %13.3es %9.3fx %16.3e %10.3e\n", xn,
                   static_cast<int>(chi), exact_secs, mps_secs, ratio,
-                  mps_ws.stats.discarded_weight);
+                  mps_ws.stats.discarded_weight, abs_err);
       if (quick) break;  // headline point only
     }
   }
@@ -213,19 +223,22 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     std::printf("%s{\"n\":%d,\"chi\":%d,\"seconds\":%.4f,"
                 "\"expectation\":%.6f,\"discarded_weight\":%.6e,"
-                "\"truncations\":%llu,\"max_bond_reached\":%llu}",
+                "\"truncations\":%llu,\"max_bond_reached\":%llu,"
+                "\"swaps_per_round\":%llu}",
                 i ? "," : "", r.n, static_cast<int>(r.chi), r.seconds,
                 r.expectation, r.discarded,
                 static_cast<unsigned long long>(r.truncations),
-                static_cast<unsigned long long>(r.max_bond));
+                static_cast<unsigned long long>(r.max_bond),
+                static_cast<unsigned long long>(r.swaps));
   }
   std::printf("],\"crossover\":[");
   for (std::size_t i = 0; i < xrows.size(); ++i) {
     const XRow& x = xrows[i];
     std::printf("%s{\"n\":%d,\"chi\":%d,\"exact_s\":%.6e,\"mps_s\":%.6e,"
-                "\"ratio\":%.4f,\"discarded_weight\":%.6e}",
+                "\"ratio\":%.4f,\"discarded_weight\":%.6e,"
+                "\"abs_err\":%.6e}",
                 i ? "," : "", x.n, static_cast<int>(x.chi), x.exact_secs,
-                x.mps_secs, x.speedup, x.discarded);
+                x.mps_secs, x.speedup, x.discarded, x.abs_err);
   }
   std::printf("]}\n");
 
@@ -246,6 +259,7 @@ int main(int argc, char** argv) {
     report.field("discarded_weight", r.discarded);
     report.field("truncations", static_cast<long long>(r.truncations));
     report.field("max_bond_reached", static_cast<long long>(r.max_bond));
+    report.field("swaps_per_round", static_cast<long long>(r.swaps));
   }
   for (const XRow& x : xrows) {
     report.row();
@@ -256,6 +270,7 @@ int main(int argc, char** argv) {
     report.field("mps_s_per_eval", x.mps_secs);
     report.field("ratio", x.speedup);
     report.field("discarded_weight", x.discarded);
+    report.field("abs_err", x.abs_err);
   }
   report.attach_metrics();
   report.write();

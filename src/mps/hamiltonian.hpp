@@ -34,7 +34,9 @@ struct ZZTerm {
   double coeff = 0.0;
 };
 
-/// Sparse diagonal Hamiltonian over n qubits (site i = qubit i).
+/// Sparse diagonal Hamiltonian over n qubits. As built (maxcut_hamiltonian,
+/// canonicalize) site i is qubit i; an MpsPlan relabels the qubits onto MPS
+/// sites, so MpsPlan::hamiltonian() is in site labels (MpsPlan::site_of).
 struct DiagonalHamiltonian {
   index_t n = 0;
   double constant = 0.0;

@@ -1,13 +1,87 @@
 #include "mps/mps_plan.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 
 namespace fastqaoa::mps {
+
+namespace {
+
+/// Route-and-return swaps per round with qubit q on site pos[q].
+std::size_t route_swaps(const std::vector<ZZTerm>& terms,
+                        const std::vector<index_t>& pos) {
+  std::size_t swaps = 0;
+  for (const ZZTerm& t : terms) {
+    const index_t a = pos[t.u];
+    const index_t b = pos[t.v];
+    swaps += 2 * ((a < b ? b - a : a - b) - 1);
+  }
+  return swaps;
+}
+
+/// Qubit -> site order minimizing route_swaps over the identity and a
+/// reverse Cuthill-McKee order from every start vertex (neighbours visited
+/// by (degree, index), later components started at their lowest index).
+/// Ties keep the earlier candidate, so the result is a pure function of the
+/// canonical terms.
+std::vector<index_t> rcm_site_order(const DiagonalHamiltonian& h) {
+  const index_t n = h.n;
+  std::vector<std::vector<index_t>> adj(n);
+  for (const ZZTerm& t : h.zz_terms) {
+    adj[t.u].push_back(t.v);
+    adj[t.v].push_back(t.u);
+  }
+  for (auto& nbrs : adj) {
+    std::sort(nbrs.begin(), nbrs.end(), [&adj](index_t a, index_t b) {
+      return adj[a].size() != adj[b].size() ? adj[a].size() < adj[b].size()
+                                            : a < b;
+    });
+  }
+
+  std::vector<index_t> best(n);
+  std::iota(best.begin(), best.end(), index_t{0});
+  std::size_t best_swaps = route_swaps(h.zz_terms, best);
+  std::vector<index_t> order;
+  std::vector<index_t> pos(n);
+  std::vector<char> seen(n);
+  for (index_t start = 0; start < n && best_swaps > 0; ++start) {
+    order.clear();
+    std::fill(seen.begin(), seen.end(), 0);
+    index_t root = start;
+    index_t lowest = 0;
+    while (order.size() < n) {
+      // Breadth-first Cuthill-McKee sweep of root's component; `order`
+      // doubles as the queue.
+      seen[root] = 1;
+      order.push_back(root);
+      for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+        for (const index_t w : adj[order[head]]) {
+          if (!seen[w]) {
+            seen[w] = 1;
+            order.push_back(w);
+          }
+        }
+      }
+      while (lowest < n && seen[lowest]) ++lowest;
+      root = lowest;
+    }
+    for (index_t i = 0; i < n; ++i) pos[order[i]] = n - 1 - i;  // reversed
+    const std::size_t swaps = route_swaps(h.zz_terms, pos);
+    if (swaps < best_swaps) {
+      best_swaps = swaps;
+      best = pos;
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 MpsPlan::MpsPlan(DiagonalHamiltonian h, MpsOptions options)
     : h_(canonicalize(std::move(h))), options_(options) {
@@ -17,8 +91,18 @@ MpsPlan::MpsPlan(DiagonalHamiltonian h, MpsOptions options)
                  "MpsPlan: need fidelity_budget >= 0");
   FASTQAOA_CHECK(options_.trunc_tol >= 0.0, "MpsPlan: need trunc_tol >= 0");
 
+  // Relabel qubits to sites so that interacting qubits sit close together:
+  // every later step (schedule, evaluation, expectation) sees site labels.
+  site_of_ = rcm_site_order(h_);
+  for (ZTerm& t : h_.z_terms) t.site = site_of_[t.site];
+  for (ZZTerm& t : h_.zz_terms) {
+    t.u = site_of_[t.u];
+    t.v = site_of_[t.v];
+  }
+  h_ = canonicalize(std::move(h_));
+
   // Route-and-return schedule, edges in canonical (lexicographic) order.
-  // For (u, v): inbound swaps walk qubit v left to site u+1 (center rides
+  // For sites (u, v): inbound swaps walk v's qubit left to u+1 (center rides
   // left with them), the phase gate fires at bond u (center moves to u+1),
   // outbound swaps walk it back (center rides right) — every op finds the
   // center already on its bond.

@@ -6,15 +6,24 @@
 /// the basinhopping/grid drivers parallelize over chains exactly like the
 /// exact engine — one plan, one MpsWorkspace per thread.
 ///
-/// Gate schedule: each round applies e^{-i gamma H_C} then e^{-i beta H_M}
-/// (H_M = sum_i X_i, the transverse-field mixer; the only mixer the MPS
-/// engine supports). Linear Z terms are single-site phases; each ZZ term on
-/// non-adjacent sites (u, v) is routed by bringing qubit v next to u with
-/// adjacent swap gates and swapping it back afterwards (route-and-return,
-/// 2(v-u-1)+1 two-site ops). The schedule, including which side keeps the
-/// orthogonality center after each op, is fixed at plan construction — the
-/// evaluator just replays it, so the gate order (and therefore the
-/// truncation sequence) is a pure function of the Hamiltonian.
+/// Site order: the plan first relabels qubits to MPS sites so that
+/// interacting qubits sit close together — the reverse Cuthill–McKee order
+/// (Cuthill & McKee 1969) of the ZZ graph with the fewest routing swaps,
+/// tried from every start vertex, with the identity order as the first
+/// candidate so relabelling never adds swaps. Ties go to the earlier
+/// candidate, so the order is a pure function of the canonical Hamiltonian.
+/// <C> does not depend on the labelling; only the truncation sequence does.
+///
+/// Gate schedule (on the relabelled sites): each round applies
+/// e^{-i gamma H_C} then e^{-i beta H_M} (H_M = sum_i X_i, the
+/// transverse-field mixer; the only mixer the MPS engine supports). Linear
+/// Z terms are single-site phases; each ZZ term on non-adjacent sites
+/// (u, v) is routed by bringing site v next to u with adjacent swap gates
+/// and swapping it back afterwards (route-and-return, 2(v-u-1)+1 two-site
+/// ops). The schedule, including which side keeps the orthogonality center
+/// after each op, is fixed at plan construction — the evaluator just
+/// replays it, so the gate order (and therefore the truncation sequence) is
+/// a pure function of the Hamiltonian.
 
 #include <cstdint>
 #include <span>
@@ -56,8 +65,15 @@ class MpsPlan {
   explicit MpsPlan(DiagonalHamiltonian h, MpsOptions options = {});
 
   [[nodiscard]] index_t n() const noexcept { return h_.n; }
+  /// The canonical Hamiltonian in *site* labels (qubit q is site
+  /// site_of()[q]); its <C> equals the input Hamiltonian's.
   [[nodiscard]] const DiagonalHamiltonian& hamiltonian() const noexcept {
     return h_;
+  }
+  /// Qubit -> MPS site permutation. MpsState::amplitude takes site bits,
+  /// so bitstrings leaving the engine map back through this.
+  [[nodiscard]] const std::vector<index_t>& site_of() const noexcept {
+    return site_of_;
   }
   [[nodiscard]] const MpsOptions& options() const noexcept {
     return options_;
@@ -73,6 +89,7 @@ class MpsPlan {
 
  private:
   DiagonalHamiltonian h_;
+  std::vector<index_t> site_of_;
   MpsOptions options_;
   std::vector<MpsOp> ops_;
   std::size_t swaps_ = 0;

@@ -24,6 +24,13 @@ cmat to_matrix(const cvec& flat, index_t rows, index_t cols) {
 
 double sq(double x) { return x * x; }
 
+/// Columns a split keeps for free: the tail past the solver's numerical
+/// rank is rounding noise (or exact zeros) whose U/V columns are not
+/// orthonormal — structural rank, not truncation.
+index_t kept_rank(const CSvdResult& f) {
+  return std::clamp(f.rank, index_t{1}, f.singular_values.size());
+}
+
 }  // namespace
 
 MpsState MpsState::plus_state(index_t n) {
@@ -90,7 +97,7 @@ void MpsState::shift_center_right() {
   const index_t dr = bonds_[c + 1];
   // Group the physical leg with the left bond: (dl*2) x dr, the flat layout.
   const CSvdResult f = linalg::svd(to_matrix(tensors_[c], dl * 2, dr));
-  const index_t k = f.singular_values.size();
+  const index_t k = kept_rank(f);
 
   cvec& t = tensors_[c];
   t.assign(dl * 2 * k, cplx{});
@@ -123,7 +130,7 @@ void MpsState::shift_center_left() {
   // Group the physical leg with the right bond: dl x (2*dr), also the flat
   // layout (row l spans the 2*dr entries (s, r)).
   const CSvdResult f = linalg::svd(to_matrix(tensors_[c], dl, 2 * dr));
-  const index_t k = f.singular_values.size();
+  const index_t k = kept_rank(f);
 
   cvec& t = tensors_[c];
   t.assign(k * 2 * dr, cplx{});
@@ -195,9 +202,7 @@ void MpsState::apply_two_site(index_t bond, const std::array<cplx, 4>& phase,
   double total = 0.0;
   for (index_t j = 0; j < k_all; ++j) total += sq(f.singular_values[j]);
 
-  // The tail past the solver's numerical rank is rounding noise (or exact
-  // zeros): structural rank, not truncation — drop it for free.
-  index_t k = std::clamp(f.rank, index_t{1}, k_all);
+  index_t k = kept_rank(f);
 
   // Hard cap: always enforced, even past the fidelity budget.
   double dropped = 0.0;

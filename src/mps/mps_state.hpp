@@ -77,8 +77,10 @@ class MpsState {
   /// Single-site rotation e^{-i beta X_site} (unitary: canonical-form safe).
   void apply_rx(index_t site, double beta);
 
-  /// Move the orthogonality center to `target` via exact single-site SVD
-  /// splits (no truncation beyond exact rank).
+  /// Move the orthogonality center to `target` via single-site SVD splits
+  /// that keep the SVD's numerical rank (never fewer than one column): the
+  /// rounding-noise tail past it is dropped as in apply_two_site, so each
+  /// moved bond shrinks to its rank. Nothing above rounding is discarded.
   void move_center(index_t target);
 
   /// Two-site gate on sites (bond, bond+1): optionally swap the physical
@@ -93,8 +95,9 @@ class MpsState {
   /// <psi|psi> by full transfer contraction.
   [[nodiscard]] double norm2() const;
 
-  /// Amplitude of computational basis state x (site i = bit i). O(n D^2);
-  /// tests and debugging only.
+  /// Amplitude of computational basis state x (site i = bit i; an
+  /// MpsPlan's sites are its relabelled qubits, see MpsPlan::site_of).
+  /// O(n D^2); tests and debugging only.
   [[nodiscard]] cplx amplitude(state_t x) const;
 
  private:
