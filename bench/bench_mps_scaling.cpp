@@ -5,7 +5,8 @@
 //   1. single-evaluation scaling: n = 40..100 weighted 3-regular MaxCut at
 //      chi in {8, 16}, p = 4 — wall time per evaluate() plus the fidelity
 //      proxies (cumulative discarded weight, largest bond reached,
-//      truncation count) and the plan's routing swaps per round. The
+//      truncation count) and the plan's two-site ops (bond splits) and
+//      routing swaps per round. The
 //      proxies are the honesty columns: a fast row with large discarded
 //      weight is an approximation, not a speedup.
 //   2. the acceptance run: a full find_angles(MpsAngleEngine) at n = 60,
@@ -103,13 +104,14 @@ int main(int argc, char** argv) {
   const std::vector<double> angles = fixed_angles(p);
 
   std::printf("evaluate() scaling at p=%d (1 thread)\n", p);
-  std::printf("%6s %6s %10s %12s %16s %10s %8s %8s\n", "n", "chi", "seconds",
-              "<C>", "discarded_wt", "trunc", "max_chi", "swaps");
+  std::printf("%6s %6s %10s %12s %16s %10s %8s %8s %8s\n", "n", "chi",
+              "seconds", "<C>", "discarded_wt", "trunc", "max_chi", "ops",
+              "swaps");
   struct Row {
     int n;
     index_t chi;
     double seconds, expectation, discarded;
-    std::uint64_t truncations, max_bond, swaps;
+    std::uint64_t truncations, max_bond, ops, swaps;
   };
   std::vector<Row> rows;
   for (const int n : sizes) {
@@ -125,13 +127,13 @@ int main(int argc, char** argv) {
       rows.push_back({n, chi, secs, value, ws.stats.discarded_weight,
                       ws.stats.truncations,
                       static_cast<std::uint64_t>(ws.stats.max_bond_reached),
-                      plan.swaps_per_round()});
-      std::printf("%6d %6d %10.3f %12.5f %16.3e %10llu %8llu %8zu\n", n,
+                      plan.ops_per_round(), plan.swaps_per_round()});
+      std::printf("%6d %6d %10.3f %12.5f %16.3e %10llu %8llu %8zu %8zu\n", n,
                   static_cast<int>(chi), secs, value,
                   ws.stats.discarded_weight,
                   static_cast<unsigned long long>(ws.stats.truncations),
                   static_cast<unsigned long long>(ws.stats.max_bond_reached),
-                  plan.swaps_per_round());
+                  plan.ops_per_round(), plan.swaps_per_round());
     }
   }
 
@@ -224,11 +226,12 @@ int main(int argc, char** argv) {
     std::printf("%s{\"n\":%d,\"chi\":%d,\"seconds\":%.4f,"
                 "\"expectation\":%.6f,\"discarded_weight\":%.6e,"
                 "\"truncations\":%llu,\"max_bond_reached\":%llu,"
-                "\"swaps_per_round\":%llu}",
+                "\"ops_per_round\":%llu,\"swaps_per_round\":%llu}",
                 i ? "," : "", r.n, static_cast<int>(r.chi), r.seconds,
                 r.expectation, r.discarded,
                 static_cast<unsigned long long>(r.truncations),
                 static_cast<unsigned long long>(r.max_bond),
+                static_cast<unsigned long long>(r.ops),
                 static_cast<unsigned long long>(r.swaps));
   }
   std::printf("],\"crossover\":[");
@@ -259,6 +262,7 @@ int main(int argc, char** argv) {
     report.field("discarded_weight", r.discarded);
     report.field("truncations", static_cast<long long>(r.truncations));
     report.field("max_bond_reached", static_cast<long long>(r.max_bond));
+    report.field("ops_per_round", static_cast<long long>(r.ops));
     report.field("swaps_per_round", static_cast<long long>(r.swaps));
   }
   for (const XRow& x : xrows) {

@@ -68,7 +68,8 @@ std::string fingerprint_tag(const MpsPlan& plan) {
   out.precision(17);
   out << "mps:tf chi=" << plan.options().max_bond
       << " tol=" << plan.options().trunc_tol
-      << " budget=" << plan.options().fidelity_budget << " order=rcm";
+      << " budget=" << plan.options().fidelity_budget << " order=rcm"
+      << " route=excursion";
   return out.str();
 }
 

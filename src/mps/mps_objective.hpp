@@ -14,10 +14,11 @@
 namespace fastqaoa::mps {
 
 /// Engine-tagged checkpoint mixer string: "mps:tf chi=<max_bond>
-/// tol=<trunc_tol> budget=<fidelity_budget> order=rcm". Encodes every knob
-/// that changes results, and the site order the schedule runs on, so
-/// resuming with different truncation settings — or from a checkpoint
-/// written on the unrelabelled schedule — is refused loudly.
+/// tol=<trunc_tol> budget=<fidelity_budget> order=rcm route=excursion".
+/// Encodes every knob that changes results, and the site order and routing
+/// the schedule runs on, so resuming with different truncation settings —
+/// or from a checkpoint written on an unrelabelled or route-and-return
+/// schedule — is refused loudly.
 std::string fingerprint_tag(const MpsPlan& plan);
 
 /// The MPS engine for every driver in anglefind/strategies.hpp, e.g.

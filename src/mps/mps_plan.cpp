@@ -13,24 +13,39 @@ namespace fastqaoa::mps {
 
 namespace {
 
-/// Route-and-return swaps per round with qubit q on site pos[q].
-std::size_t route_swaps(const std::vector<ZZTerm>& terms,
-                        const std::vector<index_t>& pos) {
-  std::size_t swaps = 0;
+/// Two-site ops per round of the one-excursion-per-site schedule (see
+/// MpsPlan) with qubit q on site pos[q]: each site v whose leftmost ZZ
+/// partner sits at far(v) < v costs 2(v - far(v) - 1) swaps out and home
+/// plus the one plain ZZ op at far(v). The order search scores candidates
+/// with it and the plan checks its schedule against it, so the two agree.
+std::size_t excursion_ops(const std::vector<ZZTerm>& terms,
+                          const std::vector<index_t>& pos) {
+  const index_t n = pos.size();
+  std::vector<index_t> far(n);
+  std::iota(far.begin(), far.end(), index_t{0});
   for (const ZZTerm& t : terms) {
     const index_t a = pos[t.u];
     const index_t b = pos[t.v];
-    swaps += 2 * ((a < b ? b - a : a - b) - 1);
+    if (a < b) {
+      far[b] = std::min(far[b], a);
+    } else {
+      far[a] = std::min(far[a], b);
+    }
   }
-  return swaps;
+  std::size_t ops = 0;
+  for (index_t v = 0; v < n; ++v) {
+    if (far[v] < v) ops += 2 * (v - far[v] - 1) + 1;
+  }
+  return ops;
 }
 
-/// Qubit -> site order minimizing route_swaps over the identity and a
+/// Qubit -> site order minimizing excursion_ops over the identity and a
 /// reverse Cuthill-McKee order from every start vertex (neighbours visited
 /// by (degree, index), later components started at their lowest index).
 /// Ties keep the earlier candidate, so the result is a pure function of the
-/// canonical terms.
-std::vector<index_t> rcm_site_order(const DiagonalHamiltonian& h) {
+/// canonical terms. `best_ops` receives the kept order's score.
+std::vector<index_t> rcm_site_order(const DiagonalHamiltonian& h,
+                                    std::size_t& best_ops) {
   const index_t n = h.n;
   std::vector<std::vector<index_t>> adj(n);
   for (const ZZTerm& t : h.zz_terms) {
@@ -46,11 +61,13 @@ std::vector<index_t> rcm_site_order(const DiagonalHamiltonian& h) {
 
   std::vector<index_t> best(n);
   std::iota(best.begin(), best.end(), index_t{0});
-  std::size_t best_swaps = route_swaps(h.zz_terms, best);
+  best_ops = excursion_ops(h.zz_terms, best);
   std::vector<index_t> order;
   std::vector<index_t> pos(n);
   std::vector<char> seen(n);
-  for (index_t start = 0; start < n && best_swaps > 0; ++start) {
+  // Every op applies at most one ZZ term, so no order beats one op per term.
+  for (index_t start = 0; start < n && best_ops > h.zz_terms.size();
+       ++start) {
     order.clear();
     std::fill(seen.begin(), seen.end(), 0);
     index_t root = start;
@@ -72,9 +89,9 @@ std::vector<index_t> rcm_site_order(const DiagonalHamiltonian& h) {
       root = lowest;
     }
     for (index_t i = 0; i < n; ++i) pos[order[i]] = n - 1 - i;  // reversed
-    const std::size_t swaps = route_swaps(h.zz_terms, pos);
-    if (swaps < best_swaps) {
-      best_swaps = swaps;
+    const std::size_t ops = excursion_ops(h.zz_terms, pos);
+    if (ops < best_ops) {
+      best_ops = ops;
       best = pos;
     }
   }
@@ -93,7 +110,8 @@ MpsPlan::MpsPlan(DiagonalHamiltonian h, MpsOptions options)
 
   // Relabel qubits to sites so that interacting qubits sit close together:
   // every later step (schedule, evaluation, expectation) sees site labels.
-  site_of_ = rcm_site_order(h_);
+  std::size_t planned_ops = 0;
+  site_of_ = rcm_site_order(h_, planned_ops);
   for (ZTerm& t : h_.z_terms) t.site = site_of_[t.site];
   for (ZZTerm& t : h_.zz_terms) {
     t.u = site_of_[t.u];
@@ -101,28 +119,35 @@ MpsPlan::MpsPlan(DiagonalHamiltonian h, MpsOptions options)
   }
   h_ = canonicalize(std::move(h_));
 
-  // Route-and-return schedule, edges in canonical (lexicographic) order.
-  // For sites (u, v): inbound swaps walk v's qubit left to u+1 (center rides
-  // left with them), the phase gate fires at bond u (center moves to u+1),
-  // outbound swaps walk it back (center rides right) — every op finds the
-  // center already on its bond.
-  for (const ZZTerm& t : h_.zz_terms) {
-    const index_t u = t.u;
-    const index_t v = t.v;
-    if (v == u + 1) {
-      ops_.push_back({u, OpKind::PhaseZZ, t.coeff, u + 1});
-      continue;
+  // One excursion per site v, in site order, over v's terms (grouped by
+  // right end; the stable sort keeps each group ordered by left end, so
+  // far is the group's first). The qubit on v walks left to far+1 (center
+  // rides left with it); every swap that passes a partner w applies
+  // ZZ(w, v) in the same split; ZZ(far, v) fires at bond far (center moves
+  // to far+1); then the qubit walks home (center rides right). Within an
+  // excursion every op finds the center on its bond, and the chain is back
+  // in site order after each one.
+  ops_.reserve(planned_ops);
+  std::vector<ZZTerm> by_right = h_.zz_terms;
+  std::stable_sort(by_right.begin(), by_right.end(),
+                   [](const ZZTerm& a, const ZZTerm& b) { return a.v < b.v; });
+  for (auto first = by_right.begin(); first != by_right.end();) {
+    const index_t v = first->v;
+    const auto last = std::find_if(
+        first, by_right.end(), [v](const ZZTerm& t) { return t.v != v; });
+    const index_t far = first->u;
+    auto partner = last - 1;
+    for (index_t b = v - 1; b > far; --b) {
+      const double coeff = partner->u == b ? (partner--)->coeff : 0.0;
+      ops_.push_back({b, true, coeff, b});
     }
-    for (index_t b = v - 1; b > u; --b) {
-      ops_.push_back({b, OpKind::Swap, 0.0, b});
-      ++swaps_;
-    }
-    ops_.push_back({u, OpKind::PhaseZZ, t.coeff, u + 1});
-    for (index_t b = u + 1; b < v; ++b) {
-      ops_.push_back({b, OpKind::Swap, 0.0, b + 1});
-      ++swaps_;
-    }
+    ops_.push_back({far, false, first->coeff, far + 1});
+    for (index_t b = far + 1; b < v; ++b) ops_.push_back({b, true, 0.0, b + 1});
+    swaps_ += 2 * (v - far - 1);
+    first = last;
   }
+  FASTQAOA_CHECK(ops_.size() == planned_ops,
+                 "MpsPlan: schedule disagrees with its order's op count");
 }
 
 double evaluate(const MpsPlan& plan, MpsWorkspace& ws,
@@ -154,26 +179,22 @@ double evaluate(const MpsPlan& plan, MpsWorkspace& ws,
       ws.state.apply_phase(t.site, gamma * t.coeff);
     }
     for (const MpsOp& op : plan.cost_ops()) {
-      // Between routes the center may sit elsewhere; snap it to the gate.
+      // A site with no partner to its left leaves the center behind the next
+      // excursion; snap it to the gate.
       const index_t c = ws.state.center();
       if (c < op.bond) {
         ws.state.move_center(op.bond);
       } else if (c > op.bond + 1) {
         ws.state.move_center(op.bond + 1);
       }
-      if (op.kind == OpKind::Swap) {
-        static constexpr std::array<cplx, 4> kIdentity{
-            cplx{1.0, 0.0}, cplx{1.0, 0.0}, cplx{1.0, 0.0}, cplx{1.0, 0.0}};
-        ws.state.apply_two_site(op.bond, kIdentity, /*swap_sites=*/true,
-                                op.leave, policy, ws.stats);
-      } else {
-        const double angle = gamma * op.coeff;
-        const cplx same = std::exp(cplx{0.0, -angle});  // z_u z_v = +1
-        const cplx diff = std::conj(same);              // z_u z_v = -1
-        ws.state.apply_two_site(op.bond, {same, diff, diff, same},
-                                /*swap_sites=*/false, op.leave, policy,
-                                ws.stats);
+      std::array<cplx, 4> phase{cplx{1.0}, cplx{1.0}, cplx{1.0}, cplx{1.0}};
+      if (op.coeff != 0.0) {
+        const cplx same = std::exp(cplx{0.0, -gamma * op.coeff});  // zz = +1
+        const cplx diff = std::conj(same);                         // zz = -1
+        phase = {same, diff, diff, same};
       }
+      ws.state.apply_two_site(op.bond, phase, op.swap, op.leave, policy,
+                              ws.stats);
     }
     const double beta = betas[round];
     for (index_t site = 0; site < n; ++site) ws.state.apply_rx(site, beta);

@@ -8,24 +8,28 @@
 ///
 /// Site order: the plan first relabels qubits to MPS sites so that
 /// interacting qubits sit close together — the reverse Cuthill–McKee order
-/// (Cuthill & McKee 1969) of the ZZ graph with the fewest routing swaps,
-/// tried from every start vertex, with the identity order as the first
-/// candidate so relabelling never adds swaps. Ties go to the earlier
-/// candidate, so the order is a pure function of the canonical Hamiltonian.
-/// <C> does not depend on the labelling; only the truncation sequence does.
+/// (Cuthill & McKee 1969) of the ZZ graph whose schedule (below) has the
+/// fewest two-site ops, tried from every start vertex, with the identity
+/// order as the first candidate so relabelling never adds ops. Ties go to
+/// the earlier candidate, so the order is a pure function of the canonical
+/// Hamiltonian. <C> does not depend on the labelling; only the truncation
+/// sequence does.
 ///
 /// Gate schedule (on the relabelled sites): each round applies
 /// e^{-i gamma H_C} then e^{-i beta H_M} (H_M = sum_i X_i, the
 /// transverse-field mixer; the only mixer the MPS engine supports). Linear
-/// Z terms are single-site phases; each ZZ term on non-adjacent sites
-/// (u, v) is routed by bringing site v next to u with adjacent swap gates
-/// and swapping it back afterwards (route-and-return, 2(v-u-1)+1 two-site
-/// ops). The schedule, including which side keeps the orthogonality center
-/// after each op, is fixed at plan construction — the evaluator just
-/// replays it, so the gate order (and therefore the truncation sequence) is
-/// a pure function of the Hamiltonian.
+/// Z terms are single-site phases. The ZZ terms are routed as one excursion
+/// per site: for v = 0..n-1 with leftmost partner far(v) < v, v's qubit
+/// walks left by adjacent swaps to far(v)+1, and each swap that passes a
+/// partner w applies ZZ(w, v) in the same bond split; ZZ(far(v), v) is then
+/// a plain two-site op, and the qubit walks home. That is
+/// 2(v - far(v) - 1) + 1 two-site ops per site, and the chain is back in
+/// site order after every excursion. The schedule, including which side
+/// keeps the orthogonality center after each op, is fixed at plan
+/// construction — the evaluator just replays it, so the gate order (and
+/// therefore the truncation sequence) is a pure function of the
+/// Hamiltonian.
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,18 +49,14 @@ struct MpsOptions {
   double trunc_tol = 1e-12;       ///< per-split relative tail threshold
 };
 
-enum class OpKind : std::uint8_t {
-  Swap,     ///< adjacent swap gate (routing)
-  PhaseZZ,  ///< e^{-i gamma c Z Z} on adjacent sites
-};
-
-/// One two-site op on sites (bond, bond+1). `leave` is the site that keeps
-/// the orthogonality center afterwards, chosen so consecutive ops in a
-/// route need no extra center moves.
+/// One two-site op on sites (bond, bond+1): an optional swap of the two
+/// sites and an optional e^{-i gamma c Z Z} phase, in one bond split.
+/// `leave` is the site that keeps the orthogonality center afterwards,
+/// chosen so consecutive ops in an excursion need no extra center moves.
 struct MpsOp {
   index_t bond = 0;
-  OpKind kind = OpKind::PhaseZZ;
-  double coeff = 0.0;  ///< ZZ coefficient (PhaseZZ only)
+  bool swap = false;
+  double coeff = 0.0;  ///< ZZ coefficient c; 0 applies no phase
   index_t leave = 0;
 };
 
@@ -82,7 +82,11 @@ class MpsPlan {
   [[nodiscard]] const std::vector<MpsOp>& cost_ops() const noexcept {
     return ops_;
   }
-  /// Routing swaps per round (schedule cost diagnostic).
+  /// Two-site ops (bond splits) per round: the schedule's cost.
+  [[nodiscard]] std::size_t ops_per_round() const noexcept {
+    return ops_.size();
+  }
+  /// Ops per round that swap their sites (routing diagnostic).
   [[nodiscard]] std::size_t swaps_per_round() const noexcept {
     return swaps_;
   }

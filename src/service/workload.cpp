@@ -46,7 +46,8 @@ void validate_problem_spec(const ProblemSpec& spec) {
                    "engine 'mps' supports the tf mixer only");
     FASTQAOA_CHECK(spec.n >= 2 && spec.n <= 256,
                    "n out of supported range [2, 256] for engine 'mps'");
-    FASTQAOA_CHECK(spec.max_bond >= 1, "max_bond must be >= 1");
+    FASTQAOA_CHECK(spec.max_bond >= 1 && spec.max_bond <= 256,
+                   "max_bond out of supported range [1, 256]");
     FASTQAOA_CHECK(spec.fidelity_budget >= 0.0,
                    "fidelity_budget must be non-negative");
     FASTQAOA_CHECK(spec.trunc_tol >= 0.0, "trunc_tol must be non-negative");

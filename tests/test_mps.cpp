@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,11 +82,29 @@ state_t to_site_bits(const MpsPlan& plan, state_t x) {
   return out;
 }
 
-/// Route-and-return swaps per round in the Hamiltonian's own labelling.
-std::size_t identity_order_swaps(const DiagonalHamiltonian& h) {
-  std::size_t swaps = 0;
-  for (const ZZTerm& t : canonicalize(h).zz_terms) swaps += 2 * (t.v - t.u - 1);
-  return swaps;
+/// Two-site ops per round of route-and-return routing in the Hamiltonian's
+/// own labelling: each ZZ term (u, v) on its own, 2(v - u - 1) swaps there
+/// and back plus its phase gate.
+std::size_t route_and_return_ops(const DiagonalHamiltonian& h) {
+  std::size_t ops = 0;
+  for (const ZZTerm& t : canonicalize(h).zz_terms) ops += 2 * (t.v - t.u - 1) + 1;
+  return ops;
+}
+
+/// Two-site ops per round of one excursion per site in the Hamiltonian's
+/// own labelling, counted from the terms alone: each site v with partners
+/// to its left walks to its leftmost partner's neighbour and back.
+std::size_t identity_order_excursion_ops(const DiagonalHamiltonian& h) {
+  std::vector<index_t> far(h.n);
+  for (index_t v = 0; v < h.n; ++v) far[v] = v;
+  for (const ZZTerm& t : canonicalize(h).zz_terms) {
+    far[t.v] = std::min(far[t.v], t.u);
+  }
+  std::size_t ops = 0;
+  for (index_t v = 0; v < h.n; ++v) {
+    if (far[v] < v) ops += 2 * (v - far[v] - 1) + 1;
+  }
+  return ops;
 }
 
 /// The plan's site order is a permutation of the qubits, and its
@@ -282,25 +301,30 @@ TEST(MpsOrder, SiteOrderIsADeterministicBijection) {
   }
 }
 
-TEST(MpsOrder, NeverMoreSwapsThanIdentityOrder) {
+/// The graphs the order and schedule tests share: sparse and dense random
+/// graphs, regular graphs (one weighted, so coefficients differ), a ring
+/// and a star.
+std::vector<Graph> order_test_graphs() {
   Rng rng(62);
-  const std::vector<Graph> graphs = {
-      erdos_renyi(12, 0.3, rng),    erdos_renyi(16, 0.5, rng),
-      erdos_renyi(24, 0.15, rng),   random_regular(12, 3, rng),
-      random_regular(20, 3, rng),   random_regular(30, 4, rng),
-      ring_graph(10),               star_graph(9)};
-  for (const Graph& g : graphs) {
+  return {erdos_renyi(12, 0.3, rng),    erdos_renyi(16, 0.5, rng),
+          erdos_renyi(24, 0.15, rng),   random_regular(12, 3, rng),
+          random_regular(20, 3, rng),   random_regular(30, 4, rng),
+          weighted_regular(30, 3, rng), ring_graph(10),
+          star_graph(9)};
+}
+
+TEST(MpsOrder, NeverMoreOpsThanIdentityOrder) {
+  for (const Graph& g : order_test_graphs()) {
     const DiagonalHamiltonian h = maxcut_hamiltonian(g);
     const MpsPlan plan(h);
-    EXPECT_LE(plan.swaps_per_round(), identity_order_swaps(h))
+    // The order is scored by the schedule's own op count, so relabelling
+    // never costs ops; and one excursion per site never costs more than
+    // routing each term there and back on the same order.
+    EXPECT_LE(plan.ops_per_round(), identity_order_excursion_ops(h))
         << "n=" << g.num_vertices() << " edges=" << g.num_edges();
-    // The schedule routes the relabelled terms, and swaps_per_round counts
-    // exactly the swap ops it replays.
-    EXPECT_EQ(plan.swaps_per_round(), identity_order_swaps(plan.hamiltonian()));
-    EXPECT_EQ(plan.swaps_per_round(),
-              static_cast<std::size_t>(std::count_if(
-                  plan.cost_ops().begin(), plan.cost_ops().end(),
-                  [](const MpsOp& op) { return op.kind == OpKind::Swap; })));
+    EXPECT_EQ(plan.ops_per_round(),
+              identity_order_excursion_ops(plan.hamiltonian()));
+    EXPECT_LE(plan.ops_per_round(), route_and_return_ops(plan.hamiltonian()));
   }
 }
 
@@ -315,29 +339,113 @@ TEST(MpsOrder, ShuffledPathRoutesWithoutSwaps) {
   Graph g(kN);
   for (int i = 0; i + 1 < kN; ++i) g.add_edge(label[i], label[i + 1]);
   const DiagonalHamiltonian h = maxcut_hamiltonian(g);
-  ASSERT_GT(identity_order_swaps(h), 0u);
+  ASSERT_GT(identity_order_excursion_ops(h), std::size_t{kN - 1});
   const MpsPlan plan(h);
   EXPECT_EQ(plan.swaps_per_round(), 0u);
+  EXPECT_EQ(plan.ops_per_round(), std::size_t{kN - 1});
   expect_valid_relabelling(h, plan);
 }
 
-TEST(MpsOrder, DisconnectedGraphGetsAValidOrder) {
-  // A ring on the even labels, a path on three odd ones, and three isolated
-  // vertices, interleaved.
+/// A ring on the even labels, a path on three odd ones, and three isolated
+/// vertices, interleaved.
+Graph disconnected_graph() {
   Graph g(11);
   for (int i = 0; i < 5; ++i) g.add_edge(2 * i, (2 * i + 2) % 10);
   g.add_edge(1, 5);
   g.add_edge(5, 9);
+  return g;
+}
+
+TEST(MpsOrder, DisconnectedGraphGetsAValidOrder) {
+  const Graph g = disconnected_graph();
   const DiagonalHamiltonian h = maxcut_hamiltonian(g);
   const MpsPlan plan(h, {.max_bond = 256, .fidelity_budget = 0.0,
                          .trunc_tol = 1e-14});
   expect_valid_relabelling(h, plan);
-  EXPECT_LE(plan.swaps_per_round(), identity_order_swaps(h));
+  EXPECT_LE(plan.ops_per_round(), identity_order_excursion_ops(h));
   Rng rng(64);
   const auto packed = random_angles(4, rng);
   MpsWorkspace ws;
   EXPECT_NEAR(evaluate_packed(plan, ws, packed), exact_expectation(g, 2, packed),
               1e-8);
+}
+
+// ---------------------------------------------------------------------------
+// Schedule: one excursion per site, replayed on a qubit tracker
+
+/// Replays a plan's cost_ops() on a site -> qubit tracker (qubits in the
+/// plan's site labels). Every op must swap or phase, on a bond in range,
+/// leaving the center on one of its two sites; every ZZ term must be applied
+/// exactly once, to the pair it names, with its coefficient; and the chain
+/// must be back in site order when the round ends.
+void expect_schedule_applies_each_term_once(const MpsPlan& plan) {
+  const index_t n = plan.n();
+  std::vector<index_t> qubit_at(n);
+  for (index_t s = 0; s < n; ++s) qubit_at[s] = s;
+  std::map<std::pair<index_t, index_t>, std::vector<double>> applied;
+  std::size_t swaps = 0;
+  for (const MpsOp& op : plan.cost_ops()) {
+    ASSERT_LT(op.bond + 1, n);
+    ASSERT_TRUE(op.leave == op.bond || op.leave == op.bond + 1);
+    ASSERT_TRUE(op.swap || op.coeff != 0.0) << "idle op at bond " << op.bond;
+    if (op.swap) {
+      std::swap(qubit_at[op.bond], qubit_at[op.bond + 1]);
+      ++swaps;
+    }
+    if (op.coeff != 0.0) {
+      const index_t a = qubit_at[op.bond];
+      const index_t b = qubit_at[op.bond + 1];
+      applied[{std::min(a, b), std::max(a, b)}].push_back(op.coeff);
+    }
+  }
+  for (index_t s = 0; s < n; ++s) EXPECT_EQ(qubit_at[s], s) << "site " << s;
+  const std::vector<ZZTerm>& terms = plan.hamiltonian().zz_terms;
+  EXPECT_EQ(applied.size(), terms.size());
+  for (const ZZTerm& t : terms) {
+    const auto it = applied.find({t.u, t.v});
+    ASSERT_NE(it, applied.end()) << "ZZ(" << t.u << "," << t.v << ") never applied";
+    EXPECT_EQ(it->second, std::vector<double>{t.coeff})
+        << "ZZ(" << t.u << "," << t.v << ")";
+  }
+  EXPECT_EQ(plan.ops_per_round(), plan.cost_ops().size());
+  EXPECT_EQ(plan.swaps_per_round(), swaps);
+}
+
+TEST(MpsSchedule, AppliesEveryTermOnceAndRestoresSiteOrder) {
+  std::vector<Graph> graphs = order_test_graphs();
+  graphs.push_back(disconnected_graph());
+  graphs.push_back(star_graph(16));
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE("n=" + std::to_string(g.num_vertices()) +
+                 " edges=" + std::to_string(g.num_edges()));
+    expect_schedule_applies_each_term_once(MpsPlan(maxcut_hamiltonian(g)));
+  }
+}
+
+TEST(MpsSchedule, DistinctCoefficientsLandOnTheirPairs) {
+  // Every term carries its own coefficient, so a phase fused into the wrong
+  // swap shows as a mismatch.
+  Rng rng(65);
+  const Graph g = erdos_renyi(18, 0.4, rng);
+  DiagonalHamiltonian h;
+  h.n = g.num_vertices();
+  double coeff = 0.0;
+  for (const Edge& e : g.edges()) {
+    coeff += 0.125;
+    h.zz_terms.push_back({static_cast<index_t>(e.u), static_cast<index_t>(e.v),
+                          coeff});
+  }
+  const MpsPlan plan(h);
+  expect_schedule_applies_each_term_once(plan);
+  EXPECT_GT(plan.swaps_per_round(), 0u) << "graph must need routing";
+}
+
+TEST(MpsSchedule, DenseGraphPlansTenfoldFewerOpsThanRouteAndReturn) {
+  Rng rng(66);
+  const MpsPlan plan(maxcut_hamiltonian(erdos_renyi(64, 0.5, rng)));
+  const std::size_t route_and_return = route_and_return_ops(plan.hamiltonian());
+  EXPECT_LE(10 * plan.ops_per_round(), route_and_return)
+      << plan.ops_per_round() << " ops vs " << route_and_return;
 }
 
 // ---------------------------------------------------------------------------
@@ -541,8 +649,9 @@ TEST(MpsTruncation, RoundingTailIsNotCountedAsTruncation) {
 
 // Drift pin on the service's mps_eval request shape (weighted 3-regular
 // MaxCut, n = 30, chi = 8, p = 2): expectation and discarded weight at fixed
-// angles, recorded from the engine once its plan routed on the reverse
-// Cuthill-McKee site order and its center moves dropped the rounding tail
+// angles, recorded from the engine once its plan routed one excursion per
+// site (each ZZ fused into the swap that passes it) on the reverse
+// Cuthill-McKee site order, with center moves dropping the rounding tail
 // past the SVD rank. A change to the site order, the gate schedule or the
 // bond splits that moves either past rounding level shows here.
 TEST(MpsDeterminism, ServiceShapeValuesPinned) {
@@ -553,9 +662,9 @@ TEST(MpsDeterminism, ServiceShapeValuesPinned) {
     double discarded_weight;
   };
   const std::vector<Pin> pins = {
-      {1, {0.42, 1.31, 2.17, 0.64}, 13.407052690270795, 6.7507905218214157},
-      {2, {2.05, 0.77, 0.93, 2.61}, 13.009767305257173, 4.705135673134321},
-      {3, {1.18, 2.49, 0.35, 1.72}, 10.115834388890132, 3.2077325166607369},
+      {1, {0.42, 1.31, 2.17, 0.64}, 13.900140469507914, 6.694961936835969},
+      {2, {2.05, 0.77, 0.93, 2.61}, 13.056742703445696, 4.6176044756256349},
+      {3, {1.18, 2.49, 0.35, 1.72}, 10.045619947510218, 3.090172442273329},
   };
   for (const Pin& pin : pins) {
     service::ProblemSpec spec;
@@ -754,6 +863,9 @@ TEST(MpsRuntime, FingerprintTagEncodesEveryKnob) {
   EXPECT_NE(base.find(" order=rcm"), std::string::npos)
       << "tag must name the site order, so checkpoints written on the "
          "graph-order schedule never resume into this one";
+  EXPECT_NE(base.find(" route=excursion"), std::string::npos)
+      << "tag must name the routing, so checkpoints written on the "
+         "route-and-return schedule never resume into this one";
 }
 
 TEST(MpsRuntime, FindAnglesAtMatchesDirectEvaluation) {

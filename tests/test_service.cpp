@@ -1979,6 +1979,18 @@ TEST(ServiceMps, RejectsUnsupportedKindsAndBadSpecs) {
   JobSpec bad_mixer = mps_evaluate_spec();
   bad_mixer.problem.mixer = "grover";
   EXPECT_THROW(service.submit(bad_mixer), Error);
+  // The bond cap is bounded on both sides; 256 is the largest admitted.
+  for (const int chi : {0, 257, 1 << 20}) {
+    JobSpec bad_bond = mps_evaluate_spec();
+    bad_bond.problem.max_bond = chi;
+    EXPECT_THROW(service.submit(bad_bond), Error) << "max_bond=" << chi;
+    const Json err = handle_request(service, job_spec_to_json(bad_bond));
+    EXPECT_FALSE(err.at("ok").as_bool()) << "max_bond=" << chi;
+    EXPECT_EQ(err.at("error").at("code").as_string(), "bad_request");
+  }
+  JobSpec widest = mps_evaluate_spec();
+  widest.problem.max_bond = 256;
+  EXPECT_NO_THROW(validate_problem_spec(widest.problem));
   // The exact engine keeps its statevector bound; mps relaxes it.
   JobSpec large = evaluate_spec();
   large.problem.n = 40;

@@ -314,12 +314,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "# engine=mps problem=%s n=%d edges=%d total_weight=%.4f "
                  "p=%d seed=%llu chi=%zu fidelity_budget=%g trunc_tol=%g "
-                 "swaps_per_round=%zu\n",
+                 "ops_per_round=%zu swaps_per_round=%zu\n",
                  problem.c_str(), n, g.num_edges(), g.total_weight(), p,
                  static_cast<unsigned long long>(seed),
                  static_cast<std::size_t>(mps_options.max_bond),
                  mps_options.fidelity_budget, mps_options.trunc_tol,
-                 mps_plan->swaps_per_round());
+                 mps_plan->ops_per_round(), mps_plan->swaps_per_round());
   } else {
     const bool constrained = mixer_name == "clique" || mixer_name == "ring";
     if (constrained && (k < 1 || k >= n)) {
