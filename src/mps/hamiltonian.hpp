@@ -9,10 +9,14 @@
 ///     C = constant + sum_i c_i Z_i + sum_{u<v} c_uv Z_u Z_v
 ///
 /// (Z eigenvalue +1 for bit 0, -1 for bit 1), which is all the gate
-/// scheduler needs: single-site phases for the linear terms and two-site
-/// bond gates (routed by swaps when non-adjacent) for the quadratic ones.
-/// Terms are canonicalized — u < v, lexicographic order, duplicates merged —
-/// so every consumer walks them in one fixed deterministic order.
+/// scheduler needs: two-site bond gates (routed by swaps when non-adjacent)
+/// for the quadratic terms. The MPS engine evaluates ZZ-only costs: it
+/// stores the state with the Z2 parity of the bit flip prod_i X_i on every
+/// bond, which a linear Z term breaks, so MpsPlan refuses a Hamiltonian
+/// with z_terms. The field stays for the classical side (canonicalize,
+/// eval_bits). Terms are canonicalized — u < v, lexicographic order,
+/// duplicates merged — so every consumer walks them in one fixed
+/// deterministic order.
 
 #include <vector>
 

@@ -69,7 +69,7 @@ std::string fingerprint_tag(const MpsPlan& plan) {
   out << "mps:tf chi=" << plan.options().max_bond
       << " tol=" << plan.options().trunc_tol
       << " budget=" << plan.options().fidelity_budget << " order=rcm"
-      << " route=excursion";
+      << " route=excursion blocks=z2";
   return out.str();
 }
 

@@ -3,7 +3,8 @@
 /// The MPS side of the angle-finding seam (anglefind/angle_engine.hpp).
 /// Its per-thread objectives use central finite-difference gradients (the
 /// adjoint sweep is statevector-specific), have no batch hook (no batched
-/// MPS kernels), and poll the run's live budget between rounds.
+/// MPS kernels), and poll the run's live budget inside every evaluation
+/// (per round and per excursion, see MpsWorkspace::tracker).
 
 #include <cstdint>
 #include <string>
@@ -14,11 +15,11 @@
 namespace fastqaoa::mps {
 
 /// Engine-tagged checkpoint mixer string: "mps:tf chi=<max_bond>
-/// tol=<trunc_tol> budget=<fidelity_budget> order=rcm route=excursion".
-/// Encodes every knob that changes results, and the site order and routing
-/// the schedule runs on, so resuming with different truncation settings —
-/// or from a checkpoint written on an unrelabelled or route-and-return
-/// schedule — is refused loudly.
+/// tol=<trunc_tol> budget=<fidelity_budget> order=rcm route=excursion
+/// blocks=z2". Encodes every knob that changes results, and the site order,
+/// routing and bond splits the schedule runs on, so resuming with different
+/// truncation settings — or from a checkpoint written on an unrelabelled,
+/// route-and-return or dense-split engine — is refused loudly.
 std::string fingerprint_tag(const MpsPlan& plan);
 
 /// The MPS engine for every driver in anglefind/strategies.hpp, e.g.

@@ -1,8 +1,6 @@
 #include "mps/mps_plan.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <numeric>
 #include <utility>
 
@@ -108,11 +106,15 @@ MpsPlan::MpsPlan(DiagonalHamiltonian h, MpsOptions options)
                  "MpsPlan: need fidelity_budget >= 0");
   FASTQAOA_CHECK(options_.trunc_tol >= 0.0, "MpsPlan: need trunc_tol >= 0");
 
+  FASTQAOA_CHECK(h_.z_terms.empty(),
+                 "MpsPlan: linear Z terms break the Z2 parity symmetry the "
+                 "MPS engine's block splits rely on; it evaluates ZZ-only "
+                 "costs");
+
   // Relabel qubits to sites so that interacting qubits sit close together:
   // every later step (schedule, evaluation, expectation) sees site labels.
   std::size_t planned_ops = 0;
   site_of_ = rcm_site_order(h_, planned_ops);
-  for (ZTerm& t : h_.z_terms) t.site = site_of_[t.site];
   for (ZZTerm& t : h_.zz_terms) {
     t.u = site_of_[t.u];
     t.v = site_of_[t.v];
@@ -165,20 +167,20 @@ double evaluate(const MpsPlan& plan, MpsWorkspace& ws,
 
   obs::SinkScope metrics_scope(ws.metrics);
   FASTQAOA_OBS_HIST_TIMED("mps.evaluate.seconds");
+  // Budget poll at every round and every excursion (each excursion has one
+  // op that does not swap, its pivot): one round of a dense graph at large
+  // chi is tens of thousands of splits, so polling per round would
+  // overshoot deadlines and cancels by whole rounds.
+  const auto budget_tripped = [&ws] {
+    ws.interrupted = ws.tracker != nullptr && ws.tracker->active() &&
+                     ws.tracker->check() != runtime::StopReason::None;
+    return ws.interrupted;
+  };
   for (std::size_t round = 0; round < betas.size(); ++round) {
-    // Per-round budget poll: an MPS round at large n is expensive enough
-    // that waiting for the optimizer-granularity check would overshoot
-    // deadlines by whole evaluations.
-    if (ws.tracker != nullptr && ws.tracker->active() &&
-        ws.tracker->check() != runtime::StopReason::None) {
-      ws.interrupted = true;
-      break;
-    }
+    if (budget_tripped()) break;
     const double gamma = gammas[round];
-    for (const ZTerm& t : plan.hamiltonian().z_terms) {
-      ws.state.apply_phase(t.site, gamma * t.coeff);
-    }
     for (const MpsOp& op : plan.cost_ops()) {
+      if (!op.swap && budget_tripped()) break;
       // A site with no partner to its left leaves the center behind the next
       // excursion; snap it to the gate.
       const index_t c = ws.state.center();
@@ -187,19 +189,18 @@ double evaluate(const MpsPlan& plan, MpsWorkspace& ws,
       } else if (c > op.bond + 1) {
         ws.state.move_center(op.bond + 1);
       }
-      std::array<cplx, 4> phase{cplx{1.0}, cplx{1.0}, cplx{1.0}, cplx{1.0}};
-      if (op.coeff != 0.0) {
-        const cplx same = std::exp(cplx{0.0, -gamma * op.coeff});  // zz = +1
-        const cplx diff = std::conj(same);                         // zz = -1
-        phase = {same, diff, diff, same};
-      }
-      ws.state.apply_two_site(op.bond, phase, op.swap, op.leave, policy,
-                              ws.stats);
+      ws.state.apply_two_site(op.bond, gamma * op.coeff, op.swap, op.leave,
+                              policy, ws.stats);
     }
+    if (ws.interrupted) break;
     const double beta = betas[round];
     for (index_t site = 0; site < n; ++site) ws.state.apply_rx(site, beta);
   }
-  const double value = expectation(ws.state, plan.hamiltonian());
+  // An interrupted state is a partial artifact, and its <C> can cost more
+  // than a round on a dense graph: report <C> of |+>^n instead.
+  const double value = ws.interrupted
+                           ? plan.hamiltonian().constant
+                           : expectation(ws.state, plan.hamiltonian());
 
   FASTQAOA_OBS_COUNT("mps.truncations", ws.stats.truncations);
   FASTQAOA_OBS_COUNT("mps.budget_exhausted", ws.stats.budget_exhausted);

@@ -17,8 +17,10 @@
 ///
 /// Gate schedule (on the relabelled sites): each round applies
 /// e^{-i gamma H_C} then e^{-i beta H_M} (H_M = sum_i X_i, the
-/// transverse-field mixer; the only mixer the MPS engine supports). Linear
-/// Z terms are single-site phases. The ZZ terms are routed as one excursion
+/// transverse-field mixer; the only mixer the MPS engine supports). The
+/// engine evaluates ZZ-only costs: a linear Z term anticommutes with the bit
+/// flip prod_i X_i whose parity every bond carries (mps_state.hpp), so the
+/// constructor refuses one. The ZZ terms are routed as one excursion
 /// per site: for v = 0..n-1 with leftmost partner far(v) < v, v's qubit
 /// walks left by adjacent swaps to far(v)+1, and each swap that passes a
 /// partner w applies ZZ(w, v) in the same bond split; ZZ(far(v), v) is then
@@ -104,11 +106,12 @@ class MpsPlan {
 struct MpsWorkspace {
   MpsState state;
   TruncationStats stats;  ///< reset at the start of every evaluation
-  /// Optional live budget, polled between rounds inside evaluate(): a
-  /// tripped deadline/cancel abandons the remaining (expensive) rounds and
-  /// sets `interrupted` — the returned value is then a partial-state
-  /// artifact and callers must honour the tracker's StopReason instead of
-  /// trusting it. Deterministic runs leave this null.
+  /// Optional live budget, polled inside evaluate() before every round and
+  /// every excursion of the cost layer: a tripped deadline/cancel abandons
+  /// the rest of the evaluation and sets `interrupted`. The returned value
+  /// is then <C> of |+>^n (the Hamiltonian's constant), not of the
+  /// requested angles, and callers must honour the tracker's StopReason
+  /// instead of trusting it. Deterministic runs leave this null.
   const runtime::BudgetTracker* tracker = nullptr;
   bool interrupted = false;
   obs::MetricsSink metrics;

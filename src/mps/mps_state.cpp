@@ -1,6 +1,7 @@
 #include "mps/mps_state.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
@@ -16,20 +17,115 @@ namespace {
 using linalg::cmat;
 using linalg::CSvdResult;
 
-cmat to_matrix(const cvec& flat, index_t rows, index_t cols) {
-  cmat m(rows, cols);
-  std::copy(flat.begin(), flat.end(), m.data());
-  return m;
-}
-
 double sq(double x) { return x * x; }
 
-/// Columns a split keeps for free: the tail past the solver's numerical
-/// rank is rounding noise (or exact zeros) whose U/V columns are not
-/// orthonormal — structural rank, not truncation.
-index_t kept_rank(const CSvdResult& f) {
-  return std::clamp(f.rank, index_t{1}, f.singular_values.size());
+/// Charges of a bond leg grouped with a physical leg into one matrix index:
+/// site-minor (x*2 + s, the left grouping) or site-major (s*D + x, the
+/// right one). The combined charge is q_x + s (mod 2).
+Charges with_site(const Charges& q, bool site_major) {
+  const index_t d = q.size();
+  Charges out(2 * d);
+  for (index_t x = 0; x < d; ++x) {
+    for (std::uint8_t s = 0; s < 2; ++s) {
+      out[site_major ? s * d + x : x * 2 + s] = q[x] ^ s;
+    }
+  }
+  return out;
 }
+
+/// SVD of a row-major matrix whose entry (i, j) is zero unless
+/// row_q[i] == col_q[j]: one linalg::svd per charge block, the blocks'
+/// spectra merged.
+class BlockSvd {
+ public:
+  BlockSvd(const cplx* a, const Charges& row_q, const Charges& col_q)
+      : cols_(col_q.size()) {
+    for (index_t i = 0; i < row_q.size(); ++i) {
+      blocks_[row_q[i]].rows.push_back(i);
+    }
+    for (index_t j = 0; j < cols_; ++j) blocks_[col_q[j]].cols.push_back(j);
+    for (std::uint8_t q = 0; q < 2; ++q) {
+      Block& b = blocks_[q];
+      if (b.rows.empty() || b.cols.empty()) continue;
+      cmat m(b.rows.size(), b.cols.size());
+      for (index_t i = 0; i < b.rows.size(); ++i) {
+        const cplx* src = a + b.rows[i] * cols_;
+        cplx* dst = m.row(i);
+        for (index_t j = 0; j < b.cols.size(); ++j) dst[j] = src[b.cols[j]];
+      }
+      b.f = linalg::svd(m);
+      const dvec& sv = b.f.singular_values;
+      for (index_t j = 0; j < sv.size(); ++j) {
+        total_ += sq(sv[j]);
+        if (j < b.f.rank) spectrum_.push_back({sv[j], q, j});
+      }
+    }
+    FASTQAOA_CHECK(!spectrum_.empty(), "MpsState: split of a zero matrix");
+    std::sort(spectrum_.begin(), spectrum_.end(),
+              [](const Value& x, const Value& y) {
+                if (x.sigma != y.sigma) return x.sigma > y.sigma;
+                return x.q != y.q ? x.q < y.q : x.j < y.j;
+              });
+  }
+
+  /// Values within their block's numerical rank (never none), descending;
+  /// the tail past each block's rank is structural and dropped for free.
+  [[nodiscard]] index_t rank() const { return spectrum_.size(); }
+  [[nodiscard]] double sigma(index_t t) const { return spectrum_[t].sigma; }
+  /// Sum of every squared singular value, rank tails included.
+  [[nodiscard]] double total() const { return total_; }
+
+  /// Charges of the new bond kept at the leading k values.
+  [[nodiscard]] Charges charges(index_t k) const {
+    Charges q(k);
+    for (index_t t = 0; t < k; ++t) q[t] = spectrum_[t].q;
+    return q;
+  }
+
+  /// U for the leading k values into `out` (rows x k, row-major,
+  /// pre-zeroed); column t is scaled by scale * sigma_t when `absorb`.
+  void left(cplx* out, index_t k, bool absorb, double scale) const {
+    for (index_t t = 0; t < k; ++t) {
+      const Value& v = spectrum_[t];
+      const Block& b = blocks_[v.q];
+      const double w = absorb ? scale * v.sigma : 1.0;
+      for (index_t i = 0; i < b.rows.size(); ++i) {
+        out[b.rows[i] * k + t] = b.f.u(i, v.j) * w;
+      }
+    }
+  }
+
+  /// V^H for the leading k values into `out` (k x cols, row-major,
+  /// pre-zeroed); row t is scaled by scale * sigma_t when `absorb`.
+  void right(cplx* out, index_t k, bool absorb, double scale) const {
+    for (index_t t = 0; t < k; ++t) {
+      const Value& v = spectrum_[t];
+      const Block& b = blocks_[v.q];
+      const double w = absorb ? scale * v.sigma : 1.0;
+      cplx* row = out + t * cols_;
+      for (index_t j = 0; j < b.cols.size(); ++j) {
+        row[b.cols[j]] = w * std::conj(b.f.v(j, v.j));
+      }
+    }
+  }
+
+ private:
+  struct Block {
+    std::vector<index_t> rows;  ///< matrix rows of this charge
+    std::vector<index_t> cols;  ///< matrix columns of this charge
+    CSvdResult f;
+  };
+  struct Value {
+    double sigma;
+    std::uint8_t q;  ///< block charge
+    index_t j;       ///< column of the block's factors
+  };
+
+  index_t cols_;
+  std::array<Block, 2> blocks_;
+  std::vector<Value> spectrum_;
+  double total_ = 0.0;
+};
 
 }  // namespace
 
@@ -39,9 +135,8 @@ MpsState MpsState::plus_state(index_t n) {
   st.n_ = n;
   st.center_ = 0;
   st.bonds_.assign(n + 1, 1);
-  st.tensors_.resize(n);
-  const cplx amp{1.0 / std::sqrt(2.0), 0.0};
-  for (index_t i = 0; i < n; ++i) st.tensors_[i] = cvec{amp, amp};
+  st.charges_.assign(n + 1, Charges{0});
+  st.tensors_.assign(n, cvec{cplx{1.0, 0.0}, cplx{}});  // |+> is s = 0
   return st;
 }
 
@@ -49,12 +144,12 @@ index_t MpsState::max_bond() const {
   return *std::max_element(bonds_.begin(), bonds_.end());
 }
 
-void MpsState::apply_phase(index_t site, double angle) {
-  FASTQAOA_CHECK(site < n_, "apply_phase: site out of range");
+void MpsState::apply_rx(index_t site, double beta) {
+  FASTQAOA_CHECK(site < n_, "apply_rx: site out of range");
   const index_t dl = bonds_[site];
   const index_t dr = bonds_[site + 1];
-  const cplx ph0 = std::exp(cplx{0.0, -angle});  // z = +1 (bit 0)
-  const cplx ph1 = std::conj(ph0);               // z = -1 (bit 1)
+  const cplx ph0 = std::exp(cplx{0.0, -beta});  // X = +1 (|+>)
+  const cplx ph1 = std::conj(ph0);              // X = -1 (|->)
   cvec& t = tensors_[site];
   for (index_t l = 0; l < dl; ++l) {
     cplx* row0 = t.data() + (l * 2 + 0) * dr;
@@ -62,25 +157,6 @@ void MpsState::apply_phase(index_t site, double angle) {
     for (index_t r = 0; r < dr; ++r) {
       row0[r] *= ph0;
       row1[r] *= ph1;
-    }
-  }
-}
-
-void MpsState::apply_rx(index_t site, double beta) {
-  FASTQAOA_CHECK(site < n_, "apply_rx: site out of range");
-  const index_t dl = bonds_[site];
-  const index_t dr = bonds_[site + 1];
-  const double c = std::cos(beta);
-  const cplx ms{0.0, -std::sin(beta)};  // -i sin(beta)
-  cvec& t = tensors_[site];
-  for (index_t l = 0; l < dl; ++l) {
-    cplx* row0 = t.data() + (l * 2 + 0) * dr;
-    cplx* row1 = t.data() + (l * 2 + 1) * dr;
-    for (index_t r = 0; r < dr; ++r) {
-      const cplx a0 = row0[r];
-      const cplx a1 = row1[r];
-      row0[r] = c * a0 + ms * a1;
-      row1[r] = ms * a0 + c * a1;
     }
   }
 }
@@ -96,23 +172,24 @@ void MpsState::shift_center_right() {
   const index_t dl = bonds_[c];
   const index_t dr = bonds_[c + 1];
   // Group the physical leg with the left bond: (dl*2) x dr, the flat layout.
-  const CSvdResult f = linalg::svd(to_matrix(tensors_[c], dl * 2, dr));
-  const index_t k = kept_rank(f);
+  const BlockSvd f(tensors_[c].data(), with_site(charges_[c], false),
+                   charges_[c + 1]);
+  const index_t k = f.rank();
 
   cvec& t = tensors_[c];
   t.assign(dl * 2 * k, cplx{});
-  for (index_t row = 0; row < dl * 2; ++row) {
-    for (index_t b = 0; b < k; ++b) t[row * k + b] = f.u(row, b);
-  }
+  f.left(t.data(), k, false, 1.0);
 
   // Absorb S V^H into the right neighbour (it becomes the new center).
+  cvec svh(k * dr, cplx{});
+  f.right(svh.data(), k, true, 1.0);
   const index_t dn = bonds_[c + 2];
   const cvec& old = tensors_[c + 1];  // (dr, 2, dn)
   cvec next(k * 2 * dn, cplx{});
   for (index_t b = 0; b < k; ++b) {
     cplx* dst = next.data() + b * 2 * dn;
     for (index_t r = 0; r < dr; ++r) {
-      const cplx carry = f.singular_values[b] * std::conj(f.v(r, b));
+      const cplx carry = svh[b * dr + r];
       if (carry == cplx{}) continue;
       const cplx* src = old.data() + r * 2 * dn;
       for (index_t j = 0; j < 2 * dn; ++j) dst[j] += carry * src[j];
@@ -120,6 +197,7 @@ void MpsState::shift_center_right() {
   }
   tensors_[c + 1] = std::move(next);
   bonds_[c + 1] = k;
+  charges_[c + 1] = f.charges(k);
   center_ = c + 1;
 }
 
@@ -129,18 +207,17 @@ void MpsState::shift_center_left() {
   const index_t dr = bonds_[c + 1];
   // Group the physical leg with the right bond: dl x (2*dr), also the flat
   // layout (row l spans the 2*dr entries (s, r)).
-  const CSvdResult f = linalg::svd(to_matrix(tensors_[c], dl, 2 * dr));
-  const index_t k = kept_rank(f);
+  const BlockSvd f(tensors_[c].data(), charges_[c],
+                   with_site(charges_[c + 1], true));
+  const index_t k = f.rank();
 
   cvec& t = tensors_[c];
   t.assign(k * 2 * dr, cplx{});
-  for (index_t b = 0; b < k; ++b) {
-    for (index_t col = 0; col < 2 * dr; ++col) {
-      t[b * 2 * dr + col] = std::conj(f.v(col, b));
-    }
-  }
+  f.right(t.data(), k, false, 1.0);
 
   // Absorb U S into the left neighbour (it becomes the new center).
+  cvec us(dl * k, cplx{});
+  f.left(us.data(), k, true, 1.0);
   const index_t dp = bonds_[c - 1];
   const cvec& old = tensors_[c - 1];  // (dp, 2, dl)
   cvec prev(dp * 2 * k, cplx{});
@@ -150,19 +227,18 @@ void MpsState::shift_center_left() {
     for (index_t l = 0; l < dl; ++l) {
       const cplx coef = src[l];
       if (coef == cplx{}) continue;
-      for (index_t b = 0; b < k; ++b) {
-        dst[b] += coef * f.u(l, b) * f.singular_values[b];
-      }
+      const cplx* urow = us.data() + l * k;
+      for (index_t b = 0; b < k; ++b) dst[b] += coef * urow[b];
     }
   }
   tensors_[c - 1] = std::move(prev);
   bonds_[c] = k;
+  charges_[c] = f.charges(k);
   center_ = c - 1;
 }
 
-void MpsState::apply_two_site(index_t bond, const std::array<cplx, 4>& phase,
-                              bool swap_sites, index_t leave,
-                              const TruncationPolicy& policy,
+void MpsState::apply_two_site(index_t bond, double angle, bool swap_sites,
+                              index_t leave, const TruncationPolicy& policy,
                               TruncationStats& stats) {
   FASTQAOA_CHECK(bond + 1 < n_, "apply_two_site: bond out of range");
   FASTQAOA_CHECK(center_ == bond || center_ == bond + 1,
@@ -175,7 +251,7 @@ void MpsState::apply_two_site(index_t bond, const std::array<cplx, 4>& phase,
   const cvec& a = tensors_[bond];       // (dl, 2, dm)
   const cvec& bt = tensors_[bond + 1];  // (dm, 2, dr)
 
-  // theta(l, s0, s1, r) = gate * sum_b A(l, sA, b) B(b, sB, r), matricized
+  // theta(l, s0, s1, r) = sum_b A(l, sA, b) B(b, sB, r), matricized
   // rows (l*2+s0) x cols (s1*dr+r).
   cmat m(dl * 2, 2 * dr);
   for (index_t l = 0; l < dl; ++l) {
@@ -184,11 +260,10 @@ void MpsState::apply_two_site(index_t bond, const std::array<cplx, 4>& phase,
       for (index_t s1 = 0; s1 < 2; ++s1) {
         const index_t sa = swap_sites ? s1 : s0;
         const index_t sb = swap_sites ? s0 : s1;
-        const cplx g = phase[s0 * 2 + s1];
         cplx* dst = out + s1 * dr;
         const cplx* arow = a.data() + (l * 2 + sa) * dm;
         for (index_t b = 0; b < dm; ++b) {
-          const cplx coef = g * arow[b];
+          const cplx coef = arow[b];
           if (coef == cplx{}) continue;
           const cplx* src = bt.data() + (b * 2 + sb) * dr;
           for (index_t r = 0; r < dr; ++r) dst[r] += coef * src[r];
@@ -196,19 +271,35 @@ void MpsState::apply_two_site(index_t bond, const std::array<cplx, 4>& phase,
       }
     }
   }
+  if (angle != 0.0) {
+    // e^{-i angle Z Z} = cos I - i sin F (x) F: entry (l, s0, s1, r) mixes
+    // with (l, 1-s0, 1-s1, r), i.e. row l*2 column j with row l*2+1 column
+    // j +- dr.
+    const double c = std::cos(angle);
+    const cplx ms{0.0, -std::sin(angle)};
+    for (index_t l = 0; l < dl; ++l) {
+      cplx* row0 = m.row(l * 2);
+      cplx* row1 = m.row(l * 2 + 1);
+      for (index_t j = 0; j < 2 * dr; ++j) {
+        const index_t jf = j < dr ? j + dr : j - dr;
+        const cplx x = row0[j];
+        const cplx y = row1[jf];
+        row0[j] = c * x + ms * y;
+        row1[jf] = c * y + ms * x;
+      }
+    }
+  }
 
-  const CSvdResult f = linalg::svd(m);
-  const index_t k_all = f.singular_values.size();
-  double total = 0.0;
-  for (index_t j = 0; j < k_all; ++j) total += sq(f.singular_values[j]);
-
-  index_t k = kept_rank(f);
+  const BlockSvd f(m.data(), with_site(charges_[bond], false),
+                   with_site(charges_[bond + 2], true));
+  const double total = f.total();
+  index_t k = f.rank();
 
   // Hard cap: always enforced, even past the fidelity budget.
   double dropped = 0.0;
   while (k > policy.max_bond) {
     --k;
-    dropped += sq(f.singular_values[k]);
+    dropped += sq(f.sigma(k));
   }
   const bool forced_over_budget =
       dropped > 0.0 && stats.discarded_weight >= policy.fidelity_budget;
@@ -217,7 +308,7 @@ void MpsState::apply_two_site(index_t bond, const std::array<cplx, 4>& phase,
   // discard stays under trunc_tol AND the cumulative discarded weight stays
   // within the fidelity budget.
   while (k > 1) {
-    const double cand = dropped + sq(f.singular_values[k - 1]);
+    const double cand = dropped + sq(f.sigma(k - 1));
     if (total > 0.0 && cand / total <= policy.trunc_tol &&
         stats.discarded_weight + cand / total <= policy.fidelity_budget) {
       dropped = cand;
@@ -240,35 +331,17 @@ void MpsState::apply_two_site(index_t bond, const std::array<cplx, 4>& phase,
   const double scale =
       (dropped > 0.0 && kept > 0.0) ? std::sqrt(total / kept) : 1.0;
 
+  // leave == bond + 1: A <- U (left-canonical), B <- scale * S V^H (new
+  // center). leave == bond: A <- U * scale * S (new center), B <- V^H
+  // (right-canonical).
   cvec& ta = tensors_[bond];
   cvec& tb = tensors_[bond + 1];
   ta.assign(dl * 2 * k, cplx{});
   tb.assign(k * 2 * dr, cplx{});
-  if (leave == bond + 1) {
-    // A <- U (left-canonical), B <- scale * S V^H (new center).
-    for (index_t row = 0; row < dl * 2; ++row) {
-      for (index_t b = 0; b < k; ++b) ta[row * k + b] = f.u(row, b);
-    }
-    for (index_t b = 0; b < k; ++b) {
-      const double sv = scale * f.singular_values[b];
-      for (index_t col = 0; col < 2 * dr; ++col) {
-        tb[b * 2 * dr + col] = sv * std::conj(f.v(col, b));
-      }
-    }
-  } else {
-    // A <- U * scale * S (new center), B <- V^H (right-canonical).
-    for (index_t row = 0; row < dl * 2; ++row) {
-      for (index_t b = 0; b < k; ++b) {
-        ta[row * k + b] = f.u(row, b) * (scale * f.singular_values[b]);
-      }
-    }
-    for (index_t b = 0; b < k; ++b) {
-      for (index_t col = 0; col < 2 * dr; ++col) {
-        tb[b * 2 * dr + col] = std::conj(f.v(col, b));
-      }
-    }
-  }
+  f.left(ta.data(), k, leave == bond, scale);
+  f.right(tb.data(), k, leave == bond + 1, scale);
   bonds_[bond + 1] = k;
+  charges_[bond + 1] = f.charges(k);
   center_ = leave;
 }
 
@@ -279,7 +352,7 @@ cvec MpsState::transfer(index_t site, const cvec& env, bool with_z) const {
   cvec out(dl * dl, cplx{});
   cvec tmp(dl * dr);
   for (index_t s = 0; s < 2; ++s) {
-    const double w = with_z ? (s == 0 ? 1.0 : -1.0) : 1.0;
+    const index_t sb = with_z ? 1 - s : s;  // the bra's physical index
     // tmp = B_s * env, with B_s(l, r) = t[(l*2+s)*dr + r].
     for (index_t l = 0; l < dl; ++l) {
       const cplx* brow = t.data() + (l * 2 + s) * dr;
@@ -292,17 +365,17 @@ cvec MpsState::transfer(index_t site, const cvec& env, bool with_z) const {
         for (index_t rp = 0; rp < dr; ++rp) trow[rp] += coef * erow[rp];
       }
     }
-    // out(l, lp) += w * sum_rp tmp(l, rp) * conj(B_s(lp, rp)).
+    // out(l, lp) += sum_rp tmp(l, rp) * conj(B_sb(lp, rp)).
     for (index_t l = 0; l < dl; ++l) {
       const cplx* trow = tmp.data() + l * dr;
       cplx* orow = out.data() + l * dl;
       for (index_t lp = 0; lp < dl; ++lp) {
-        const cplx* brow = t.data() + (lp * 2 + s) * dr;
+        const cplx* brow = t.data() + (lp * 2 + sb) * dr;
         cplx acc{};
         for (index_t rp = 0; rp < dr; ++rp) {
           acc += trow[rp] * std::conj(brow[rp]);
         }
-        orow[lp] += w * acc;
+        orow[lp] += acc;
       }
     }
   }
@@ -317,7 +390,7 @@ double MpsState::trace_term(index_t site, const cvec& env,
   cvec trow(dr);
   cplx acc{};
   for (index_t s = 0; s < 2; ++s) {
-    const double w = with_z ? (s == 0 ? 1.0 : -1.0) : 1.0;
+    const index_t sb = with_z ? 1 - s : s;  // the bra's physical index
     for (index_t l = 0; l < dl; ++l) {
       const cplx* brow = t.data() + (l * 2 + s) * dr;
       std::fill(trow.begin(), trow.end(), cplx{});
@@ -327,9 +400,10 @@ double MpsState::trace_term(index_t site, const cvec& env,
         const cplx* erow = env.data() + r * dr;
         for (index_t rp = 0; rp < dr; ++rp) trow[rp] += coef * erow[rp];
       }
+      const cplx* bra = t.data() + (l * 2 + sb) * dr;
       cplx dot{};
-      for (index_t rp = 0; rp < dr; ++rp) dot += trow[rp] * std::conj(brow[rp]);
-      acc += w * dot;
+      for (index_t rp = 0; rp < dr; ++rp) dot += trow[rp] * std::conj(bra[rp]);
+      acc += dot;
     }
   }
   return acc.real();
@@ -342,10 +416,11 @@ double MpsState::norm2() const {
 }
 
 cplx MpsState::amplitude(state_t x) const {
+  // <z|+> = 1/sqrt(2), <z|-> = (-1)^z / sqrt(2).
+  const double h = 1.0 / std::sqrt(2.0);
   cvec v{cplx{1.0, 0.0}};
   for (index_t site = 0; site < n_; ++site) {
-    const index_t s =
-        static_cast<index_t>(bit(x, static_cast<int>(site)));
+    const double sign = bit(x, static_cast<int>(site)) ? -h : h;
     const index_t dl = bonds_[site];
     const index_t dr = bonds_[site + 1];
     const cvec& t = tensors_[site];
@@ -353,8 +428,11 @@ cplx MpsState::amplitude(state_t x) const {
     for (index_t l = 0; l < dl; ++l) {
       const cplx coef = v[l];
       if (coef == cplx{}) continue;
-      const cplx* row = t.data() + (l * 2 + s) * dr;
-      for (index_t r = 0; r < dr; ++r) next[r] += coef * row[r];
+      const cplx* row0 = t.data() + (l * 2 + 0) * dr;
+      const cplx* row1 = t.data() + (l * 2 + 1) * dr;
+      for (index_t r = 0; r < dr; ++r) {
+        next[r] += coef * (h * row0[r] + sign * row1[r]);
+      }
     }
     v = std::move(next);
   }
@@ -363,6 +441,8 @@ cplx MpsState::amplitude(state_t x) const {
 
 double expectation(MpsState& state, const DiagonalHamiltonian& h) {
   FASTQAOA_CHECK(h.n == state.n(), "expectation: Hamiltonian size mismatch");
+  FASTQAOA_CHECK(h.z_terms.empty(),
+                 "expectation: linear Z terms break the parity symmetry");
   const index_t n = state.n_;
   // Left-canonicalize so every left environment is the identity.
   state.move_center(n - 1);
@@ -376,13 +456,9 @@ double expectation(MpsState& state, const DiagonalHamiltonian& h) {
   const double nrm = state.trace_term(0, renv[0], false);
   FASTQAOA_CHECK(nrm > 0.0, "expectation: zero-norm state");
 
-  double acc = 0.0;
-  for (const ZTerm& t : h.z_terms) {
-    acc += t.coeff * state.trace_term(t.site, renv[t.site], true);
-  }
-
   // ZZ terms grouped by right endpoint: one Z-insertion at v, then a single
   // leftward identity propagation serves every partner u < v.
+  double acc = 0.0;
   std::vector<std::vector<const ZZTerm*>> by_v(n);
   for (const ZZTerm& t : h.zz_terms) by_v[t.v].push_back(&t);
   for (index_t v = 0; v < n; ++v) {

@@ -10,7 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -25,6 +25,8 @@
 #include "common/rng.hpp"
 #include "common/threading.hpp"
 #include "core/plan.hpp"
+#include "linalg/dense.hpp"
+#include "linalg/svd.hpp"
 #include "mixers/x_mixer.hpp"
 #include "mps/hamiltonian.hpp"
 #include "mps/mps_objective.hpp"
@@ -166,6 +168,22 @@ TEST(MpsHamiltonian, CanonicalizeMergesAndOrders) {
   EXPECT_EQ(h.z_terms[0].site, 3u);
 }
 
+TEST(MpsHamiltonian, PlanRefusesLinearZTerms) {
+  // A linear Z term breaks the bit-flip parity every bond carries.
+  DiagonalHamiltonian h = maxcut_hamiltonian(ring_graph(6));
+  h.z_terms = {{2, 0.5}};
+  try {
+    const MpsPlan plan(h);
+    ADD_FAILURE() << "a Z term must be refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("parity"), std::string::npos)
+        << e.what();
+  }
+  // Terms that cancel in canonical form leave a ZZ-only cost.
+  h.z_terms = {{2, 0.5}, {2, -0.5}};
+  EXPECT_NO_THROW(MpsPlan{h});
+}
+
 // ---------------------------------------------------------------------------
 // MpsState basics
 
@@ -179,13 +197,17 @@ TEST(MpsState, PlusStateAmplitudesAndNorm) {
 }
 
 TEST(MpsState, SingleSiteGatesMatchHandComputation) {
-  // e^{-i a Z_0} on |++>: amplitude picks up e^{-ia} for bit0 = 0 and
-  // e^{+ia} for bit0 = 1; site 1 stays |+>.
+  // The gate set keeps the parity of prod_i X_i, so the cost phase is a
+  // ZZ gate: e^{-i a Z_0 Z_1} on |++> multiplies the amplitude by e^{-ia}
+  // where bit0 == bit1 and by e^{+ia} where they differ.
+  const TruncationPolicy exact{.max_bond = 64, .trunc_tol = 0.0,
+                               .fidelity_budget = 0.0};
   MpsState s = MpsState::plus_state(2);
+  TruncationStats stats;
   const double a = 0.7;
-  s.apply_phase(0, a);
+  s.apply_two_site(0, a, false, 1, exact, stats);
   for (state_t x = 0; x < 4; ++x) {
-    const double sign = (x & 1) ? 1.0 : -1.0;
+    const double sign = ((x ^ (x >> 1)) & 1) ? 1.0 : -1.0;
     EXPECT_NEAR(std::abs(s.amplitude(x) - 0.5 * std::exp(cplx(0, sign * a))),
                 0.0, 1e-12)
         << "x=" << x;
@@ -199,11 +221,27 @@ TEST(MpsState, SingleSiteGatesMatchHandComputation) {
                 1e-12)
         << "x=" << x;
   }
+  // On the entangled state, e^{-i b X_0} mixes x with x ^ 1:
+  // psi'(x) = cos(b) psi(x) - i sin(b) psi(x ^ 1).
+  std::vector<cplx> before(4);
+  for (state_t x = 0; x < 4; ++x) before[x] = s.amplitude(x);
+  s.apply_rx(0, b);
+  for (state_t x = 0; x < 4; ++x) {
+    const cplx want =
+        std::cos(b) * before[x] - cplx(0, std::sin(b)) * before[x ^ 1];
+    EXPECT_NEAR(std::abs(s.amplitude(x) - want), 0.0, 1e-12) << "x=" << x;
+  }
 }
 
 TEST(MpsState, CenterMovesPreserveState) {
+  const TruncationPolicy exact{.max_bond = 64, .trunc_tol = 0.0,
+                               .fidelity_budget = 0.0};
   MpsState s = MpsState::plus_state(5);
-  s.apply_phase(2, 0.3);
+  TruncationStats stats;
+  s.move_center(2);
+  s.apply_two_site(2, 0.3, false, 3, exact, stats);
+  s.apply_rx(3, 0.9);
+  s.apply_two_site(3, 0.5, true, 3, exact, stats);
   s.apply_rx(1, 0.9);
   std::vector<cplx> before(32);
   for (state_t x = 0; x < 32; ++x) before[x] = s.amplitude(x);
@@ -221,10 +259,8 @@ TEST(MpsState, CenterMovesPreserveState) {
 // center across that bond must shrink it to the rank — keeping orthonormal
 // columns only — without changing the state. Both directions.
 TEST(MpsState, RankDeficientCenterMoveKeepsOnlyRank) {
-  constexpr std::array<cplx, 4> kSwap{cplx{1.0}, cplx{1.0}, cplx{1.0},
-                                      cplx{1.0}};
-  const cplx same = std::exp(cplx(0.0, -0.3));
-  const std::array<cplx, 4> zz{same, std::conj(same), std::conj(same), same};
+  constexpr double kSwap = 0.0;  // a pure swap applies no ZZ phase
+  constexpr double zz = 0.3;
   const TruncationPolicy exact{.max_bond = 64, .trunc_tol = 0.0,
                                .fidelity_budget = 0.0};
   const TruncationPolicy chi1{.max_bond = 1, .trunc_tol = 0.0,
@@ -285,6 +321,108 @@ TEST(MpsState, RankDeficientCenterMoveKeepsOnlyRank) {
     for (state_t x = 0; x < 8; ++x) {
       EXPECT_NEAR(std::abs(after[x] - before[x]), 0.0, 1e-12) << "x=" << x;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Z2 blocks, checked against the stored tensors and a dense SVD of the same
+// two-site matrices rather than against the block code itself
+
+/// The n = 10 state after a p = 2 evaluate at bond cap `chi`.
+MpsState evaluated_state(index_t chi) {
+  Rng rng(71);
+  const Graph g = erdos_renyi(10, 0.5, rng);
+  const MpsPlan plan(maxcut_hamiltonian(g), {.max_bond = chi,
+                                             .fidelity_budget = 1.0,
+                                             .trunc_tol = 1e-12});
+  MpsWorkspace ws;
+  evaluate_packed(plan, ws, random_angles(4, rng));
+  return ws.state;
+}
+
+TEST(MpsBlocks, ChargeViolatingEntriesAreExactlyZero) {
+  for (const index_t chi : {index_t{4}, index_t{256}}) {
+    SCOPED_TRACE("chi=" + std::to_string(chi));
+    const MpsState st = evaluated_state(chi);
+    ASSERT_EQ(st.charges(0), Charges{0});
+    ASSERT_EQ(st.charges(st.n()), Charges{0});
+    EXPECT_GT(st.max_bond(), index_t{2});
+    for (index_t site = 0; site < st.n(); ++site) {
+      const index_t dl = st.bond(site);
+      const index_t dr = st.bond(site + 1);
+      const Charges& ql = st.charges(site);
+      const Charges& qr = st.charges(site + 1);
+      ASSERT_EQ(ql.size(), dl);
+      ASSERT_EQ(qr.size(), dr);
+      const cvec& t = st.tensor(site);
+      ASSERT_EQ(t.size(), dl * 2 * dr);
+      std::size_t allowed_nonzero = 0;
+      for (index_t l = 0; l < dl; ++l) {
+        for (index_t s = 0; s < 2; ++s) {
+          for (index_t r = 0; r < dr; ++r) {
+            const cplx x = t[(l * 2 + s) * dr + r];
+            if ((ql[l] + s + qr[r]) % 2 != 0) {
+              EXPECT_EQ(x, cplx{}) << "site " << site << " (" << l << ", "
+                                   << s << ", " << r << ")";
+            } else if (x != cplx{}) {
+              ++allowed_nonzero;
+            }
+          }
+        }
+      }
+      EXPECT_GT(allowed_nonzero, 0u) << "site " << site;
+    }
+  }
+}
+
+TEST(MpsBlocks, MergedSpectrumMatchesDenseSvdAtEveryCut) {
+  const TruncationPolicy exact{.max_bond = 1024, .trunc_tol = 0.0,
+                               .fidelity_budget = 0.0};
+  for (const index_t chi : {index_t{4}, index_t{256}}) {
+    SCOPED_TRACE("chi=" + std::to_string(chi));
+    MpsState st = evaluated_state(chi);
+    st.move_center(0);
+    TruncationStats stats;
+    for (index_t i = 0; i + 1 < st.n(); ++i) {
+      // The dense two-site matrix rows (l, s0) x cols (s1, r).
+      const index_t dl = st.bond(i);
+      const index_t dm = st.bond(i + 1);
+      const index_t dr = st.bond(i + 2);
+      const cvec& a = st.tensor(i);
+      const cvec& b = st.tensor(i + 1);
+      linalg::cmat theta(dl * 2, 2 * dr);
+      for (index_t l = 0; l < dl; ++l) {
+        for (index_t s0 = 0; s0 < 2; ++s0) {
+          for (index_t s1 = 0; s1 < 2; ++s1) {
+            for (index_t r = 0; r < dr; ++r) {
+              cplx acc{};
+              for (index_t m = 0; m < dm; ++m) {
+                acc += a[(l * 2 + s0) * dm + m] * b[(m * 2 + s1) * dr + r];
+              }
+              theta(l * 2 + s0, s1 * dr + r) = acc;
+            }
+          }
+        }
+      }
+      const dvec dense = linalg::svd(theta).singular_values;
+      // An identity split leaving the center right stores S V^H there: its
+      // row norms are the merged block spectrum, in merged order.
+      st.apply_two_site(i, 0.0, false, i + 1, exact, stats);
+      const index_t k = st.bond(i + 1);
+      ASSERT_LE(k, dense.size());
+      const cvec& center = st.tensor(i + 1);
+      for (index_t t = 0; t < dense.size(); ++t) {
+        double merged = 0.0;
+        if (t < k) {
+          for (index_t j = 0; j < 2 * dr; ++j) {
+            merged += std::norm(center[t * 2 * dr + j]);
+          }
+          merged = std::sqrt(merged);
+        }
+        EXPECT_NEAR(merged, dense[t], 1e-12) << "cut " << i << " value " << t;
+      }
+    }
+    EXPECT_EQ(stats.truncations, 0u);
   }
 }
 
@@ -614,10 +752,8 @@ TEST(MpsTruncation, RoundingTailIsNotCountedAsTruncation) {
   constexpr index_t kN = 8;
   constexpr index_t kU = 1;
   constexpr index_t kV = 6;
-  constexpr std::array<cplx, 4> kSwap{cplx{1.0}, cplx{1.0}, cplx{1.0},
-                                      cplx{1.0}};
-  const cplx same = std::exp(cplx(0.0, 0.405));
-  const std::array<cplx, 4> zz{same, std::conj(same), std::conj(same), same};
+  constexpr double kSwap = 0.0;  // a pure swap applies no ZZ phase
+  constexpr double zz = -0.405;
   for (const TruncationPolicy& policy :
        {TruncationPolicy{.max_bond = 64, .trunc_tol = 0.0,
                          .fidelity_budget = 0.0},
@@ -866,6 +1002,40 @@ TEST(MpsRuntime, FingerprintTagEncodesEveryKnob) {
   EXPECT_NE(base.find(" route=excursion"), std::string::npos)
       << "tag must name the routing, so checkpoints written on the "
          "route-and-return schedule never resume into this one";
+  EXPECT_NE(base.find(" blocks=z2"), std::string::npos)
+      << "tag must name the parity-block splits, so checkpoints written on "
+         "the dense-split engine never resume into this one";
+}
+
+// A p = 1 evaluate of a dense n = 256 graph at chi = 64 is one round of
+// ~64k bond splits, minutes of work. A cancel from another thread must
+// land at the next excursion, not at the end of the round.
+TEST(MpsRuntime, CrossThreadCancelInterruptsOneRoundEvaluation) {
+  using Clock = std::chrono::steady_clock;
+  Rng rng(54);
+  const MpsPlan plan(maxcut_hamiltonian(erdos_renyi(256, 0.5, rng)),
+                     {.max_bond = 64});
+  runtime::CancelToken cancel;
+  runtime::RunBudget budget;
+  budget.cancel = &cancel;
+  const runtime::BudgetTracker tracker(budget);
+  MpsWorkspace ws;
+  ws.tracker = &tracker;
+  Clock::time_point cancelled_at;
+  std::jthread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    cancelled_at = Clock::now();
+    cancel.request_stop();
+  });
+  const double value = evaluate_packed(plan, ws, std::vector<double>{0.4, 0.3});
+  const Clock::time_point returned_at = Clock::now();
+  canceller.join();
+  EXPECT_TRUE(ws.interrupted);
+  EXPECT_GT(ws.stats.max_bond_reached, index_t{1})
+      << "the cancel must land mid-round";
+  EXPECT_EQ(value, plan.hamiltonian().constant);
+  EXPECT_LT(std::chrono::duration<double>(returned_at - cancelled_at).count(),
+            5.0);
 }
 
 TEST(MpsRuntime, FindAnglesAtMatchesDirectEvaluation) {
