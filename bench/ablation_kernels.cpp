@@ -16,16 +16,21 @@
 //      amplitudes) vs the same plan on the full route (an explicit uniform
 //      initial state), single-threaded. A speedup near 1.0 means plans
 //      stopped folding.
+//   6. the adjoint gradient's reverse step: XMixer::adjoint_step (the
+//      whole step in the Hadamard frame, 4 WHT passes) vs the base-class
+//      composition Mixer::adjoint_step (apply_ham + 2 apply_exp, 6 passes),
+//      with a pending maxcut phase, single-threaded. A speedup near 1.0
+//      means the gradient fell back to the generic step.
 //
 // Sweeps run per backend via kernels::select(); the seed references are
 // compiled locally in this TU with the build's default flags so they stay
 // an honest baseline. Results land in bench/baselines/kernel_backends.json
 // through the shared --json flag.
 //
-// The phase-route and fold sweeps time each rep as an interleaved pair and
-// report the median of the per-rep ratios — back-to-back A/B pairs under one
-// machine state are the only timing comparison that survives the clock
-// drift of shared runners.
+// The phase-route, fold and adjoint-step sweeps time each rep as an
+// interleaved pair and report the median of the per-rep ratios —
+// back-to-back A/B pairs under one machine state are the only timing
+// comparison that survives the clock drift of shared runners.
 //
 // Usage: ablation_kernels [--full] [--reps=N] [--json=path]
 
@@ -393,6 +398,78 @@ int main(int argc, char** argv) {
     report.field("speedup", speedup);
     report.field("rel_diff", rel_diff);
   }
+
+  // -- 6. adjoint reverse step: Hadamard frame vs generic, best backend ----
+  // One thread, like the fold section. Each call unapplies a pending maxcut
+  // phase and the mixer from psi and lambda in place; both are unitary, so
+  // repeated calls keep the states bounded.
+  std::printf("\n[frame_adjoint] %s adjoint_step, transverse field with a "
+              "pending maxcut phase, 1 thread: generic vs Hadamard frame\n",
+              best.c_str());
+  std::printf("%-8s %4s %14s %14s %9s %12s\n", "backend", "n", "generic_s",
+              "frame_s", "speedup", "rel_diff");
+  double frame_adjoint_speedup_n20 = 0.0;
+  for (const int n : qubits) {
+    if (n > 20) continue;
+    Rng graph_rng(41);
+    const Graph graph = erdos_renyi(n, 0.5, graph_rng);
+    const dvec cost = tabulate(StateSpace::full(n), [&graph](state_t x) {
+      return maxcut(graph, x);
+    });
+    const linalg::DiagDict dict = linalg::build_diag_dict(cost);
+    const XMixer mixer = XMixer::transverse_field(n);
+    const Mixer& generic = mixer;
+    const index_t dim = cost.size();
+    cvec psi_generic = random_state(dim, 43);
+    cvec lambda_generic = random_state(dim, 47);
+    cvec psi_frame = psi_generic;
+    cvec lambda_frame = lambda_generic;
+    cvec hpsi;
+    cvec scratch;
+    const double gamma = 0.37;
+    const double beta = -0.61;
+    const double g_generic = generic.Mixer::adjoint_step(
+        psi_generic, lambda_generic, &cost, &dict, gamma, beta, scratch, hpsi);
+    const double g_frame = mixer.adjoint_step(psi_frame, lambda_frame, &cost,
+                                              &dict, gamma, beta, scratch,
+                                              hpsi);
+    const double rel_diff =
+        std::abs(g_frame - g_generic) / std::abs(g_generic);
+
+    std::vector<double> t_generic;
+    std::vector<double> t_frame;
+    std::vector<double> ratio;
+    for (int rep = 0; rep < reps; ++rep) {
+      WallTimer generic_timer;
+      g_sink += generic.Mixer::adjoint_step(psi_generic, lambda_generic,
+                                            &cost, &dict, gamma, beta, scratch,
+                                            hpsi);
+      const double generic_s = generic_timer.seconds();
+      WallTimer frame_timer;
+      g_sink += mixer.adjoint_step(psi_frame, lambda_frame, &cost, &dict,
+                                   gamma, beta, scratch, hpsi);
+      const double frame_s = frame_timer.seconds();
+      t_generic.push_back(generic_s);
+      t_frame.push_back(frame_s);
+      ratio.push_back(generic_s / frame_s);
+    }
+    std::sort(t_generic.begin(), t_generic.end());
+    std::sort(t_frame.begin(), t_frame.end());
+    std::sort(ratio.begin(), ratio.end());
+    const double speedup = ratio[ratio.size() / 2];
+    if (n == 20) frame_adjoint_speedup_n20 = speedup;
+    std::printf("%-8s %4d %14.6f %14.6f %8.2fx %12.2e\n", best.c_str(), n,
+                t_generic[t_generic.size() / 2], t_frame[t_frame.size() / 2],
+                speedup, rel_diff);
+    report.row();
+    report.field("section", std::string("frame_adjoint"));
+    report.field("backend", best);
+    report.field("n", static_cast<long long>(n));
+    report.field("generic_s", t_generic[t_generic.size() / 2]);
+    report.field("frame_s", t_frame[t_frame.size() / 2]);
+    report.field("speedup", speedup);
+    report.field("rel_diff", rel_diff);
+  }
   set_num_threads(restore_threads);
 
   std::printf("\nacceptance: blocked vs per-stage WHT (scalar, n=20): %.2fx\n",
@@ -408,6 +485,9 @@ int main(int argc, char** argv) {
               "%.2fx\n", best.c_str(), z2_fold_speedup_n20);
   report.meta("quantized_phase_speedup_n20", quantized_phase_speedup_n20);
   report.meta("z2_fold_speedup_n20", z2_fold_speedup_n20);
+  std::printf("acceptance: %s Hadamard-frame vs generic adjoint_step "
+              "(n=20): %.2fx\n", best.c_str(), frame_adjoint_speedup_n20);
+  report.meta("frame_adjoint_speedup_n20", frame_adjoint_speedup_n20);
   report.attach_metrics();
   report.write();
 

@@ -30,7 +30,7 @@ double QaoaObjective::operator()(std::span<const double> packed,
   switch (provider_) {
     case GradientProvider::Adjoint:
       value = adjoint_value_and_gradient_packed(*plan_, *ws_, packed, grad);
-      evals_ += 2;  // forward pass + reverse sweep of comparable cost
+      evals_ += 2;  // forward pass + reverse sweep (see evaluations())
       break;
     case GradientProvider::CentralDiff: {
       central_.reset_evaluations();

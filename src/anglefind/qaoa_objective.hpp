@@ -52,9 +52,11 @@ class QaoaObjective {
   /// callable references *this; keep the QaoaObjective alive while in use.
   [[nodiscard]] GradObjective as_grad_objective();
 
-  /// Number of underlying expectation-value evaluations so far (each
-  /// adjoint gradient counts as one forward evaluation plus one reverse
-  /// sweep, tallied as 2; finite differences tally every evaluation).
+  /// Number of underlying expectation-value evaluations so far. Each
+  /// adjoint gradient tallies 2, one for the forward evaluation and one
+  /// for the reverse sweep: a fixed unit that max_evaluations budgets rest
+  /// on, not a cost model (an X-mixer reverse sweep does about two forward
+  /// passes of WHT work). Finite differences tally every evaluation.
   [[nodiscard]] std::size_t evaluations() const noexcept { return evals_; }
 
  private:

@@ -35,28 +35,29 @@ double adjoint_value_and_gradient(const QaoaPlan& plan, EvalWorkspace& ws,
   const dvec& phase = plan.work_phase_values();
   const linalg::DiagDict* pdict = &plan.phase_dict();
   const auto& layers = plan.work_layers();
-  ws.hpsi.resize(plan.work_dim());  // apply_ham outputs must be presized
 
   // Reverse sweep: unapply each layer from both psi and lambda, harvesting
-  // angle gradients along the way.
+  // angle gradients along the way. A round's cost phase is unapplied by the
+  // next mixer step (fused into its transform where the mixer can); round
+  // 1's never is, since nothing reads the states after it.
   FASTQAOA_OBS_HIST_TIMED("autodiff.adjoint.reverse.seconds");
   std::size_t beta_index = betas.size();
+  const dvec* pending = nullptr;
+  double pending_gamma = 0.0;
   for (std::size_t k = layers.size(); k-- > 0;) {
     const MixerLayer& layer = layers[k];
     for (std::size_t j = layer.mixers.size(); j-- > 0;) {
-      const Mixer& m = *layer.mixers[j];
       --beta_index;
       // dE/dbeta = 2 Im <lambda| H_M |psi> at the post-mixer-j state.
-      m.apply_ham(psi, ws.hpsi, ws.scratch);
-      grad_betas[beta_index] = 2.0 * linalg::dot(ws.lambda, ws.hpsi).imag();
-      // Unapply this mixer from both trajectories.
-      m.apply_exp(psi, -betas[beta_index], ws.scratch);
-      m.apply_exp(ws.lambda, -betas[beta_index], ws.scratch);
+      grad_betas[beta_index] = layer.mixers[j]->adjoint_step(
+          psi, ws.lambda, pending, pdict, pending_gamma, betas[beta_index],
+          ws.scratch, ws.hpsi);
+      pending = nullptr;
     }
     // dE/dgamma = 2 Im <lambda| H_C |phi> at the post-phase state.
     grad_gammas[k] = 2.0 * linalg::diag_bracket_imag(ws.lambda, phase, psi);
-    linalg::apply_diag_phase(psi, phase, -gammas[k], pdict);
-    linalg::apply_diag_phase(ws.lambda, phase, -gammas[k], pdict);
+    pending = &phase;
+    pending_gamma = gammas[k];
   }
   FASTQAOA_ASSERT(beta_index == 0, "adjoint: beta bookkeeping error");
   return value;

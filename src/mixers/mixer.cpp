@@ -27,4 +27,20 @@ double Mixer::apply_phase_exp_expect(StateRef psi, const dvec& phase,
   return linalg::diag_expectation(obj, psi);
 }
 
+double Mixer::adjoint_step(StateRef psi, StateRef lambda, const dvec* phase,
+                           const linalg::DiagDict* phase_dict,
+                           double pending_gamma, double beta, cvec& scratch,
+                           cvec& hpsi) const {
+  if (phase != nullptr) {
+    linalg::apply_diag_phase(psi, *phase, -pending_gamma, phase_dict);
+    linalg::apply_diag_phase(lambda, *phase, -pending_gamma, phase_dict);
+  }
+  hpsi.resize(dim());
+  apply_ham(psi, hpsi, scratch);
+  const double grad = 2.0 * linalg::dot(lambda, hpsi).imag();
+  apply_exp(psi, -beta, scratch);
+  apply_exp(lambda, -beta, scratch);
+  return grad;
+}
+
 }  // namespace fastqaoa

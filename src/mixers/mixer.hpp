@@ -6,8 +6,11 @@
 ///   * XMixer      — T = H^{⊗n} via fast Walsh–Hadamard, O(n 2^n)
 ///   * GroverMixer — rank-1 projector, O(dim)
 ///   * EigenMixer  — dense precomputed eigenvectors, O(dim^2)
-/// The two virtuals are everything the simulator (apply_exp) and the
-/// adjoint-mode gradient (apply_ham) need.
+/// Two pure virtuals are all a mixer must provide: apply_exp (the
+/// simulator) and apply_ham (the adjoint-mode gradient). The fused entries
+/// — apply_phase_exp and apply_phase_exp_expect forward, adjoint_step in
+/// reverse — default to compositions of those two plus diagonal kernels;
+/// a mixer overrides them to do the same work in fewer passes.
 ///
 /// All state arguments are StateRef / ConstStateRef views (spans), so the
 /// same mixer serves a cvec or a raw buffer.
@@ -74,6 +77,24 @@ class Mixer {
                                         const linalg::DiagDict* phase_dict,
                                         double gamma, double beta,
                                         const dvec& obj, cvec& scratch) const;
+
+  /// One mixer step of the adjoint gradient's reverse sweep, on the
+  /// post-mixer states psi and lambda:
+  ///   1. when `phase` is non-null, unapply the cost phase still pending
+  ///      from the round after: psi, lambda <- diag(e^{+i pending_gamma
+  ///      phase}) psi, lambda;
+  ///   2. return dE/dbeta = 2 Im <lambda| H_M |psi>;
+  ///   3. unapply e^{-i beta H_M} from both psi and lambda.
+  /// The default composes apply_diag_phase, apply_ham into `hpsi`, dot
+  /// and apply_exp; XMixer overrides it to do all three in its Hadamard
+  /// frame. `scratch` and `hpsi` are caller-provided workspace (grown on
+  /// first use; XMixer needs neither). `phase_dict` as for
+  /// apply_phase_exp.
+  virtual double adjoint_step(StateRef psi, StateRef lambda,
+                              const dvec* phase,
+                              const linalg::DiagDict* phase_dict,
+                              double pending_gamma, double beta,
+                              cvec& scratch, cvec& hpsi) const;
 
   /// The uniform superposition the paper defaults |psi0> to, expressed on
   /// this mixer's space. Overridable for mixers whose natural ground state

@@ -158,6 +158,34 @@ double XMixer::apply_phase_exp_expect(StateRef psi, const dvec& phase,
   return linalg::phase_wht_expect(psi, dvals_, beta, inv, obj, &ddict_);
 }
 
+double XMixer::adjoint_step(StateRef psi, StateRef lambda, const dvec* phase,
+                            const linalg::DiagDict* phase_dict,
+                            double pending_gamma, double beta, cvec& scratch,
+                            cvec& hpsi) const {
+  (void)scratch;
+  (void)hpsi;  // the bracket is taken in the frame; H_M psi is never formed
+  FASTQAOA_CHECK(psi.size() == dvals_.size() && lambda.size() == dvals_.size(),
+                 "XMixer: state size mismatch");
+  // Into the Hadamard frame: psi^ = WHT(psi), lambda^ = WHT(lambda), with
+  // the pending phase unapplied in each transform's pre-pass.
+  if (phase != nullptr) {
+    linalg::phase_wht(psi, *phase, -pending_gamma, 1.0, phase_dict);
+    linalg::phase_wht(lambda, *phase, -pending_gamma, 1.0, phase_dict);
+  } else {
+    linalg::wht_unnormalized(psi);
+    linalg::wht_unnormalized(lambda);
+  }
+  // <lambda| H_M |psi> = <lambda^| diag(d) |psi^> / 2^n.
+  const double inv = 1.0 / static_cast<double>(dvals_.size());
+  const double grad =
+      2.0 * inv * linalg::diag_bracket_imag(lambda, dvals_, psi);
+  // Back out: e^{+i beta d} and the 1/2^n of the WHT pair ride the
+  // pre-pass of the second transform, as in apply_exp.
+  linalg::phase_wht(psi, dvals_, -beta, inv, &ddict_);
+  linalg::phase_wht(lambda, dvals_, -beta, inv, &ddict_);
+  return grad;
+}
+
 void XMixer::apply_ham(ConstStateRef in, StateRef out, cvec& scratch) const {
   (void)scratch;
   FASTQAOA_CHECK(in.size() == dvals_.size(), "XMixer: state size mismatch");

@@ -73,6 +73,15 @@ class XMixer final : public Mixer {
                                 const linalg::DiagDict* phase_dict,
                                 double gamma, double beta, const dvec& obj,
                                 cvec& scratch) const override;
+  /// Overridden to run the whole reverse step in the Hadamard frame: the
+  /// pending cost phase rides the WHT pre-passes into the frame, the
+  /// gradient is a diagonal bracket there, and the mixer unapply plus the
+  /// 1/2^n rides the WHT pre-passes back out. Four WHT passes per step
+  /// where the default's apply_ham + 2 apply_exp pay six.
+  double adjoint_step(StateRef psi, StateRef lambda, const dvec* phase,
+                      const linalg::DiagDict* phase_dict,
+                      double pending_gamma, double beta, cvec& scratch,
+                      cvec& hpsi) const override;
 
  private:
   XMixer(int n, std::vector<PauliXTerm> terms, dvec dvals, std::string name);

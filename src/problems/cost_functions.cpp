@@ -36,13 +36,15 @@ double vertex_cover(const Graph& g, state_t x) {
 
 double number_partition(const std::vector<double>& weights, state_t x) {
   FASTQAOA_CHECK(weights.size() <= 62, "number_partition: too many items");
-  double selected = 0.0;
-  double total = 0.0;
+  // sum_i s_i w_i with s_i = +1 for selected items and -1 for the rest,
+  // summed in index order. Complementing x negates every term, and rounding
+  // is symmetric under negation, so the sum negates exactly: the table is
+  // flip invariant bit for bit (the Z2 fold's test) for real weights too.
+  double signed_sum = 0.0;
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    total += weights[i];
-    if (bit(x, static_cast<int>(i))) selected += weights[i];
+    signed_sum += bit(x, static_cast<int>(i)) ? weights[i] : -weights[i];
   }
-  return std::abs(2.0 * selected - total);
+  return std::abs(signed_sum);
 }
 
 double portfolio_value(const std::vector<double>& expected_returns,

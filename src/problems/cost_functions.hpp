@@ -33,7 +33,8 @@ double ising_energy(const Graph& couplings, const std::vector<double>& fields,
                     state_t x);
 
 /// Number partitioning: |sum of selected weights - sum of the rest|.
-/// A minimization objective (0 = perfect partition).
+/// A minimization objective (0 = perfect partition). Exactly invariant
+/// under complementing x, for any real weights.
 double number_partition(const std::vector<double>& weights, state_t x);
 
 /// Mean-variance portfolio value of the selected asset set:

@@ -4,16 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <string>
 
 #include "autodiff/adjoint.hpp"
 #include "autodiff/finite_diff.hpp"
 #include "common/rng.hpp"
 #include "core/qaoa.hpp"
+#include "linalg/vector_ops.hpp"
 #include "mixers/eigen_mixer.hpp"
 #include "mixers/grover_mixer.hpp"
 #include "mixers/x_mixer.hpp"
+#include "obs/metrics.hpp"
 #include "problems/cost_functions.hpp"
+#include "sat/cnf.hpp"
 
 namespace fastqaoa {
 namespace {
@@ -167,6 +174,150 @@ TEST(Adjoint, PackedLayoutAgreesWithSplit) {
   EXPECT_NEAR(grad_packed[1], gb[1], 1e-13);
   EXPECT_NEAR(grad_packed[2], gg[0], 1e-13);
   EXPECT_NEAR(grad_packed[3], gg[1], 1e-13);
+}
+
+/// adjoint_value_and_gradient's sweep with every step forced through the
+/// base-class composition Mixer::adjoint_step (apply_ham + apply_exp),
+/// whatever the mixer overrides.
+double generic_value_and_gradient(const QaoaPlan& plan, EvalWorkspace& ws,
+                                  std::span<const double> betas,
+                                  std::span<const double> gammas,
+                                  std::span<double> grad_betas,
+                                  std::span<double> grad_gammas) {
+  obs::SinkScope metrics_scope(ws.metrics);
+  const double value = evaluate(plan, ws, betas, gammas);
+  cvec psi = ws.psi;
+  cvec lambda = ws.psi;
+  linalg::diag_mul(lambda, plan.work_objective(), 1.0);
+  cvec hpsi;
+  const dvec& phase = plan.work_phase_values();
+  const auto& layers = plan.work_layers();
+  std::size_t beta_index = betas.size();
+  const dvec* pending = nullptr;
+  double pending_gamma = 0.0;
+  for (std::size_t k = layers.size(); k-- > 0;) {
+    for (std::size_t j = layers[k].mixers.size(); j-- > 0;) {
+      --beta_index;
+      grad_betas[beta_index] = layers[k].mixers[j]->Mixer::adjoint_step(
+          psi, lambda, pending, &plan.phase_dict(), pending_gamma,
+          betas[beta_index], ws.scratch, hpsi);
+      pending = nullptr;
+    }
+    grad_gammas[k] = 2.0 * linalg::diag_bracket_imag(lambda, phase, psi);
+    pending = &phase;
+    pending_gamma = gammas[k];
+  }
+  return value;
+}
+
+std::uint64_t wht_count(const EvalWorkspace& ws) {
+  const obs::MetricsSnapshot snap = ws.metrics.snapshot();
+  const auto it = snap.histograms.find("linalg.wht.seconds");
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+TEST(Adjoint, XMixerFrameStepMatchesGenericStep) {
+  // XMixer::adjoint_step does the reverse sweep in the Hadamard frame. It
+  // must reproduce the generic composition to rounding, on folded and
+  // unfolded plans, with threshold phases, warm starts and multi-mixer
+  // layers, while paying 4 WHT passes per mixer step instead of 6.
+  ASSERT_TRUE(obs::metrics_enabled());
+  Rng rng(12);
+  const int n = 8;
+  const Graph g = erdos_renyi(n, 0.5, rng);
+  const dvec cut = tabulate(StateSpace::full(n),
+                            [&g](state_t x) { return maxcut(g, x); });
+  const CnfFormula formula = random_ksat(n, 3, 20, rng);
+  const dvec sat = tabulate(StateSpace::full(n), [&formula](state_t x) {
+    return ksat(formula, x);
+  });
+  const XMixer tf = XMixer::transverse_field(n);
+  const XMixer xx = XMixer::from_orders(n, {2});
+  const XMixer pair(n, {{0b00000011, 0.7}, {0b11000000, -1.3}});
+  const GroverMixer grover(cut.size());
+  cvec warm(cut.size());
+  double norm_sq = 0.0;
+  for (auto& a : warm) {
+    a = cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    norm_sq += std::norm(a);
+  }
+  for (auto& a : warm) a /= std::sqrt(norm_sq);
+
+  struct Case {
+    std::string name;
+    QaoaPlan plan;
+    bool all_x;  // every mixer an XMixer: the WHT count is exact
+  };
+  auto repeat = [](const Mixer& m, int p) {
+    return std::vector<MixerLayer>(static_cast<std::size_t>(p),
+                                   MixerLayer{{&m}});
+  };
+  for (int p = 1; p <= 5; ++p) {
+    std::vector<Case> cases;
+    cases.push_back({"maxcut-folded", QaoaPlan(tf, cut, p), true});
+    cases.push_back({"ksat-unfolded", QaoaPlan(tf, sat, p), true});
+    QaoaPlanOptions threshold;
+    threshold.phase_values = threshold_indicator(sat, 15.5);
+    cases.push_back(
+        {"ksat-threshold", QaoaPlan(tf, sat, p, std::move(threshold)), true});
+    QaoaPlanOptions warm_start;
+    warm_start.initial_state = warm;
+    cases.push_back(
+        {"maxcut-warm", QaoaPlan(xx, cut, p, std::move(warm_start)), true});
+    std::vector<MixerLayer> multi = repeat(tf, p);
+    multi.front().mixers.push_back(&pair);
+    multi.back().mixers.insert(multi.back().mixers.begin(), &xx);
+    cases.push_back({"multi-mixer-folded", QaoaPlan(multi, cut), true});
+    cases.push_back({"multi-mixer-ksat", QaoaPlan(multi, sat), true});
+    std::vector<MixerLayer> mixed = repeat(tf, p);
+    mixed.back().mixers.push_back(&grover);
+    cases.push_back({"x-and-grover", QaoaPlan(mixed, sat), false});
+    EXPECT_TRUE(cases[0].plan.folded());
+    EXPECT_FALSE(cases[1].plan.folded());
+    EXPECT_TRUE(cases[4].plan.folded());
+
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name + " p=" + std::to_string(p));
+      const std::size_t nb = static_cast<std::size_t>(c.plan.num_betas());
+      const std::size_t ng = static_cast<std::size_t>(c.plan.num_gammas());
+      std::vector<double> betas(nb);
+      std::vector<double> gammas(ng);
+      for (auto& a : betas) a = rng.uniform(-kPi, kPi);
+      for (auto& a : gammas) a = rng.uniform(-kPi, kPi);
+
+      std::vector<double> gb(nb), gg(ng), gb_ref(nb), gg_ref(ng);
+      EvalWorkspace ws;
+      const double value =
+          adjoint_value_and_gradient(c.plan, ws, betas, gammas, gb, gg);
+      EvalWorkspace ref_ws;
+      const double ref_value = generic_value_and_gradient(
+          c.plan, ref_ws, betas, gammas, gb_ref, gg_ref);
+      EvalWorkspace eval_ws;
+      const double evaluated = evaluate(c.plan, eval_ws, betas, gammas);
+      EXPECT_EQ(std::memcmp(&value, &evaluated, sizeof(double)), 0)
+          << value << " vs " << evaluated;
+      EXPECT_EQ(std::memcmp(&ref_value, &evaluated, sizeof(double)), 0);
+
+      double scale = 0.0;
+      for (const double v : gb_ref) scale = std::max(scale, std::abs(v));
+      for (const double v : gg_ref) scale = std::max(scale, std::abs(v));
+      ASSERT_GT(scale, 1e-6);
+      for (std::size_t i = 0; i < nb; ++i) {
+        EXPECT_LE(std::abs(gb[i] - gb_ref[i]), 1e-12 * scale)
+            << "beta[" << i << "] " << gb[i] << " vs " << gb_ref[i];
+      }
+      for (std::size_t i = 0; i < ng; ++i) {
+        EXPECT_LE(std::abs(gg[i] - gg_ref[i]), 1e-12 * scale)
+            << "gamma[" << i << "] " << gg[i] << " vs " << gg_ref[i];
+      }
+      if (c.all_x) {
+        // Forward: 2 passes per mixer. Reverse: 4 in the frame, 6 through
+        // apply_ham + 2 apply_exp.
+        EXPECT_EQ(wht_count(ws), 6 * nb);
+        EXPECT_EQ(wht_count(ref_ws), 8 * nb);
+      }
+    }
+  }
 }
 
 TEST(FiniteDiff, ForwardSchemeRoughlyMatchesCentral) {

@@ -144,8 +144,8 @@ std::vector<Instance> instances(int n) {
   out.push_back({"wmaxcut", tabulate(StateSpace::full(n), [&wg](state_t x) {
                    return maxcut(wg, x);
                  })});
-  // Integer weights: with real ones |2 sel - total| is flip invariant only
-  // up to rounding, and the bitwise check rightly declines.
+  // Integer weights, as the service's "partition" draws them; real weights
+  // are covered by RealWeightedPartitionFolds.
   std::vector<double> weights;
   for (int i = 0; i < n; ++i) {
     weights.push_back(static_cast<double>(1 + rng.bounded(9)));
@@ -210,6 +210,56 @@ TEST(Z2Fold, ValueAndGradientMatchTheFullRoute) {
       unfold_state(folded, wf.psi, psi);
       EXPECT_LT(testutil::max_diff(psi, wu.psi), 1e-12) << inst.name;
     }
+  }
+}
+
+TEST(Z2Fold, RealWeightedPartitionFolds) {
+  // number_partition sums +-w_i in a fixed order, so complementing x
+  // negates the sum exactly and a real-weighted table passes the bitwise
+  // flip check. The fold must agree with the full route, and the table
+  // with the textbook |2 * selected - total|.
+  const int n = 10;
+  Rng rng(31);
+  std::vector<double> weights(static_cast<std::size_t>(n));
+  for (double& w : weights) w = rng.uniform(0.1, 10.0);
+  const dvec table = tabulate(StateSpace::full(n), [&weights](state_t x) {
+    return number_partition(weights, x);
+  });
+  double wscale = 0.0;
+  for (const double w : weights) wscale += w;
+  for (state_t x = 0; x < table.size(); ++x) {
+    double selected = 0.0;
+    double total = 0.0;
+    for (int i = 0; i < n; ++i) {
+      total += weights[static_cast<std::size_t>(i)];
+      if (((x >> i) & 1) != 0) selected += weights[static_cast<std::size_t>(i)];
+    }
+    EXPECT_LE(std::abs(table[x] - std::abs(2.0 * selected - total)),
+              1e-12 * wscale)
+        << "x=" << x;
+  }
+
+  const XMixer tf = XMixer::transverse_field(n);
+  const QaoaPlan folded(repeat(tf, 3), table);
+  const QaoaPlan full = full_route(repeat(tf, 3), table);
+  ASSERT_TRUE(folded.folded());
+  ASSERT_FALSE(full.folded());
+  const std::vector<double> betas{0.41, -0.27, 0.63};
+  const std::vector<double> gammas{0.12, -0.35, 0.08};
+  EvalWorkspace wf;
+  EvalWorkspace wu;
+  std::vector<double> gbf(3), ggf(3), gbu(3), ggu(3);
+  const double ef =
+      adjoint_value_and_gradient(folded, wf, betas, gammas, gbf, ggf);
+  const double eu =
+      adjoint_value_and_gradient(full, wu, betas, gammas, gbu, ggu);
+  EXPECT_LE(rel(ef, eu), 1e-12) << ef << " vs " << eu;
+  double gscale = 0.0;
+  for (const double g : gbu) gscale = std::max(gscale, std::abs(g));
+  for (const double g : ggu) gscale = std::max(gscale, std::abs(g));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_LE(std::abs(gbf[i] - gbu[i]), 1e-12 * gscale) << "dbeta " << i;
+    EXPECT_LE(std::abs(ggf[i] - ggu[i]), 1e-12 * gscale) << "dgamma " << i;
   }
 }
 
