@@ -1,8 +1,10 @@
 // Kernel-backend ablations: quantify the two structural bets of
 // src/linalg/kernels/ against the code they replaced.
 //
-//   1. blocked WHT — one parallel region, cache-resident multi-stage
-//      blocks — vs the seed's per-stage-parallel radix-2 butterflies,
+//   1. blocked WHT — one parallel region, L1-resident multi-stage blocks,
+//      radix-8 sweeps — vs the seed's per-stage-parallel radix-2
+//      butterflies, at n = 18/20 and, single-threaded with achieved
+//      bandwidth, at the folded working lengths n = 11 and 15,
 //   2. fused phase -> WHT -> expectation round vs the same work issued as
 //      separate kernel calls,
 //   3. the headline: the fused round on the best available backend vs the
@@ -143,6 +145,8 @@ int main(int argc, char** argv) {
   report.meta("reps", static_cast<long long>(reps));
 
   const std::vector<std::string> backends = kn::available();
+  kn::select("auto");
+  const std::string best = kn::active_name();
   const double kAngle = 0.37;
   const double kGamma = 0.21;
 
@@ -176,6 +180,67 @@ int main(int argc, char** argv) {
       report.field("speedup", speedup);
     }
   }
+
+  // One-thread rows at the folded working lengths of find_angles (n=11)
+  // and eval_hot / batch_sweep (n=15). Each rep times an interleaved pair
+  // of kWhtCalls calls per side from the same start (few enough calls that
+  // the unnormalized transform cannot overflow); the speedup is the median
+  // of the per-rep ratios. gbps is compulsory traffic, one read and one
+  // write of every complex value (32 B), over the blocked kernel's time.
+  const int restore_wht_threads = num_threads();
+  set_num_threads(1);
+  std::printf("\n[wht] 1 thread, folded working lengths: blocked vs "
+              "per-stage (seed)\n");
+  std::printf("%-8s %4s %14s %14s %9s %8s\n", "backend", "n", "blocked_s",
+              "per_stage_s", "speedup", "gbps");
+  double wht_blocked_speedup_n15 = 0.0;
+  for (const auto& name : backends) {
+    if (!kn::select(name)) continue;
+    const kn::KernelBackend& k = kn::active();
+    for (const int n : {11, 15}) {
+      const int kWhtCalls = n == 11 ? 64 : 8;
+      const index_t dim = index_t{1} << n;
+      const cvec start = random_state(dim, 11);
+      cvec psi = start;
+      std::vector<double> t_blocked;
+      std::vector<double> t_stage;
+      std::vector<double> ratio;
+      for (int rep = 0; rep <= reps; ++rep) {  // rep 0 warms up
+        psi = start;
+        WallTimer blocked_timer;
+        for (int c = 0; c < kWhtCalls; ++c) k.wht(psi.data(), dim);
+        const double blocked_s = blocked_timer.seconds() / kWhtCalls;
+        g_sink += psi[0].real();
+        psi = start;
+        WallTimer stage_timer;
+        for (int c = 0; c < kWhtCalls; ++c) wht_per_stage(psi.data(), dim);
+        const double stage_s = stage_timer.seconds() / kWhtCalls;
+        g_sink += psi[0].real();
+        if (rep == 0) continue;
+        t_blocked.push_back(blocked_s);
+        t_stage.push_back(stage_s);
+        ratio.push_back(stage_s / blocked_s);
+      }
+      std::sort(t_blocked.begin(), t_blocked.end());
+      std::sort(t_stage.begin(), t_stage.end());
+      std::sort(ratio.begin(), ratio.end());
+      const double blocked_s = t_blocked[t_blocked.size() / 2];
+      const double speedup = ratio[ratio.size() / 2];
+      const double gbps = 32.0 * static_cast<double>(dim) / blocked_s / 1e9;
+      if (name == best && n == 15) wht_blocked_speedup_n15 = speedup;
+      std::printf("%-8s %4d %14.8f %14.8f %8.2fx %8.1f\n", name.c_str(), n,
+                  blocked_s, t_stage[t_stage.size() / 2], speedup, gbps);
+      report.row();
+      report.field("section", std::string("wht_blocked_vs_per_stage_t1"));
+      report.field("backend", name);
+      report.field("n", static_cast<long long>(n));
+      report.field("blocked_s", blocked_s);
+      report.field("per_stage_s", t_stage[t_stage.size() / 2]);
+      report.field("speedup", speedup);
+      report.field("gbps", gbps);
+    }
+  }
+  set_num_threads(restore_wht_threads);
 
   // -- 2. fused vs unfused round, per backend --------------------------------
   // Round = diag phase + normalize-scale -> WHT -> diagonal expectation;
@@ -223,7 +288,6 @@ int main(int argc, char** argv) {
 
   // -- 3. headline: best backend fused round vs the seed-era round -----------
   kn::select("auto");
-  const std::string best = kn::active_name();
   const kn::KernelBackend& k = kn::active();
   std::printf("\n[evaluate] %s fused round vs seed-era round\n", best.c_str());
   std::printf("%-8s %4s %14s %14s %9s\n", "backend", "n", "fused_s", "seed_s",
@@ -474,12 +538,15 @@ int main(int argc, char** argv) {
 
   std::printf("\nacceptance: blocked vs per-stage WHT (scalar, n=20): %.2fx\n",
               scalar_blocked_speedup_n20);
+  std::printf("acceptance: %s blocked vs per-stage WHT (n=15, 1 thread): "
+              "%.2fx\n", best.c_str(), wht_blocked_speedup_n15);
   std::printf("acceptance: %s fused round vs seed round (n=20): %.2fx\n",
               best.c_str(), best_vs_seed_n20);
   std::printf("acceptance: %s quantized vs per-element phase_wht (n=20): "
               "%.2fx\n", best.c_str(), quantized_phase_speedup_n20);
   report.meta("best_backend", best);
   report.meta("scalar_blocked_speedup_n20", scalar_blocked_speedup_n20);
+  report.meta("wht_blocked_speedup_n15", wht_blocked_speedup_n15);
   report.meta("best_vs_seed_speedup_n20", best_vs_seed_n20);
   std::printf("acceptance: %s folded vs full-route evaluate() (n=20): "
               "%.2fx\n", best.c_str(), z2_fold_speedup_n20);

@@ -1,6 +1,7 @@
-// AVX-512 backend. Compiled with -mavx512{f,dq,vl,bw} -mfma when available
-// (FASTQAOA_KERNELS_COMPILE_AVX512 defined by CMake), null registration
-// otherwise. Runtime dispatch gates installation on CPUID.
+// AVX-512 backend. Compiled with -mavx512{f,dq,vl,bw} -mfma
+// -mprefer-vector-width=512 when available (FASTQAOA_KERNELS_COMPILE_AVX512
+// defined by CMake), null registration otherwise. Runtime dispatch gates
+// installation on CPUID.
 
 #include "linalg/kernels/kernels.hpp"
 

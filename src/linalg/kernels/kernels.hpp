@@ -10,7 +10,8 @@
 ///
 ///   * scalar  — reference ordering, default build flags, libm sincos
 ///   * avx2    — -mavx2 -mfma, vectorized polynomial sincos
-///   * avx512  — -mavx512{f,dq,vl,bw} -mfma, same kernels at wider lanes
+///   * avx512  — -mavx512{f,dq,vl,bw} -mfma -mprefer-vector-width=512,
+///               same kernels at 512-bit lanes
 ///
 /// The AVX TUs are compile-time gated (they degrade to a null registration
 /// on compilers/arches without the flags) and runtime-dispatched: active()

@@ -120,18 +120,23 @@ TEST_P(BatchBackendTest, BitIdenticalToSequentialAcrossWidthsAndThreads) {
 TEST_P(BatchBackendTest, BlockedDriverBitIdentity) {
   BackendGuard guard(GetParam());
   if (!guard.ok()) GTEST_SKIP() << "backend unavailable: " << GetParam();
-  // The MaxCut plan folds to working length 8192, which exceeds the
-  // serial-transform threshold (2^12), so the blocked WHT driver runs. The
+  // The MaxCut plans fold to working lengths 2^13, 2^14 and 2^15, above the
+  // serial-transform threshold (2^12), so the blocked WHT driver runs. Over
+  // its 2^10 bottom block they leave 3, 4 and 5 top stages: the fused
+  // expectation lands in a final radix-8, radix-2 and radix-4 pass. The
   // small-dim tests above cover the serial path; this pins the other regime.
-  const dvec obj = maxcut_objective(14, 19);
-  const XMixer mixer = XMixer::transverse_field(14);
-  const QaoaPlan plan(mixer, obj, 2);
-  ASSERT_TRUE(plan.folded());
-  ASSERT_EQ(plan.work_dim(), index_t{1} << 13);
-  for (const int threads : {1, 4}) {
-    set_num_threads(threads);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_batch_bitwise(plan, 4, 271);
+  for (const int n : {14, 15, 16}) {
+    const dvec obj = maxcut_objective(n, 19);
+    const XMixer mixer = XMixer::transverse_field(n);
+    const QaoaPlan plan(mixer, obj, 2);
+    ASSERT_TRUE(plan.folded());
+    ASSERT_EQ(plan.work_dim(), index_t{1} << (n - 1));
+    for (const int threads : {1, 4}) {
+      set_num_threads(threads);
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      expect_batch_bitwise(plan, 4, 271);
+    }
   }
   set_num_threads(0);
 }

@@ -89,8 +89,17 @@ double state_rel_err(const cvec& got, const cvec& want) {
   return num / den;
 }
 
+bool same_bits(const cvec& a, const cvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 /// Sizes that cross the serial/parallel thresholds of every kernel family
-/// (WHT blocks at 4096 complex, elementwise at 8192, reductions at 8192).
+/// (blocked WHT above 4096 complex, elementwise at 8192, reductions at 8192).
 const index_t kSizes[] = {1, 2, 8, 64, 1024, 1 << 14};
 
 TEST(Kernels, ScalarBackendAlwaysAvailable) {
@@ -168,6 +177,70 @@ TEST(Kernels, WhtFamilyMatchesScalarReference) {
           << name << " phase_wht_expect value n=" << n;
     }
   }
+}
+
+/// The classic transform: one radix-2 stage per stride, strides ascending.
+void wht_stage_by_stage(cvec& v) {
+  const index_t n = v.size();
+  for (index_t h = 1; h < n; h <<= 1) {
+    for (index_t base = 0; base < n; base += 2 * h) {
+      for (index_t j = base; j < base + h; ++j) {
+        const cplx x = v[j];
+        const cplx y = v[j + h];
+        v[j] = x + y;
+        v[j + h] = x - y;
+      }
+    }
+  }
+}
+
+TEST(Kernels, WhtBitIdenticalToStageByStageTransform) {
+  // The fused sweeps (radix-8, then a radix-4 or radix-2 remainder) keep
+  // the stage-by-stage association, so every backend's WHT output must be
+  // the classic transform's bit for bit. 2^1..2^12 run the serial path;
+  // above it the blocked driver's top passes end on a radix-8 (2^13, 2^16),
+  // radix-2 (2^14, 2^17) or radix-4 (2^15, 2^18) pass. The fused
+  // expectation's value must not depend on the thread count.
+  const int restore = num_threads();
+  for (const std::string& name : kn::available()) {
+    BackendGuard g(name);
+    ASSERT_TRUE(g.ok());
+    const kn::KernelBackend& k = kn::active();
+    for (int log2n = 1; log2n <= 18; ++log2n) {
+      const index_t n = index_t{1} << log2n;
+      std::mt19937_64 gen(static_cast<std::uint64_t>(log2n));
+      const cvec base = random_state(gen, n);
+      const auto obj = random_diag(gen, n, 2.0);
+      const double scale = 1.0 / 3.0;
+      cvec want = base;
+      wht_stage_by_stage(want);
+      cvec want_scaled = base;
+      for (cplx& z : want_scaled) z *= scale;
+      wht_stage_by_stage(want_scaled);
+
+      double e_ref = 0.0;
+      for (const int threads : {1, 4}) {
+        set_num_threads(threads);
+        const std::string what = name + " n=2^" + std::to_string(log2n) +
+                                 " threads=" + std::to_string(threads);
+        cvec got = base;
+        k.wht(got.data(), n);
+        EXPECT_TRUE(same_bits(got, want)) << what << " wht";
+
+        got = base;
+        k.phase_wht(got.data(), nullptr, 0.0, scale, n);
+        EXPECT_TRUE(same_bits(got, want_scaled)) << what << " phase_wht";
+
+        got = base;
+        const double e = k.wht_expect(got.data(), obj.data(), n);
+        EXPECT_TRUE(same_bits(got, want)) << what << " wht_expect state";
+        if (threads == 1) e_ref = e;
+        EXPECT_TRUE(same_bits(e, e_ref))
+            << what << " wht_expect " << e << " vs " << e_ref;
+      }
+    }
+  }
+  set_num_threads(restore);
 }
 
 TEST(Kernels, ElementwiseMatchesScalarReference) {
@@ -459,15 +532,6 @@ dvec maxcut_table(int n, std::uint64_t seed) {
   Graph graph = erdos_renyi(n, 0.5, rng);
   return tabulate(StateSpace::full(n),
                   [&graph](state_t x) { return maxcut(graph, x); });
-}
-
-bool same_bits(const cvec& a, const cvec& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
-}
-
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 /// Runs phase_wht, phase_wht_expect and apply_diag_phase with and without
@@ -801,8 +865,9 @@ struct EngineFixture {
   static EngineFixture make() {
     Rng rng(53);
     // The MaxCut plan folds to working length 32768: the blocked (parallel)
-    // WHT driver runs, with an odd number of top stages (a final radix-2
-    // pass after the radix-4 ones).
+    // WHT driver runs with five top stages over its 2^10 bottom block (a
+    // radix-8 pass, then a final radix-4 pass that carries the fused
+    // expectation).
     const int n = 16;
     Graph g = erdos_renyi(n, 0.3, rng);
     dvec t = tabulate(StateSpace::full(n),
