@@ -23,16 +23,19 @@
 //      composition Mixer::adjoint_step (apply_ham + 2 apply_exp, 6 passes),
 //      with a pending maxcut phase, single-threaded. A speedup near 1.0
 //      means the gradient fell back to the generic step.
+//   7. the cold plan's cost table: the blocked maxcut_table builder vs the
+//      generic per-state tabulate() on MaxCut over Erdős–Rényi(n, 0.5),
+//      single-threaded, with a bit_identical check on each row.
 //
 // Sweeps run per backend via kernels::select(); the seed references are
 // compiled locally in this TU with the build's default flags so they stay
 // an honest baseline. Results land in bench/baselines/kernel_backends.json
 // through the shared --json flag.
 //
-// The phase-route, fold and adjoint-step sweeps time each rep as an
-// interleaved pair and report the median of the per-rep ratios —
-// back-to-back A/B pairs under one machine state are the only timing
-// comparison that survives the clock drift of shared runners.
+// Every sweep but 2 and 3 times each rep as an interleaved pair and
+// reports the median of the per-rep ratios — back-to-back A/B pairs under
+// one machine state are the only timing comparison that survives the
+// clock drift of shared runners.
 //
 // Usage: ablation_kernels [--full] [--reps=N] [--json=path]
 
@@ -104,6 +107,43 @@ double round_seed(cplx* a, const double* d, double angle, double scale,
   return acc;
 }
 
+// ---- timing ------------------------------------------------------------------
+
+/// Median seconds of each side of an interleaved A/B timing, and the median
+/// of the per-rep ratios b_s / a_s.
+struct PairTimes {
+  double a_s;
+  double b_s;
+  double ratio;
+};
+
+/// Times reps interleaved (a, b) pairs after one warm-up pair; reset() runs
+/// untimed before every call.
+template <typename Reset, typename A, typename B>
+PairTimes time_pairs(int reps, Reset&& reset, A&& a, B&& b) {
+  std::vector<double> t_a;
+  std::vector<double> t_b;
+  std::vector<double> ratio;
+  for (int rep = 0; rep <= reps; ++rep) {  // rep 0 warms up
+    reset();
+    WallTimer a_timer;
+    a();
+    const double a_s = a_timer.seconds();
+    reset();
+    WallTimer b_timer;
+    b();
+    const double b_s = b_timer.seconds();
+    if (rep == 0) continue;
+    t_a.push_back(a_s);
+    t_b.push_back(b_s);
+    ratio.push_back(b_s / a_s);
+  }
+  std::sort(t_a.begin(), t_a.end());
+  std::sort(t_b.begin(), t_b.end());
+  std::sort(ratio.begin(), ratio.end());
+  return {t_a[t_a.size() / 2], t_b[t_b.size() / 2], ratio[ratio.size() / 2]};
+}
+
 // ---- state setup -----------------------------------------------------------
 
 cvec random_state(index_t dim, std::uint64_t seed) {
@@ -151,6 +191,8 @@ int main(int argc, char** argv) {
   const double kGamma = 0.21;
 
   // -- 1. blocked vs per-stage WHT, per backend ------------------------------
+  // Each rep is an interleaved pair of one call per side from the same
+  // start; the speedup is the median of the per-rep ratios.
   std::printf("\n[wht] blocked (kernel) vs per-stage-parallel (seed)\n");
   std::printf("%-8s %4s %14s %14s %9s\n", "backend", "n", "blocked_s",
               "per_stage_s", "speedup");
@@ -160,33 +202,30 @@ int main(int argc, char** argv) {
     const kn::KernelBackend& k = kn::active();
     for (const int n : qubits) {
       const index_t dim = index_t{1} << n;
-      cvec psi = random_state(dim, 11);
-      const double t_blocked =
-          benchutil::time_median([&] { k.wht(psi.data(), dim); }, reps);
-      psi = random_state(dim, 11);
-      const double t_stage = benchutil::time_median(
-          [&] { wht_per_stage(psi.data(), dim); }, reps);
+      const cvec start = random_state(dim, 11);
+      cvec psi = start;
+      const PairTimes t = time_pairs(
+          reps, [&] { psi = start; }, [&] { k.wht(psi.data(), dim); },
+          [&] { wht_per_stage(psi.data(), dim); });
       g_sink += psi[0].real();
-      const double speedup = t_stage / t_blocked;
-      if (name == "scalar" && n == 20) scalar_blocked_speedup_n20 = speedup;
-      std::printf("%-8s %4d %14.6f %14.6f %8.2fx\n", name.c_str(), n,
-                  t_blocked, t_stage, speedup);
+      if (name == "scalar" && n == 20) scalar_blocked_speedup_n20 = t.ratio;
+      std::printf("%-8s %4d %14.6f %14.6f %8.2fx\n", name.c_str(), n, t.a_s,
+                  t.b_s, t.ratio);
       report.row();
       report.field("section", std::string("wht_blocked_vs_per_stage"));
       report.field("backend", name);
       report.field("n", static_cast<long long>(n));
-      report.field("blocked_s", t_blocked);
-      report.field("per_stage_s", t_stage);
-      report.field("speedup", speedup);
+      report.field("blocked_s", t.a_s);
+      report.field("per_stage_s", t.b_s);
+      report.field("speedup", t.ratio);
     }
   }
 
   // One-thread rows at the folded working lengths of find_angles (n=11)
-  // and eval_hot / batch_sweep (n=15). Each rep times an interleaved pair
-  // of kWhtCalls calls per side from the same start (few enough calls that
-  // the unnormalized transform cannot overflow); the speedup is the median
-  // of the per-rep ratios. gbps is compulsory traffic, one read and one
-  // write of every complex value (32 B), over the blocked kernel's time.
+  // and eval_hot / batch_sweep (n=15). Each side of a pair makes kWhtCalls
+  // calls from the same start (few enough calls that the unnormalized
+  // transform cannot overflow). gbps is compulsory traffic, one read and
+  // one write of every complex value (32 B), over the blocked kernel's time.
   const int restore_wht_threads = num_threads();
   set_num_threads(1);
   std::printf("\n[wht] 1 thread, folded working lengths: blocked vs "
@@ -202,41 +241,28 @@ int main(int argc, char** argv) {
       const index_t dim = index_t{1} << n;
       const cvec start = random_state(dim, 11);
       cvec psi = start;
-      std::vector<double> t_blocked;
-      std::vector<double> t_stage;
-      std::vector<double> ratio;
-      for (int rep = 0; rep <= reps; ++rep) {  // rep 0 warms up
-        psi = start;
-        WallTimer blocked_timer;
-        for (int c = 0; c < kWhtCalls; ++c) k.wht(psi.data(), dim);
-        const double blocked_s = blocked_timer.seconds() / kWhtCalls;
-        g_sink += psi[0].real();
-        psi = start;
-        WallTimer stage_timer;
-        for (int c = 0; c < kWhtCalls; ++c) wht_per_stage(psi.data(), dim);
-        const double stage_s = stage_timer.seconds() / kWhtCalls;
-        g_sink += psi[0].real();
-        if (rep == 0) continue;
-        t_blocked.push_back(blocked_s);
-        t_stage.push_back(stage_s);
-        ratio.push_back(stage_s / blocked_s);
-      }
-      std::sort(t_blocked.begin(), t_blocked.end());
-      std::sort(t_stage.begin(), t_stage.end());
-      std::sort(ratio.begin(), ratio.end());
-      const double blocked_s = t_blocked[t_blocked.size() / 2];
-      const double speedup = ratio[ratio.size() / 2];
+      const PairTimes t = time_pairs(
+          reps, [&] { psi = start; },
+          [&] {
+            for (int c = 0; c < kWhtCalls; ++c) k.wht(psi.data(), dim);
+          },
+          [&] {
+            for (int c = 0; c < kWhtCalls; ++c) wht_per_stage(psi.data(), dim);
+          });
+      g_sink += psi[0].real();
+      const double blocked_s = t.a_s / kWhtCalls;
+      const double stage_s = t.b_s / kWhtCalls;
       const double gbps = 32.0 * static_cast<double>(dim) / blocked_s / 1e9;
-      if (name == best && n == 15) wht_blocked_speedup_n15 = speedup;
+      if (name == best && n == 15) wht_blocked_speedup_n15 = t.ratio;
       std::printf("%-8s %4d %14.8f %14.8f %8.2fx %8.1f\n", name.c_str(), n,
-                  blocked_s, t_stage[t_stage.size() / 2], speedup, gbps);
+                  blocked_s, stage_s, t.ratio, gbps);
       report.row();
       report.field("section", std::string("wht_blocked_vs_per_stage_t1"));
       report.field("backend", name);
       report.field("n", static_cast<long long>(n));
       report.field("blocked_s", blocked_s);
-      report.field("per_stage_s", t_stage[t_stage.size() / 2]);
-      report.field("speedup", speedup);
+      report.field("per_stage_s", stage_s);
+      report.field("speedup", t.ratio);
       report.field("gbps", gbps);
     }
   }
@@ -534,6 +560,41 @@ int main(int argc, char** argv) {
     report.field("speedup", speedup);
     report.field("rel_diff", rel_diff);
   }
+
+  // -- 7. cost table: blocked builder vs per-state tabulate, 1 thread ------
+  std::printf("\n[cost_table] maxcut ER(n, 0.5), 1 thread: per-state "
+              "tabulate vs blocked maxcut_table\n");
+  std::printf("%-8s %4s %14s %14s %9s\n", "table", "n", "tabulate_s",
+              "blocked_s", "speedup");
+  double cost_table_speedup_n20 = 0.0;
+  for (const int n : {16, 20}) {
+    Rng graph_rng(53);
+    const Graph graph = erdos_renyi(n, 0.5, graph_rng);
+    const StateSpace space = StateSpace::full(n);
+    dvec per_state;
+    dvec blocked;
+    const PairTimes t = time_pairs(
+        reps, [] {}, [&] { blocked = maxcut_table(space, graph); },
+        [&] {
+          per_state = tabulate(
+              space, [&graph](state_t x) { return maxcut(graph, x); });
+        });
+    const bool bit_identical =
+        per_state.size() == blocked.size() &&
+        std::memcmp(per_state.data(), blocked.data(),
+                    blocked.size() * sizeof(double)) == 0;
+    if (n == 20) cost_table_speedup_n20 = t.ratio;
+    std::printf("%-8s %4d %14.6f %14.6f %8.2fx%s\n", "maxcut", n, t.b_s,
+                t.a_s, t.ratio, bit_identical ? "" : "  BITDIFF");
+    report.row();
+    report.field("section", std::string("cost_table"));
+    report.field("n", static_cast<long long>(n));
+    report.field("tabulate_s", t.b_s);
+    report.field("blocked_s", t.a_s);
+    report.field("speedup", t.ratio);
+    report.field("bit_identical",
+                 static_cast<long long>(bit_identical ? 1 : 0));
+  }
   set_num_threads(restore_threads);
 
   std::printf("\nacceptance: blocked vs per-stage WHT (scalar, n=20): %.2fx\n",
@@ -555,6 +616,9 @@ int main(int argc, char** argv) {
   std::printf("acceptance: %s Hadamard-frame vs generic adjoint_step "
               "(n=20): %.2fx\n", best.c_str(), frame_adjoint_speedup_n20);
   report.meta("frame_adjoint_speedup_n20", frame_adjoint_speedup_n20);
+  std::printf("acceptance: blocked maxcut_table vs per-state tabulate "
+              "(n=20, 1 thread): %.2fx\n", cost_table_speedup_n20);
+  report.meta("cost_table_speedup_n20", cost_table_speedup_n20);
   report.attach_metrics();
   report.write();
 

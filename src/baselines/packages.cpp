@@ -17,9 +17,7 @@ class FastQaoaPackage final : public QaoaPackage {
  public:
   FastQaoaPackage(const Graph& g, int rounds)
       : mixer_(XMixer::transverse_field(g.num_vertices())),
-        engine_(mixer_,
-                tabulate(StateSpace::full(g.num_vertices()),
-                         [&g](state_t x) { return maxcut(g, x); }),
+        engine_(mixer_, maxcut_table(StateSpace::full(g.num_vertices()), g),
                 rounds) {}
 
   [[nodiscard]] std::string name() const override { return "fastqaoa"; }

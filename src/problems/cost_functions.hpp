@@ -50,7 +50,9 @@ double portfolio_value(const std::vector<double>& expected_returns,
 /// cost(space.state(i)). This is the paper's pre-computation step — the
 /// only problem-specific input the simulator ever sees. OpenMP-parallel
 /// over the feasible set (cost must be safe to call concurrently, which
-/// every pure function of (structure, state) is).
+/// every pure function of (structure, state) is). It is the generic path,
+/// for user-defined cost functions and as the tests' oracle; the built-in
+/// problems have the blocked builders below.
 template <typename CostFn>
 dvec tabulate(const StateSpace& space, CostFn&& cost) {
   dvec values(space.dim(), 0.0);
@@ -62,5 +64,33 @@ dvec tabulate(const StateSpace& space, CostFn&& cost) {
   }
   return values;
 }
+
+/// Blocked cost-table builders for the built-in problems: the tables
+/// qaoa_cli, the daemon (service::build_objective) and the fastqaoa
+/// baseline package build. Each returns tabulate(space, f) for its cost
+/// function f bit for bit, for any weights: it walks blocks of at most
+/// kCostTableBlock feasible states (a Dicke space's from its state list)
+/// and, inside a block, the terms in f's own order, so every entry is the
+/// same sum in the same order. One call per term and block instead of one
+/// per state makes them ~10x faster than tabulate on MaxCut. Blocks are
+/// OpenMP-parallel, and each entry is written by one thread, so the table
+/// does not depend on the thread count.
+inline constexpr index_t kCostTableBlock = 4096;
+
+/// tabulate(space, maxcut(g, ·)); also the weighted MaxCut table.
+dvec maxcut_table(const StateSpace& space, const Graph& g);
+
+/// tabulate(space, ksat(f, ·)).
+dvec ksat_table(const StateSpace& space, const CnfFormula& f);
+
+/// tabulate(space, densest_subgraph(g, ·)).
+dvec densest_subgraph_table(const StateSpace& space, const Graph& g);
+
+/// tabulate(space, vertex_cover(g, ·)).
+dvec vertex_cover_table(const StateSpace& space, const Graph& g);
+
+/// tabulate(space, number_partition(weights, ·)).
+dvec number_partition_table(const StateSpace& space,
+                            const std::vector<double>& weights);
 
 }  // namespace fastqaoa

@@ -8,6 +8,7 @@
 /// ignores all non-feasible states".
 
 #include <memory>
+#include <span>
 
 #include "bits/combinatorics.hpp"
 #include "common/types.hpp"
@@ -33,6 +34,13 @@ class StateSpace {
   /// The i-th feasible state (increasing numeric order).
   [[nodiscard]] state_t state(index_t i) const {
     return constrained() ? dicke_->state(i) : static_cast<state_t>(i);
+  }
+
+  /// The feasible states in order for a Dicke space; empty for the full
+  /// space, whose i-th state is i.
+  [[nodiscard]] std::span<const state_t> dicke_states() const noexcept {
+    return constrained() ? std::span<const state_t>(dicke_->states())
+                         : std::span<const state_t>();
   }
 
   /// Index of a feasible state; throws if x is infeasible.

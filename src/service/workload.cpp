@@ -94,27 +94,22 @@ dvec build_objective(const ProblemSpec& spec, const StateSpace& space) {
   Rng rng(spec.instance_seed);
   const int n = spec.n;
   if (spec.problem == "maxcut" || spec.problem == "wmaxcut") {
-    Graph g = build_graph(spec);
-    return tabulate(space, [&g](state_t x) { return maxcut(g, x); });
+    return maxcut_table(space, build_graph(spec));
   }
   if (spec.problem == "ksat") {
-    CnfFormula f = random_ksat_density(n, 3, spec.density, rng);
-    return tabulate(space, [&f](state_t x) { return ksat(f, x); });
+    return ksat_table(space, random_ksat_density(n, 3, spec.density, rng));
   }
   if (spec.problem == "densest") {
-    Graph g = erdos_renyi(n, 0.5, rng);
-    return tabulate(space, [&g](state_t x) { return densest_subgraph(g, x); });
+    return densest_subgraph_table(space, erdos_renyi(n, 0.5, rng));
   }
   if (spec.problem == "vertexcover") {
-    Graph g = erdos_renyi(n, 0.5, rng);
-    return tabulate(space, [&g](state_t x) { return vertex_cover(g, x); });
+    return vertex_cover_table(space, erdos_renyi(n, 0.5, rng));
   }
   FASTQAOA_CHECK(spec.problem == "partition",
                  "unknown problem '" + spec.problem + "'");
   std::vector<double> weights(static_cast<std::size_t>(n));
   for (auto& w : weights) w = std::floor(rng.uniform(1.0, 30.0));
-  return tabulate(space,
-                  [&weights](state_t x) { return number_partition(weights, x); });
+  return number_partition_table(space, weights);
 }
 
 mps::DiagonalHamiltonian build_mps_hamiltonian(const ProblemSpec& spec) {

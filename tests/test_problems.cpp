@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <utility>
 
 #include "common/rng.hpp"
+#include "common/threading.hpp"
 #include "problems/cost_functions.hpp"
 #include "problems/objective.hpp"
+#include "problems/weighted_maxcut.hpp"
 
 namespace fastqaoa {
 namespace {
@@ -134,6 +139,112 @@ TEST(Tabulate, DickeSubspaceIndexing) {
   space.for_each([&](index_t i, state_t s) {
     EXPECT_DOUBLE_EQ(table[i], densest_subgraph(g, s));
   });
+}
+
+// The blocked builders against the generic tabulate() oracle, byte for
+// byte. The spaces put the dimension below one block, at exactly one, at a
+// multiple of it, and past a multiple, on full and Dicke spaces.
+std::vector<StateSpace> table_spaces() {
+  return {StateSpace::full(5),      StateSpace::full(12),
+          StateSpace::full(14),     StateSpace::dicke(14, 5),
+          StateSpace::dicke(16, 7), StateSpace::dicke(9, 0)};
+}
+
+/// tables(space) returns {builder table, tabulate table} for an instance
+/// on space.n() qubits; both are built at 1 and at 4 OpenMP threads.
+void expect_tables_match(
+    const std::function<std::pair<dvec, dvec>(const StateSpace&)>& tables) {
+  const int restore = num_threads();
+  for (const StateSpace& space : table_spaces()) {
+    for (const int threads : {1, 4}) {
+      set_num_threads(threads);
+      const auto [got, want] = tables(space);
+      ASSERT_EQ(got.size(), space.dim());
+      ASSERT_EQ(want.size(), space.dim());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            space.dim() * sizeof(double)),
+                0)
+          << "n=" << space.n() << " k=" << space.k()
+          << " threads=" << threads;
+    }
+  }
+  set_num_threads(restore);
+}
+
+TEST(CostTables, SpacesCoverTheBlockEdges) {
+  std::vector<index_t> dims;
+  for (const StateSpace& space : table_spaces()) dims.push_back(space.dim());
+  EXPECT_EQ(dims[0], 32u);                   // below one block
+  EXPECT_EQ(dims[1], kCostTableBlock);       // exactly one block
+  EXPECT_EQ(dims[2] % kCostTableBlock, 0u);  // a multiple
+  EXPECT_EQ(dims[3], 2002u);                 // Dicke, below one block
+  EXPECT_GT(dims[4], kCostTableBlock);       // Dicke, past a multiple
+  EXPECT_NE(dims[4] % kCostTableBlock, 0u);
+  EXPECT_EQ(dims[5], 1u);                    // the single weight-0 state
+}
+
+/// Graph tables at integer and at with_random_weights real weights.
+void expect_graph_tables_match(dvec (*build)(const StateSpace&, const Graph&),
+                               double (*cost)(const Graph&, state_t)) {
+  for (const bool weighted : {false, true}) {
+    expect_tables_match([&](const StateSpace& space) {
+      Rng rng(static_cast<std::uint64_t>(space.n()) + 100);
+      Graph g = erdos_renyi(space.n(), 0.5, rng);
+      if (weighted) g = with_random_weights(g, rng);
+      return std::pair{build(space, g), tabulate(space, [&g, cost](state_t x) {
+                         return cost(g, x);
+                       })};
+    });
+  }
+}
+
+TEST(CostTables, MaxCutMatchesTabulate) {
+  expect_graph_tables_match(maxcut_table, maxcut);
+}
+
+TEST(CostTables, DensestSubgraphMatchesTabulate) {
+  expect_graph_tables_match(densest_subgraph_table, densest_subgraph);
+}
+
+TEST(CostTables, VertexCoverMatchesTabulate) {
+  expect_graph_tables_match(vertex_cover_table, vertex_cover);
+}
+
+TEST(CostTables, KsatWithNegatedLiteralsMatchesTabulate) {
+  expect_tables_match([](const StateSpace& space) {
+    Rng rng(static_cast<std::uint64_t>(space.n()) + 200);
+    CnfFormula f = random_ksat_density(space.n(), 3, 6.0, rng);
+    // A clause of negated literals only, and one of mixed polarity.
+    f.add_clause({{0, true}, {space.n() - 1, true}});
+    f.add_clause({{space.n() / 2, false}, {1, true}});
+    int negated = 0;
+    for (const Clause& clause : f.clauses()) {
+      for (const Literal& lit : clause) negated += lit.negated ? 1 : 0;
+    }
+    EXPECT_GT(negated, 0);
+    return std::pair{ksat_table(space, f), tabulate(space, [&f](state_t x) {
+                       return ksat(f, x);
+                     })};
+  });
+}
+
+TEST(CostTables, NumberPartitionMatchesTabulate) {
+  for (const bool integer : {true, false}) {
+    expect_tables_match([&](const StateSpace& space) {
+      Rng rng(static_cast<std::uint64_t>(space.n()) + 300);
+      std::vector<double> weights(static_cast<std::size_t>(space.n()));
+      for (auto& w : weights) {
+        w = rng.uniform(1.0, 30.0);
+        if (integer) w = std::floor(w);
+      }
+      return std::pair{number_partition_table(space, weights),
+                       tabulate(space, [&weights](state_t x) {
+                         return number_partition(weights, x);
+                       })};
+    });
+  }
+  const std::vector<double> too_many(63, 1.0);
+  EXPECT_THROW(number_partition_table(StateSpace::full(4), too_many), Error);
 }
 
 TEST(ObjectiveStats, ExtremaAndDegeneracy) {

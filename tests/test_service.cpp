@@ -36,6 +36,8 @@
 #include "core/plan.hpp"
 #include "io/serialize.hpp"
 #include "obs/prometheus.hpp"
+#include "problems/cost_functions.hpp"
+#include "sat/cnf.hpp"
 #include "service/client.hpp"
 #include "service/job.hpp"
 #include "service/json.hpp"
@@ -446,6 +448,66 @@ TEST(ServiceEvaluate, CacheHitAllocatesNoCostTable) {
   const std::size_t table = tracked_alloc_bytes((std::size_t{1} << 16) *
                                                 sizeof(double));
   EXPECT_LT(MemoryTracker::peak_bytes() - before, table);
+}
+
+// build_objective takes the blocked builders; the reference here draws the
+// same instance and tabulates it state by state through the generic path.
+dvec tabulate_reference(const ProblemSpec& spec, const StateSpace& space) {
+  Rng rng(spec.instance_seed);
+  const int n = spec.n;
+  if (spec.problem == "maxcut" || spec.problem == "wmaxcut") {
+    const Graph g = build_graph(spec);
+    return tabulate(space, [&g](state_t x) { return maxcut(g, x); });
+  }
+  if (spec.problem == "ksat") {
+    const CnfFormula f = random_ksat_density(n, 3, spec.density, rng);
+    return tabulate(space, [&f](state_t x) { return ksat(f, x); });
+  }
+  if (spec.problem == "densest" || spec.problem == "vertexcover") {
+    const Graph g = erdos_renyi(n, 0.5, rng);
+    if (spec.problem == "densest") {
+      return tabulate(space,
+                      [&g](state_t x) { return densest_subgraph(g, x); });
+    }
+    return tabulate(space, [&g](state_t x) { return vertex_cover(g, x); });
+  }
+  std::vector<double> weights(static_cast<std::size_t>(n));
+  for (auto& w : weights) w = std::floor(rng.uniform(1.0, 30.0));
+  return tabulate(space,
+                  [&weights](state_t x) { return number_partition(weights, x); });
+}
+
+TEST(ServiceWorkload, BuildObjectiveMatchesTabulateOnEveryProblem) {
+  int checked = 0;
+  for (const char* problem :
+       {"maxcut", "wmaxcut", "ksat", "densest", "vertexcover", "partition"}) {
+    for (const char* mixer : {"tf", "clique"}) {
+      for (const int degree : {0, 3}) {
+        ProblemSpec spec;
+        spec.problem = problem;
+        spec.mixer = mixer;
+        spec.n = 14;
+        spec.degree = degree;
+        spec.instance_seed = 7 + static_cast<std::uint64_t>(checked);
+        if (degree != 0 && spec.problem != "maxcut" &&
+            spec.problem != "wmaxcut") {
+          EXPECT_THROW(validate_problem_spec(spec), Error);
+          continue;
+        }
+        validate_problem_spec(spec);
+        const StateSpace space = problem_space(spec);
+        const dvec got = build_objective(spec, space);
+        const dvec want = tabulate_reference(spec, space);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << problem << " mixer=" << mixer << " degree=" << degree;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 16);
 }
 
 TEST(ServiceEvaluate, RejectsInvalidSpecsWithThrow) {

@@ -333,29 +333,21 @@ int main(int argc, char** argv) {
     // the atomic writer), later runs skip generation entirely.
     auto tabulate_problem = [&]() -> dvec {
       if (problem == "maxcut" || problem == "wmaxcut") {
-        Graph g = build_maxcut_graph(problem, n, degree, rng);
-        return tabulate(space, [&g](state_t x) { return maxcut(g, x); });
+        return maxcut_table(space, build_maxcut_graph(problem, n, degree, rng));
       }
       if (problem == "ksat") {
-        CnfFormula f = random_ksat_density(n, 3, density, rng);
-        return tabulate(space, [&f](state_t x) { return ksat(f, x); });
+        return ksat_table(space, random_ksat_density(n, 3, density, rng));
       }
       if (problem == "densest") {
-        Graph g = erdos_renyi(n, 0.5, rng);
-        return tabulate(space,
-                        [&g](state_t x) { return densest_subgraph(g, x); });
+        return densest_subgraph_table(space, erdos_renyi(n, 0.5, rng));
       }
       if (problem == "vertexcover") {
-        Graph g = erdos_renyi(n, 0.5, rng);
-        return tabulate(space,
-                        [&g](state_t x) { return vertex_cover(g, x); });
+        return vertex_cover_table(space, erdos_renyi(n, 0.5, rng));
       }
       if (problem == "partition") {
         std::vector<double> weights(static_cast<std::size_t>(n));
         for (auto& w : weights) w = std::floor(rng.uniform(1.0, 30.0));
-        return tabulate(space, [&weights](state_t x) {
-          return number_partition(weights, x);
-        });
+        return number_partition_table(space, weights);
       }
       usage_error("unknown --problem '" + problem + "'");
     };
