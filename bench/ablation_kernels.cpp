@@ -422,6 +422,84 @@ int main(int argc, char** argv) {
                    static_cast<long long>(bit_identical ? 1 : 0));
     }
   }
+  // One thread at the find_angles working length (n=12 MaxCut folded to
+  // 2^11): the folded transverse-field diagonal (nv=7) and the folded cost
+  // table. Interleaved pairs of kRouteCalls11 calls per side from the same
+  // start; gbps is compulsory state traffic (32 B per complex value) over
+  // the quantized time.
+  const int restore_route_threads = num_threads();
+  set_num_threads(1);
+  std::printf("\n[phase_route] 1 thread, n=11 (find_angles working length)"
+              "\n");
+  std::printf("%-8s %4s %-6s %5s %14s %14s %9s %8s\n", "backend", "n",
+              "table", "nv", "per_elem_s", "quantized_s", "speedup", "gbps");
+  {
+    constexpr int kRouteCalls11 = 64;
+    const index_t dim = index_t{1} << 11;
+    Rng graph_rng(59);
+    const Graph graph = erdos_renyi(12, 0.5, graph_rng);
+    const dvec cost12 = maxcut_table(StateSpace::full(12), graph);
+    const XMixer folded_mixer = XMixer::transverse_field(12).folded();
+    const dvec folded_cost(cost12.begin(),
+                           cost12.begin() + static_cast<std::ptrdiff_t>(dim));
+    const struct {
+      const char* table;
+      const dvec* d;
+    } tables[] = {{"mixer", &folded_mixer.diagonal()},
+                  {"cost", &folded_cost}};
+    const double scale = 1.0 / std::sqrt(static_cast<double>(dim));
+    for (const auto& tc : tables) {
+      const dvec& d = *tc.d;
+      const linalg::DiagDict dict = linalg::build_diag_dict(d);
+      for (const auto& name : backends) {
+        if (!kn::select(name)) continue;
+        const cvec start = random_state(dim, 61);
+        cvec plain = start;
+        cvec quant = start;
+        linalg::phase_wht(plain, d, kGamma, scale);
+        linalg::phase_wht(quant, d, kGamma, scale, &dict);
+        const bool bit_identical =
+            std::memcmp(plain.data(), quant.data(), dim * sizeof(cplx)) == 0;
+        const PairTimes t = time_pairs(
+            reps,
+            [&] {
+              plain = start;
+              quant = start;
+            },
+            [&] {
+              for (int c = 0; c < kRouteCalls11; ++c) {
+                linalg::phase_wht(quant, d, kGamma, scale, &dict);
+              }
+            },
+            [&] {
+              for (int c = 0; c < kRouteCalls11; ++c) {
+                linalg::phase_wht(plain, d, kGamma, scale);
+              }
+            });
+        g_sink += plain[0].real() + quant[0].real();
+        const double quant_s = t.a_s / kRouteCalls11;
+        const double plain_s = t.b_s / kRouteCalls11;
+        const double gbps = 32.0 * static_cast<double>(dim) / quant_s / 1e9;
+        std::printf("%-8s %4d %-6s %5zu %14.8f %14.8f %8.2fx %8.1f%s\n",
+                    name.c_str(), 11, tc.table, dict.vals.size(), plain_s,
+                    quant_s, t.ratio, gbps, bit_identical ? "" : "  BITDIFF");
+        report.row();
+        report.field("section", std::string("phase_route_t1"));
+        report.field("backend", name);
+        report.field("n", 11LL);
+        report.field("table", std::string(tc.table));
+        report.field("distinct_values",
+                     static_cast<long long>(dict.vals.size()));
+        report.field("per_element_s", plain_s);
+        report.field("quantized_s", quant_s);
+        report.field("speedup", t.ratio);
+        report.field("gbps", gbps);
+        report.field("bit_identical",
+                     static_cast<long long>(bit_identical ? 1 : 0));
+      }
+    }
+  }
+  set_num_threads(restore_route_threads);
   kn::select("auto");
 
   // -- 5. Z2 fold: folded vs full-route evaluate(), best backend -----------

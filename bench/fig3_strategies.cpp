@@ -74,8 +74,10 @@ int main(int argc, char** argv) {
       mean_rand[static_cast<std::size_t>(p - 1)] += approximation_ratio(
           s.expectation, tables[static_cast<std::size_t>(inst)]);
     }
-    // Median angles across instances, evaluated on every instance.
-    std::vector<double> med = median_angles(angle_sets);
+    // Median angles across instances, evaluated on every instance. Every
+    // table is MaxCut, so they share one angle domain.
+    std::vector<double> med =
+        median_angles(angle_sets, angle_domain(mixer, tables.front()));
     for (int inst = 0; inst < instances; ++inst) {
       const double e =
           evaluate_angles(mixer, tables[static_cast<std::size_t>(inst)], med);

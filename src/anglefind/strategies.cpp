@@ -1,6 +1,7 @@
 #include "anglefind/strategies.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "core/plan.hpp"
+#include "mixers/x_mixer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/checkpoint.hpp"
@@ -632,6 +634,73 @@ std::vector<double> median_angles(
                      : 0.5 * (column[mid - 1] + column[mid]);
   }
   return medians;
+}
+
+namespace {
+
+/// x wrapped into [0, period); period 0 keeps x. std::fmod is exact, so x
+/// and x + k * period wrap to the same bits whenever both are exact.
+double wrap_angle(double x, double period) {
+  if (period <= 0.0) return x;
+  double r = std::fmod(x, period);
+  if (r < 0.0) r += period;
+  return r < period ? r : 0.0;  // r += period can round up to period
+}
+
+/// The transverse-field mixer sum_i X_i: one unit-weight single-qubit term
+/// per qubit.
+bool transverse_field(const XMixer& x) {
+  state_t covered = 0;
+  for (const PauliXTerm& t : x.terms()) {
+    if (t.weight != 1.0 || std::popcount(t.mask) != 1) return false;
+    if ((covered & t.mask) != 0) return false;
+    covered |= t.mask;
+  }
+  return covered == (state_t{1} << x.n()) - 1;
+}
+
+}  // namespace
+
+AngleDomain angle_domain(const Mixer& mixer, const dvec& obj) {
+  AngleDomain domain;
+  if (!obj.empty() && std::all_of(obj.begin(), obj.end(), [](double v) {
+        return v == std::floor(v);
+      })) {
+    domain.gamma_period = 2.0 * kPi;
+  }
+  const auto* x = dynamic_cast<const XMixer*>(&mixer);
+  if (x != nullptr && transverse_field(*x)) {
+    const bool folds =
+        x->n() >= 2 && x->dim() == obj.size() && flip_invariant(obj);
+    domain.beta_period = folds ? 0.5 * kPi : kPi;
+  }
+  return domain;
+}
+
+std::vector<double> median_angles(
+    const std::vector<std::vector<double>>& packed_angle_sets,
+    const AngleDomain& domain) {
+  FASTQAOA_CHECK(!packed_angle_sets.empty(), "median_angles: no inputs");
+  const std::size_t width = packed_angle_sets.front().size();
+  FASTQAOA_CHECK(width % 2 == 0 && width > 0,
+                 "median_angles: need packed [betas..., gammas...] sets");
+  const std::size_t p = width / 2;
+  std::vector<std::vector<double>> canonical;
+  canonical.reserve(packed_angle_sets.size());
+  for (const auto& set : packed_angle_sets) {
+    FASTQAOA_CHECK(set.size() == width, "median_angles: ragged inputs");
+    const double g = wrap_angle(set[p], domain.gamma_period);
+    const bool reverse = domain.gamma_period > 0.0
+                             ? g > 0.5 * domain.gamma_period
+                             : g < 0.0;
+    std::vector<double> c(width);
+    for (std::size_t i = 0; i < width; ++i) {
+      c[i] = wrap_angle(reverse ? -set[i] : set[i],
+                        i < p ? domain.beta_period : domain.gamma_period);
+    }
+    canonical.push_back(std::move(c));
+  }
+  return median_angles(canonical);
 }
 
 double evaluate_angles(const AngleEngine& engine,

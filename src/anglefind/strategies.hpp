@@ -176,6 +176,33 @@ inline AngleSchedule find_angles_grid(const Mixer& mixer,
 std::vector<double> median_angles(
     const std::vector<std::vector<double>>& packed_angle_sets);
 
+/// Periods of the QAOA energy in each β and each γ; 0 means "no known
+/// period" (the angle is not wrapped).
+struct AngleDomain {
+  double beta_period = 0.0;
+  double gamma_period = 0.0;
+};
+
+/// The periods `mixer` and the phase table `obj` guarantee:
+///  * β: π for the transverse-field mixer (e^{-iπ Σ X_i} = ±1), and π/2
+///    when obj is also flip-invariant (the Z2 fold condition): then
+///    e^{-i(π/2) Σ X_i} ∝ X^{⊗n} acts as the identity on the flip-symmetric
+///    states the default |+⟩ start stays in;
+///  * γ: 2π when every value of obj is an integer.
+[[nodiscard]] AngleDomain angle_domain(const Mixer& mixer, const dvec& obj);
+
+/// median_angles on canonical representatives of each set's equivalence
+/// class: packed [β..., γ...] sets are time-reversed, (β, γ) -> (−β, −γ),
+/// so that the first γ lies in [0, gamma_period / 2] (in [0, ∞) without a
+/// γ period), then every angle is wrapped into [0, period). Optima that
+/// differ by a period or by time reversal therefore give the same median.
+/// Time reversal conjugates the state, which keeps the energy only for a
+/// real cost, a real mixer and a real initial state (every mixer here, and
+/// the default |+⟩ start).
+std::vector<double> median_angles(
+    const std::vector<std::vector<double>>& packed_angle_sets,
+    const AngleDomain& domain);
+
 /// <C> at fixed packed angles (used to score median angles), for either
 /// options.direction.
 double evaluate_angles(const AngleEngine& engine,

@@ -53,8 +53,8 @@ bool all_foldable_x_mixers(const std::vector<MixerLayer>& layers) {
   return true;
 }
 
-/// t[x] == t[x ^ (dim - 1)] bit for bit for both tables (an empty `phase`
-/// stands for `obj`), in one pass over the first half.
+}  // namespace
+
 bool flip_invariant(const dvec& obj, const dvec& phase) {
   const auto same = [](double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -67,8 +67,6 @@ bool flip_invariant(const dvec& obj, const dvec& phase) {
   }
   return true;
 }
-
-}  // namespace
 
 QaoaPlan::QaoaPlan(std::vector<MixerLayer> layers, dvec obj_vals,
                    QaoaPlanOptions options)

@@ -158,6 +158,11 @@ class QaoaPlan {
   dvec folded_phase_;  ///< first half of phase_vals_ (empty = folded_obj_)
 };
 
+/// The Z2 fold's table condition: t[x] == t[x ^ (dim - 1)] bit for bit for
+/// both tables (an empty `phase` stands for `obj`), in one pass over the
+/// first half.
+[[nodiscard]] bool flip_invariant(const dvec& obj, const dvec& phase = {});
+
 /// Expand a working-length state `phi` (ws.psi after evaluate()) into the
 /// full-space state `psi` of dimension plan.dim(). For a folded plan, with
 /// b the top qubit and h = work_dim():

@@ -189,7 +189,10 @@ TEST(Integration, MedianAnglesTransferAcrossInstances) {
   const int n = 6;
   XMixer mixer = XMixer::transverse_field(n);
 
+  // Medians are taken over canonical representatives: the searches may
+  // report the same optimum a β period apart or time-reversed.
   std::vector<std::vector<double>> angle_sets;
+  AngleDomain domain;
   for (int inst = 0; inst < 4; ++inst) {
     Graph g = erdos_renyi(n, 0.5, rng);
     dvec table = tabulate(StateSpace::full(n),
@@ -197,8 +200,9 @@ TEST(Integration, MedianAnglesTransferAcrossInstances) {
     auto schedules =
         find_angles(mixer, table, 1, quick_options(55 + inst));
     angle_sets.push_back(schedules[0].packed());
+    domain = angle_domain(mixer, table);
   }
-  std::vector<double> med = median_angles(angle_sets);
+  std::vector<double> med = median_angles(angle_sets, domain);
 
   Graph held_out = erdos_renyi(n, 0.5, rng);
   dvec table = tabulate(StateSpace::full(n), [&held_out](state_t x) {

@@ -492,6 +492,48 @@ TEST(Kernels, ThreadCountInvariancePerBackend) {
   }
 }
 
+TEST(Kernels, DiagBracketMatchesLongDoubleReference) {
+  // diag_bracket_imag (the adjoint's beta and gamma brackets) against a
+  // long double sum, relative to sum_i |term_i|, on both sides of the
+  // serial threshold (kRedSerial = 2^13) and at a ragged blocked size;
+  // every size is bit-identical at 1 and 4 threads.
+  std::mt19937_64 gen(31);
+  const int restore = num_threads();
+  for (const index_t n : {index_t{8}, index_t{64}, index_t{1} << 11,
+                          index_t{1} << 13, (index_t{1} << 13) + 64,
+                          index_t{1} << 15}) {
+    const cvec lambda = random_state(gen, n);
+    const cvec psi = random_state(gen, n);
+    const auto d = random_diag(gen, n);
+    long double ref = 0.0L;
+    long double mag = 0.0L;
+    for (index_t i = 0; i < n; ++i) {
+      const long double t =
+          static_cast<long double>(d[i]) *
+          (static_cast<long double>(lambda[i].real()) * psi[i].imag() -
+           static_cast<long double>(lambda[i].imag()) * psi[i].real());
+      ref += t;
+      mag += std::fabs(t);
+    }
+    for (const std::string& name : kn::available()) {
+      BackendGuard g(name);
+      ASSERT_TRUE(g.ok());
+      const kn::KernelBackend& k = kn::active();
+      set_num_threads(1);
+      const double one = k.diag_bracket_imag(lambda.data(), d.data(),
+                                             psi.data(), n);
+      set_num_threads(4);
+      const double four = k.diag_bracket_imag(lambda.data(), d.data(),
+                                              psi.data(), n);
+      EXPECT_LE(std::fabs(static_cast<long double>(one) - ref),
+                1e-14L * mag)
+          << name << " n=" << n;
+      EXPECT_TRUE(same_bits(one, four)) << name << " n=" << n;
+    }
+  }
+  set_num_threads(restore);
+}
+
 TEST(Kernels, EvaluateParityAcrossBackendsThroughEngine) {
   // End-to-end: the same plan evaluated on every backend agrees to 1e-13.
   Rng rng(31);
@@ -536,10 +578,14 @@ dvec maxcut_table(int n, std::uint64_t seed) {
 
 /// Runs phase_wht, phase_wht_expect and apply_diag_phase with and without
 /// `dict` (the dictionary of `d`, or any stand-in the route must decline)
-/// and expects bitwise equal states and expectations.
+/// and expects bitwise equal states and expectations. `d_route`, when
+/// given, is the diagonal passed along with the dictionary instead of d: a
+/// poisoned copy proves the route ran.
 void expect_dict_calls_bitwise(const dvec& d, const linalg::DiagDict* dict,
                                double angle, double scale,
-                               const std::string& what) {
+                               const std::string& what,
+                               const dvec* d_route = nullptr) {
+  const dvec& dr = d_route != nullptr ? *d_route : d;
   std::mt19937_64 gen(d.size());
   const cvec base = random_state(gen, d.size());
   const std::vector<double> o = random_diag(gen, d.size(), 2.0);
@@ -548,7 +594,7 @@ void expect_dict_calls_bitwise(const dvec& d, const linalg::DiagDict* dict,
     cvec want = base;
     linalg::phase_wht(want, d, angle, scale);
     cvec got = base;
-    linalg::phase_wht(got, d, angle, scale, dict);
+    linalg::phase_wht(got, dr, angle, scale, dict);
     EXPECT_TRUE(same_bits(got, want)) << what << " phase_wht";
 
     cvec want_e = base;
@@ -556,7 +602,7 @@ void expect_dict_calls_bitwise(const dvec& d, const linalg::DiagDict* dict,
         linalg::phase_wht_expect(want_e, d, angle, scale, obj);
     cvec got_e = base;
     const double e_got =
-        linalg::phase_wht_expect(got_e, d, angle, scale, obj, dict);
+        linalg::phase_wht_expect(got_e, dr, angle, scale, obj, dict);
     EXPECT_TRUE(same_bits(e_got, e_want))
         << what << " phase_wht_expect " << e_got << " vs " << e_want;
     EXPECT_TRUE(same_bits(got_e, want_e)) << what << " phase_wht_expect state";
@@ -564,7 +610,7 @@ void expect_dict_calls_bitwise(const dvec& d, const linalg::DiagDict* dict,
   cvec want_p = base;
   linalg::apply_diag_phase(want_p, d, angle);
   cvec got_p = base;
-  linalg::apply_diag_phase(got_p, d, angle, dict);
+  linalg::apply_diag_phase(got_p, dr, angle, dict);
   EXPECT_TRUE(same_bits(got_p, want_p)) << what << " apply_diag_phase";
 }
 
@@ -600,6 +646,54 @@ TEST(QuantizedPhaseRoute, SingleStateCallsBitIdenticalToPerElementSweep) {
         set_num_threads(threads);
         expect_dict_calls_bitwise(d, &dict, -1.7, 1.0,
                                   name + " dim=" + std::to_string(dim));
+      }
+    }
+  }
+  set_num_threads(restore);
+}
+
+TEST(QuantizedPhaseRoute, LookupTiersBitIdenticalToPerElementSweep) {
+  // Every lookup tier and its edges: on avx512 the in-register selects
+  // (nv <= 16, 32, 48, 64, one blend per further 16 entries) and the
+  // gathers above 64; on avx2 the gathers throughout. Serial (2^6, 2^11)
+  // and blocked (2^14) WHT drivers, 1 and 4 threads. On the fast-sincos
+  // backends d is poisoned in the dictionary calls, so the results can only
+  // match if the lookup ran; the scalar backend never looks up and gets the
+  // true d.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int restore = num_threads();
+  for (const std::string& name : kn::available()) {
+    BackendGuard g(name);
+    ASSERT_TRUE(g.ok());
+    for (const index_t nv : {1, 2, 8, 16, 17, 32, 33, 64, 65, 512}) {
+      for (const int log_n : {6, 11, 14}) {
+        const index_t n = index_t{1} << log_n;
+        if (nv > n) continue;
+        // The first nv elements take every value once, the rest random
+        // ones, so every table slot is read from every lane position.
+        std::mt19937_64 gen(static_cast<std::uint64_t>(nv * 131 + n));
+        std::uniform_int_distribution<index_t> pick(0, nv - 1);
+        dvec d(n);
+        for (index_t i = 0; i < n; ++i) {
+          const index_t j = i < nv ? i : pick(gen);
+          d[i] = 0.37 * static_cast<double>(j) - 0.09 * static_cast<double>(nv);
+        }
+        const linalg::DiagDict dict = linalg::build_diag_dict(d);
+        ASSERT_TRUE(dict.valid()) << nv << " " << n;
+        ASSERT_EQ(dict.vals.size(), static_cast<std::size_t>(nv));
+        const dvec d_nan(n, nan);
+        const dvec* d_route = name == "scalar" ? nullptr : &d_nan;
+        for (const int threads : {1, 4}) {
+          set_num_threads(threads);
+          for (const double scale : {1.0, 1.0 / static_cast<double>(n)}) {
+            expect_dict_calls_bitwise(
+                d, &dict, 0.71, scale,
+                name + " nv=" + std::to_string(nv) +
+                    " n=" + std::to_string(n) +
+                    " threads=" + std::to_string(threads),
+                d_route);
+          }
+        }
       }
     }
   }

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -210,6 +211,60 @@ TEST(MedianAngles, CoordinateWiseMedian) {
   med = median_angles(sets);
   EXPECT_DOUBLE_EQ(med[0], 2.5);
   EXPECT_DOUBLE_EQ(med[1], 25.0);
+}
+
+TEST(MedianAngles, EquivalentOptimaGiveTheSameMedian) {
+  // MaxCut under the transverse field: integer and flip-invariant, so the
+  // energy has period pi/2 in every beta and 2 pi in every gamma, and is
+  // invariant under time reversal. Copies of the base sets moved by
+  // periods or reversed must give a bit-equal median. The angles are
+  // dyadic and the shifts power-of-two multiples of the periods, so every
+  // shifted angle is exact and wraps back to the base bits.
+  Rng rng(12);
+  const Graph g = erdos_renyi(6, 0.5, rng);
+  const dvec table = maxcut_table(g);
+  const XMixer mixer = XMixer::transverse_field(6);
+  const AngleDomain domain = angle_domain(mixer, table);
+  const double pb = 0.5 * kPi;
+  const double pg = 2.0 * kPi;
+  EXPECT_EQ(domain.beta_period, pb);
+  EXPECT_EQ(domain.gamma_period, pg);
+
+  // Packed [beta1, beta2, gamma1, gamma2], betas in [0, pi/2), first gamma
+  // in (0, pi), second gamma in [0, 2 pi).
+  const std::vector<std::vector<double>> base = {{0.375, 1.25, 0.5, 2.75},
+                                                 {0.625, 0.125, 1.5, 0.25},
+                                                 {1.125, 0.75, 2.25, 4.5},
+                                                 {0.25, 1.5, 3.0, 1.0}};
+  const std::vector<std::vector<double>> moved = {
+      {0.375 + pb, 1.25 - pb, 0.5 + pg, 2.75 - pg},
+      {-0.625, -0.125, -1.5, -0.25},
+      {-1.125 + 2.0 * pb, -0.75 + pb, -2.25 + pg, -4.5 + 2.0 * pg},
+      {0.25 + 4.0 * pb, 1.5, 3.0 + 2.0 * pg, 1.0}};
+  for (std::size_t s = 0; s < base.size(); ++s) {
+    const double e = evaluate_angles(mixer, table, base[s]);
+    EXPECT_NEAR(evaluate_angles(mixer, table, moved[s]), e, 1e-12) << s;
+  }
+  const std::vector<double> want = median_angles(base, domain);
+  const std::vector<double> got = median_angles(moved, domain);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        want.size() * sizeof(double)),
+            0);
+  // The base sets are already canonical: the domain form agrees with the
+  // raw median on them.
+  EXPECT_EQ(want, median_angles(base));
+
+  // Domains the conditions do not grant.
+  dvec biased = table;
+  biased[0] += 1.0;  // no longer flip-invariant
+  EXPECT_EQ(angle_domain(mixer, biased).beta_period, kPi);
+  dvec halves = table;
+  for (double& v : halves) v += 0.5;
+  EXPECT_EQ(angle_domain(mixer, halves).gamma_period, 0.0);
+  const XMixer pairs = XMixer::from_orders(6, {2});
+  EXPECT_EQ(angle_domain(pairs, table).beta_period, 0.0);
+  EXPECT_THROW(median_angles({{1.0, 2.0, 3.0}}, domain), Error);
 }
 
 TEST(MedianAngles, ValidatesInput) {
